@@ -5,8 +5,8 @@
 // cycles would this point cost?" for thousands of candidates at once,
 // which is what the adaptive search's pre-triage stage needs. Profiles
 // are shared with the analytic backend through the same cache; each
-// distinct processor count folds its profile into a curve once and then
-// answers every size in constant time.
+// distinct processor count folds its profile into a curve once, and
+// each size is then one O(cap) pass over that curve's histograms.
 
 package explorer
 
@@ -23,9 +23,11 @@ import (
 // design point, positionally. It resolves one trace and reuse-distance
 // profile per distinct processor count (through the shared caches and
 // the optional disk cache) and evaluates every size off the profile's
-// suffix-sum curve, so estimating a 10^4-point space costs a few
-// profile builds plus microseconds per point. Multiprogramming points
-// follow the sweep's rules (single cluster, ppc scheduling slots).
+// rdmodel.Curve. Each Curve.At is O(cap): it rebuilds the cap-long
+// miss-probability table and scans every cluster's histogram. So
+// estimating a 10^4-point space costs a few profile builds plus O(cap)
+// work per point. Multiprogramming points follow the sweep's rules
+// (single cluster, ppc scheduling slots).
 func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale, dc trace.Store) ([]uint64, error) {
 	curves := make(map[int]*rdmodel.Curve)
 	out := make([]uint64, len(specs))

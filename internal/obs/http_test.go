@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -111,6 +112,12 @@ func TestInstrumentHandlerStreamedStatus(t *testing.T) {
 	for _, q := range []string{"", "?explicit=1"} {
 		resp, err := http.Get(srv.URL + q)
 		if err != nil {
+			t.Fatal(err)
+		}
+		// The middleware counts the status after the handler returns,
+		// and the server ends the chunked body only after that: reading
+		// to EOF orders the count before the checks below.
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()

@@ -27,6 +27,7 @@ package rdmodel
 
 import (
 	"fmt"
+	"math"
 
 	"sccsim/internal/mem"
 	"sccsim/internal/sysmodel"
@@ -154,6 +155,13 @@ func accessesOf(k mem.Kind) (reads, writes int) {
 // over its processors' streams merged in per-processor virtual-time
 // order — the stall-free approximation of the simulator's replay
 // interleaving. capLines caps tracked distances (see DefaultCap).
+//
+// Every histogram comes from its own pass of one tracker, reset in
+// between. A processor's PerProc histogram, Issue and ReadRefs depend
+// only on its own stream. A cluster's histogram is the merge of only
+// its processors: a processor's clock never decreases, so the global
+// (clock, id) order restricted to one cluster is that cluster's own
+// (clock, id) merge.
 func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 	if clusters < 1 || c.Procs%clusters != 0 {
 		return nil, fmt.Errorf("rdmodel: %d processors not divisible into %d clusters", c.Procs, clusters)
@@ -168,58 +176,47 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 		Issue:      make([][]uint64, len(c.Streams)),
 		ReadRefs:   make([][]uint64, len(c.Streams)),
 	}
-	clTrack := make([]*tracker, clusters)
-	for i := range clTrack {
-		clTrack[i] = newTracker(capLines)
-		p.Cluster[i] = newHist(capLines)
-	}
-	prTrack := make([]*tracker, c.Procs)
-	for i := range prTrack {
-		prTrack[i] = newTracker(capLines)
-		p.PerProc[i] = newHist(capLines)
-	}
-
-	pos := make([]int, c.Procs)
-	clk := make([]uint64, c.Procs)
-	for phase, streams := range c.Streams {
+	for phase := range c.Streams {
 		p.Issue[phase] = make([]uint64, c.Procs)
 		p.ReadRefs[phase] = make([]uint64, c.Procs)
-		// Phase barriers align the processors, so each phase merges from
-		// a common origin.
-		for pr := range pos {
-			pos[pr], clk[pr] = 0, 0
+	}
+	streams, lines := denseStreams(c.Streams, c.MaxLineIndex())
+	tk := newTracker(capLines, lines)
+
+	for pr := range p.PerProc {
+		p.PerProc[pr] = newHist(capLines)
+		tk.reset()
+		for phase := range streams {
+			// Phase barriers align the processors, so each phase starts
+			// every clock at zero.
+			_, p.Issue[phase][pr], p.ReadRefs[phase][pr] =
+				tk.feed(&p.PerProc[pr], streams[phase][pr], 0, 0, math.MaxUint64)
 		}
-		for {
-			// Next reference in virtual-time order: the unfinished
-			// processor with the smallest clock (ties to the lowest id),
-			// mirroring the replay scheduler's ordering.
-			pr := -1
-			for q := 0; q < c.Procs; q++ {
-				if pos[q] < len(streams[q]) && (pr < 0 || clk[q] < clk[pr]) {
-					pr = q
+	}
+
+	pos := make([]int, ppc)
+	clk := make([]uint64, ppc)
+	done := make([]bool, ppc)
+	for cl := range p.Cluster {
+		p.Cluster[cl] = newHist(capLines)
+		tk.reset()
+		for _, phase := range streams {
+			own := phase[cl*ppc : (cl+1)*ppc]
+			for q := range own {
+				pos[q], clk[q], done[q] = 0, 0, len(own[q]) == 0
+			}
+			for {
+				// The unfinished processor with the smallest clock (ties
+				// to the lowest id), mirroring the replay scheduler's
+				// order, issues until it passes the runner-up.
+				pr, limit := nextUp(clk, done)
+				if pr < 0 {
+					break
 				}
+				pos[pr], clk[pr], _ = tk.feed(&p.Cluster[cl], own[pr], pos[pr], clk[pr], limit)
+				done[pr] = pos[pr] == len(own[pr])
 			}
-			if pr < 0 {
-				break
-			}
-			r := streams[pr][pos[pr]]
-			pos[pr]++
-			clk[pr] += uint64(r.Gap)
-			reads, writes := accessesOf(r.Kind)
-			if reads+writes == 0 {
-				continue
-			}
-			line := sysmodel.LineIndex(r.Addr)
-			cl := pr / ppc
-			for i := 0; i < reads+writes; i++ {
-				write := i >= reads
-				p.Cluster[cl].add(clTrack[cl].access(line), write)
-				p.PerProc[pr].add(prTrack[pr].access(line), write)
-			}
-			clk[pr] += uint64(reads + writes)
-			p.ReadRefs[phase][pr] += uint64(reads)
 		}
-		copy(p.Issue[phase], clk)
 	}
 	return p, nil
 }
@@ -245,12 +242,18 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		Issue:      [][]uint64{make([]uint64, slots)},
 		ReadRefs:   [][]uint64{make([]uint64, slots)},
 	}
-	shared := newTracker(capLines)
-	prTrack := make([]*tracker, len(processes))
-	for i := range prTrack {
-		prTrack[i] = newTracker(capLines)
-		p.PerProc[i] = newHist(capLines)
+	var maxLine uint32
+	for _, st := range processes {
+		for _, r := range st {
+			if rd, wr := accessesOf(r.Kind); rd+wr > 0 {
+				p.Refs++
+				maxLine = max(maxLine, sysmodel.LineIndex(r.Addr))
+			}
+		}
 	}
+	dense, lines := denseStreams([][][]mem.Ref{processes}, maxLine)
+	processes = dense[0]
+	tk := newTracker(capLines, lines)
 
 	pos := make([]int, len(processes))
 	queue := make([]int, 0, len(processes))
@@ -294,12 +297,10 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 	}
 
 	for {
-		s := -1
-		for q := 0; q < slots; q++ {
-			if current[q] >= 0 && (s < 0 || clk[q] < clk[s]) {
-				s = q
-			}
-		}
+		// A slot runs until it passes the runner-up, reaches the end of
+		// its quantum or finishes its process; only then can the
+		// schedule change.
+		s, limit := nextUp(clk, idle)
 		if s < 0 {
 			break
 		}
@@ -327,26 +328,46 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		if clk[s] >= quantumEnd[s] {
 			quantumEnd[s] = clk[s] + quantum
 		}
-
-		r := st[pos[pid]]
-		pos[pid]++
-		clk[s] += uint64(r.Gap)
-		reads, writes := accessesOf(r.Kind)
-		if reads+writes == 0 {
-			continue
-		}
-		p.Refs++
-		line := sysmodel.LineIndex(r.Addr)
-		for i := 0; i < reads+writes; i++ {
-			write := i >= reads
-			p.Cluster[0].add(shared.access(line), write)
-			p.PerProc[pid].add(prTrack[pid].access(line), write)
-		}
-		clk[s] += uint64(reads + writes)
-		p.ReadRefs[0][s] += uint64(reads)
+		var reads uint64
+		pos[pid], clk[s], reads = tk.feed(&p.Cluster[0], st, pos[pid], clk[s], min(limit, quantumEnd[s]))
+		p.ReadRefs[0][s] += reads
 	}
 	copy(p.Issue[0], clk)
+
+	// A process's accesses reach the shared cache in its own stream
+	// order whatever the schedule, so its histogram is a pass over that
+	// stream alone.
+	for pid, st := range processes {
+		p.PerProc[pid] = newHist(capLines)
+		tk.reset()
+		tk.feed(&p.PerProc[pid], st, 0, 0, math.MaxUint64)
+	}
 	return p, nil
+}
+
+// nextUp returns the entry with the smallest clock among those not
+// done, ties to the lowest index, or -1 when all are done. It also
+// returns the bound its clock must stay below for it to remain first:
+// the runner-up's clock, plus one when the runner-up's index is higher.
+func nextUp(clk []uint64, done []bool) (int, uint64) {
+	first, second := -1, -1
+	for q := range clk {
+		switch {
+		case done[q]:
+		case first < 0 || clk[q] < clk[first]:
+			first, second = q, first
+		case second < 0 || clk[q] < clk[second]:
+			second = q
+		}
+	}
+	limit := uint64(math.MaxUint64)
+	if second >= 0 {
+		limit = clk[second]
+		if first < second {
+			limit++
+		}
+	}
+	return first, limit
 }
 
 func anyIdle(idle []bool) bool {

@@ -1,8 +1,10 @@
 package rdmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -27,24 +29,54 @@ func (s *refStack) access(line uint32) int {
 	return distCold
 }
 
-// TestTrackerMatchesNaive: the Fenwick-tree tracker must agree with the
+// cappedStack is refStack with the tracker's cap: it keeps only the cap
+// most recent lines, and reports distFar for a line it has seen but no
+// longer holds.
+type cappedStack struct {
+	refStack
+	cap  int
+	seen map[uint32]bool
+}
+
+func newCappedStack(capLines int) *cappedStack {
+	return &cappedStack{cap: capLines, seen: map[uint32]bool{}}
+}
+
+func (s *cappedStack) access(line uint32) int {
+	d := s.refStack.access(line)
+	if len(s.stack) > s.cap {
+		s.stack = s.stack[:s.cap]
+	}
+	if d == distCold && s.seen[line] {
+		d = distFar
+	}
+	s.seen[line] = true
+	return d
+}
+
+// TestTrackerMatchesNaive: the bitmap tracker must agree with the
 // naive LRU stack on every access — exact distances below the cap,
 // far/cold classification otherwise — across enough accesses to force
-// several compactions.
+// many compactions. The small cap keeps every distance inside the
+// recent words; the large one keeps more lines through a compaction
+// than the recent words hold, so distances, clears and the rebuild
+// also go through the Fenwick tree.
 func TestTrackerMatchesNaive(t *testing.T) {
-	const cap = 16
-	tk := newTracker(cap)
-	ref := &refStack{}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20*4*cap; i++ {
-		// A universe a few times the cap exercises cold, exact and far.
-		line := uint32(rng.Intn(3 * cap))
-		want := ref.access(line)
-		if want >= cap {
-			want = distFar
-		}
-		if got := tk.access(line); got != want {
-			t.Fatalf("access %d (line %d): tracker says %d, naive says %d", i, line, got, want)
+	for _, cap := range []int{16, 2048} {
+		tk := newTracker(cap, 3*cap)
+		ref := newCappedStack(cap)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 10*4*cap; i++ {
+			// A skewed universe a few times the cap exercises cold,
+			// short, long and far distances.
+			line := uint32(rng.Intn(3 * cap))
+			if rng.Intn(2) == 0 {
+				line = uint32(rng.Intn(cap / 4))
+			}
+			want := ref.access(line)
+			if got := tk.access(line); got != want {
+				t.Fatalf("cap %d, access %d (line %d): tracker says %d, naive says %d", cap, i, line, got, want)
+			}
 		}
 	}
 }
@@ -52,7 +84,7 @@ func TestTrackerMatchesNaive(t *testing.T) {
 // TestTrackerSequential: a strided cold scan then a re-scan has fully
 // predictable distances.
 func TestTrackerSequential(t *testing.T) {
-	tk := newTracker(8)
+	tk := newTracker(8, 6)
 	for i := 0; i < 6; i++ {
 		if d := tk.access(uint32(i)); d != distCold {
 			t.Fatalf("first touch of line %d: distance %d, want cold", i, d)
@@ -386,5 +418,200 @@ func TestPredictMonotonicInSize(t *testing.T) {
 	}
 	if _, err := prof.Predict(1, 1); err == nil {
 		t.Error("Predict accepted a sub-line cache size")
+	}
+}
+
+// naiveBuildProfile is the reference for BuildProfile: one global
+// min-clock scan over every processor (ties to the lowest id) feeding
+// one capped naive stack per cluster and one per processor.
+func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
+	ppc := c.Procs / clusters
+	p := &Profile{
+		Name: c.Name, Procs: c.Procs, Clusters: clusters, Cap: capLines,
+		Refs:       c.Refs(),
+		Cluster:    make([]Hist, clusters),
+		PerProc:    make([]Hist, c.Procs),
+		PhaseNames: append([]string(nil), c.PhaseNames...),
+		Issue:      make([][]uint64, len(c.Streams)),
+		ReadRefs:   make([][]uint64, len(c.Streams)),
+	}
+	clStack := make([]*cappedStack, clusters)
+	for i := range clStack {
+		clStack[i] = newCappedStack(capLines)
+		p.Cluster[i] = newHist(capLines)
+	}
+	prStack := make([]*cappedStack, c.Procs)
+	for i := range prStack {
+		prStack[i] = newCappedStack(capLines)
+		p.PerProc[i] = newHist(capLines)
+	}
+	for phase, streams := range c.Streams {
+		p.Issue[phase] = make([]uint64, c.Procs)
+		p.ReadRefs[phase] = make([]uint64, c.Procs)
+		pos := make([]int, c.Procs)
+		clk := make([]uint64, c.Procs)
+		for {
+			pr := -1
+			for q := 0; q < c.Procs; q++ {
+				if pos[q] < len(streams[q]) && (pr < 0 || clk[q] < clk[pr]) {
+					pr = q
+				}
+			}
+			if pr < 0 {
+				break
+			}
+			r := streams[pr][pos[pr]]
+			pos[pr]++
+			clk[pr] += uint64(r.Gap)
+			reads, writes := accessesOf(r.Kind)
+			if reads+writes == 0 {
+				continue
+			}
+			line := sysmodel.LineIndex(r.Addr)
+			cl := pr / ppc
+			for i := 0; i < reads+writes; i++ {
+				p.Cluster[cl].add(clStack[cl].access(line), i >= reads)
+				p.PerProc[pr].add(prStack[pr].access(line), i >= reads)
+			}
+			clk[pr] += uint64(reads + writes)
+			p.ReadRefs[phase][pr] += uint64(reads)
+		}
+		copy(p.Issue[phase], clk)
+	}
+	return p
+}
+
+// naiveStreamHist is the reference for one stream's private histogram.
+func naiveStreamHist(st []mem.Ref, capLines int) Hist {
+	h := newHist(capLines)
+	s := newCappedStack(capLines)
+	for _, r := range st {
+		reads, writes := accessesOf(r.Kind)
+		for i := 0; i < reads+writes; i++ {
+			h.add(s.access(sysmodel.LineIndex(r.Addr)), i >= reads)
+		}
+	}
+	return h
+}
+
+// mixedStream is a deterministic stream over lines [base, base+universe)
+// that mixes reads, writes, critical sections (Lock, accesses, Unlock)
+// and Idle stretches, with compute gaps in [0, maxGap]. Half the
+// accesses go to a hot eighth of the universe, so distances run from
+// zero to far.
+func mixedStream(rng *rand.Rand, n, maxGap int, base uint32, universe int) []mem.Ref {
+	line := func() uint32 {
+		if rng.Intn(2) == 0 {
+			return base + uint32(rng.Intn(universe/8+1))
+		}
+		return base + uint32(rng.Intn(universe))
+	}
+	gap := func() uint16 { return uint16(rng.Intn(maxGap + 1)) }
+	var st []mem.Ref
+	for len(st) < n {
+		switch k := rng.Intn(20); {
+		case k == 0:
+			lock := line() * sysmodel.LineSize
+			st = append(st, mem.Ref{Addr: lock, Gap: gap(), Kind: mem.Lock},
+				mem.Ref{Addr: line() * sysmodel.LineSize, Gap: gap(), Kind: mem.Write},
+				mem.Ref{Addr: lock, Gap: gap(), Kind: mem.Unlock})
+		case k == 1:
+			st = append(st, mem.Ref{Gap: gap(), Kind: mem.Idle})
+		case k < 6:
+			st = append(st, mem.Ref{Addr: line() * sysmodel.LineSize, Gap: gap(), Kind: mem.Write})
+		default:
+			st = append(st, mem.Ref{Addr: line() * sysmodel.LineSize, Gap: gap(), Kind: mem.Read})
+		}
+	}
+	return st
+}
+
+// mixedProgram is a deterministic multi-phase program of mixedStreams;
+// every fifth stream is empty, and the first processor's first-phase
+// stream always is.
+func mixedProgram(seed int64, procs, phases, refs, maxGap int, base uint32, universe int) *trace.Program {
+	rng := rand.New(rand.NewSource(seed))
+	p := &trace.Program{Name: "mixed", Procs: procs}
+	for ph := 0; ph < phases; ph++ {
+		phase := trace.Phase{Name: fmt.Sprintf("phase%d", ph)}
+		for pr := 0; pr < procs; pr++ {
+			var st []mem.Ref
+			if (ph+pr) > 0 && rng.Intn(5) > 0 {
+				st = mixedStream(rng, refs/2+rng.Intn(refs), maxGap, base, universe)
+			}
+			phase.Streams = append(phase.Streams, st)
+		}
+		p.Phases = append(p.Phases, phase)
+	}
+	return p
+}
+
+// TestBuildProfileMatchesNaive: the per-processor passes and
+// per-cluster merges must produce exactly the profile of the global
+// min-clock scan over naive stacks — with clocks that tie at every
+// step (maxGap 0), Idle refs, critical sections, empty streams,
+// several phases, 1, 2 and 4 clusters, caps small enough to compact
+// many times, and line indices past maxDirectLines.
+func TestBuildProfileMatchesNaive(t *testing.T) {
+	cases := []struct {
+		name     string
+		maxGap   int
+		base     uint32
+		universe int
+	}{
+		{"tied-clocks", 0, 1, 300},
+		{"gaps", 5, 1, 300},
+		{"wide-gaps", 40, 1, 300},
+		{"renamed-lines", 3, maxDirectLines + 12345, 300},
+	}
+	for _, tc := range cases {
+		for _, clusters := range []int{1, 2, 4} {
+			for _, capLines := range []int{8, 64, 700} {
+				prog := mixedProgram(int64(clusters*1000+capLines), 8, 3, 600, tc.maxGap, tc.base, tc.universe)
+				comp, err := trace.Compile(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := BuildProfile(comp, clusters, capLines)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := naiveBuildProfile(comp, clusters, capLines); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %d clusters, cap %d: profile differs from the naive global merge", tc.name, clusters, capLines)
+				}
+			}
+		}
+	}
+}
+
+// TestScheduledPerProcMatchesNaive: each process's histogram in a
+// scheduled profile is the naive stack over that process's own stream,
+// whether there are fewer slots than processes (time slicing) or more
+// (idle slots), and when the lines need renaming.
+func TestScheduledPerProcMatchesNaive(t *testing.T) {
+	for _, base := range []uint32{1, maxDirectLines + 777} {
+		rng := rand.New(rand.NewSource(int64(base)))
+		var processes [][]mem.Ref
+		for pid := 0; pid < 5; pid++ {
+			var st []mem.Ref
+			if pid != 3 {
+				st = mixedStream(rng, 1_500+rng.Intn(1_000), 3, base+uint32(pid)*200, 150)
+			}
+			processes = append(processes, st)
+		}
+		for _, slots := range []int{2, 8} {
+			for _, capLines := range []int{8, 64} {
+				prof, err := BuildScheduledProfile("mp", processes, slots, 500, capLines)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pid, st := range processes {
+					if want := naiveStreamHist(st, capLines); !reflect.DeepEqual(prof.PerProc[pid], want) {
+						t.Errorf("base %d, %d slots, cap %d: process %d histogram differs from the naive stack over its stream",
+							base, slots, capLines, pid)
+					}
+				}
+			}
+		}
 	}
 }

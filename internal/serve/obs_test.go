@@ -91,23 +91,10 @@ func TestRequestIDEndToEnd(t *testing.T) {
 		t.Fatalf("sweep not done: status=%q grid=%v err=%q", env.Status, env.Grid != nil, env.Error)
 	}
 
-	// 3. The job record carries it, visible through the status route.
-	sr, err := http.Get(ts.URL + "/v1/sweep/" + env.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Body.Close()
-	var st JobStatus
-	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.RequestID != reqID {
-		t.Errorf("job status request_id = %q, want %q", st.RequestID, reqID)
-	}
-
-	// 4. The structured log lines are stamped with it: the request
+	// 3. The structured log lines are stamped with it: the request
 	// shell's start/finish lines and the job lifecycle lines. The finish
-	// line is written after the response body, so poll for it.
+	// line is written after the response body, so poll for it. This runs
+	// before any other request, so the first finish line is the sweep's.
 	waitFor(t, func() bool { return strings.Contains(logs.String(), "request finish") })
 	out := logs.String()
 	stamp := fmt.Sprintf("%q:%q", "request_id", reqID)
@@ -120,6 +107,20 @@ func TestRequestIDEndToEnd(t *testing.T) {
 		if !strings.Contains(line, stamp) {
 			t.Errorf("%q line missing %s: %s", msg, stamp, line)
 		}
+	}
+
+	// 4. The job record carries it, visible through the status route.
+	sr, err := http.Get(ts.URL + "/v1/sweep/" + env.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.RequestID != reqID {
+		t.Errorf("job status request_id = %q, want %q", st.RequestID, reqID)
 	}
 
 	// 5. The run manifest on disk is stamped with it too.
