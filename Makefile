@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race-obs obs-overhead obs-overhead-run fuzz-smoke vet quick bench bench-quick bench-json bench-compare bench-search bench-search-run bench-search-write experiments cover clean docs-check serve verify-analytic load-check
+.PHONY: all check build test test-race race-obs obs-overhead obs-overhead-run fuzz-smoke vet quick bench bench-quick bench-json bench-compare bench-search bench-search-run bench-search-write bench-check experiments cover clean docs-check serve verify-analytic load-check
 
 all: build vet test
 
 # Tier-1 gate: compile, vet, full test suite, race-enabled observability
 # and engine packages, documentation contract, analytic-backend accuracy
-# smoke.
-check: build vet test race-obs docs-check verify-analytic obs-overhead
+# smoke, the benchmark module.
+check: build vet test race-obs docs-check verify-analytic obs-overhead bench-check
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ test-race:
 # uninstrumented) to a representative pair of cache sizes here.
 race-obs:
 	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve
+
+# The benchmark program (bench/, see BENCHMARK.json) is its own module
+# (`replace sccsim => ../`), so `go build ./...` and `go test ./...`
+# never compile it: vet and test it here so a facade change that breaks
+# it fails the gate instead of the benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Documentation contract: every exported identifier in the facade and
 # the serve package carries a doc comment, docs/API.md documents every

@@ -6,6 +6,7 @@
 package sccsim_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,15 +22,15 @@ func BenchmarkAblationSharedVsPrivate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out := ""
 		for _, w := range []sccsim.Workload{sccsim.BarnesHut, sccsim.MP3D, sccsim.Cholesky} {
-			shared, err := sccsim.Run(w, 8, 128*1024, scale)
+			shared, err := runPoint(w, 8, 128*1024, scale)
 			if err != nil {
 				b.Fatal(err)
 			}
-			private, err := sccsim.RunPrivateCaches(w, 8, 128*1024, scale)
+			private, err := runPrivate(w, 8, 128*1024, scale)
 			if err != nil {
 				b.Fatal(err)
 			}
-			flat, err := sccsim.RunFlat(w, 32, 16*1024, scale)
+			flat, err := runFlat(w, 32, 16*1024, scale)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -49,8 +50,8 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out := "MP3D, 4x4P/64KB, write-buffer depth sweep:\n"
 		for _, depth := range []int{1, 2, 4, 8, -1} {
-			g, err := sccsim.SweepWithOptions(sccsim.MP3D, scale,
-				sccsim.Options{WriteBufferDepth: depth})
+			g, err := sccsim.SweepCtx(context.Background(), sccsim.MP3D, sccsim.WithScale(scale),
+				sccsim.WithSimOptions(sccsim.Options{WriteBufferDepth: depth}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -172,11 +173,11 @@ func BenchmarkAblationSwitchPenalty(b *testing.B) {
 		}
 		out := fmt.Sprintf("multiprogramming with icache-derived switch penalty (%d cycles):\n", penalty)
 		for _, ppc := range []int{1, 2} {
-			base, err := sccsim.RunWithOptions(sccsim.Multiprog, ppc, 64*1024, scale, sccsim.Options{})
+			base, err := runWithOptions(sccsim.Multiprog, ppc, 64*1024, scale, sccsim.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			with, err := sccsim.RunWithOptions(sccsim.Multiprog, ppc, 64*1024, scale,
+			with, err := runWithOptions(sccsim.Multiprog, ppc, 64*1024, scale,
 				sccsim.Options{SwitchPenalty: penalty})
 			if err != nil {
 				b.Fatal(err)

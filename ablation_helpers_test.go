@@ -1,6 +1,7 @@
 package sccsim_test
 
 import (
+	"context"
 	"testing"
 
 	"sccsim"
@@ -20,14 +21,34 @@ func sumU64(xs []uint64) uint64 {
 	return t
 }
 
+// runPoint runs one design point of the paper's system through Do.
+func runPoint(w sccsim.Workload, ppc, scc int, s sccsim.Scale, opts ...sccsim.Opt) (*sccsim.Point, error) {
+	return sccsim.Do(context.Background(), w,
+		append([]sccsim.Opt{sccsim.WithPoint(ppc, scc), sccsim.WithScale(s)}, opts...)...)
+}
+
 func runWithOptions(w sccsim.Workload, ppc, scc int, s sccsim.Scale, opts sccsim.Options) (*sccsim.Point, error) {
-	return sccsim.RunWithOptions(w, ppc, scc, s, opts)
+	return runPoint(w, ppc, scc, s, sccsim.WithSimOptions(opts))
+}
+
+// runPrivate runs a design point on the Section 2.1 alternative:
+// per-processor private caches of the same total capacity.
+func runPrivate(w sccsim.Workload, ppc, scc int, s sccsim.Scale) (*sccsim.Point, error) {
+	return runPoint(w, ppc, scc, s, sccsim.WithAxes(sccsim.Axes{Hierarchy: sccsim.HierarchyPrivate}))
+}
+
+// runFlat runs a parallel workload on a conventional flat snoopy
+// multiprocessor: procs single-processor clusters, each with a private
+// cache of cacheBytes, on one bus.
+func runFlat(w sccsim.Workload, procs, cacheBytes int, s sccsim.Scale) (*sccsim.Point, error) {
+	cfg := sccsim.Config{Clusters: procs, ProcsPerCluster: 1, SCCBytes: cacheBytes, LoadLatency: 2, Assoc: 1}
+	return sccsim.Do(context.Background(), w, sccsim.WithConfig(cfg), sccsim.WithScale(s))
 }
 
 func runAssoc(w sccsim.Workload, ppc, scc, assoc int, s sccsim.Scale) (*sccsim.Point, error) {
 	cfg := sccsim.DefaultConfig(ppc, scc)
 	cfg.Assoc = assoc
-	return sccsim.RunConfig(w, cfg, s, sccsim.Options{})
+	return sccsim.Do(context.Background(), w, sccsim.WithConfig(cfg), sccsim.WithScale(s))
 }
 
 // scheduleStats builds the Cholesky fan-out schedule with a supernode

@@ -7,6 +7,7 @@
 package sccsim_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -36,7 +37,7 @@ func sweep(b *testing.B, w sccsim.Workload) *sccsim.Grid {
 	if g, ok := gridCache[w]; ok {
 		return g
 	}
-	g, err := sccsim.Sweep(w, benchScale())
+	g, err := sccsim.SweepCtx(context.Background(), w, sccsim.WithScale(benchScale()))
 	if err != nil {
 		b.Fatal(err)
 	}

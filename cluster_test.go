@@ -51,9 +51,13 @@ func TestHTTPClusterSpeaksTheServeWireSchema(t *testing.T) {
 		t.Fatalf("Workers() = %v, want normalized %q", w, worker.URL)
 	}
 	s := sccsim.QuickScale()
+	// Every data field of the simulator options, so a field the facade
+	// sends but serve.SimSpec lacks fails the strict decode above.
+	opts := sccsim.Options{WriteBufferDepth: 3, BusOccupancy: 2, SwitchPenalty: 7,
+		MemBanks: 4, MemBankOccupancy: 5, VictimEntries: 6, WarmupRefs: 8}
 	pt, err := c.RunPoint(context.Background(), sccsim.RemotePoint{
 		Workload: sccsim.BarnesHut, ProcsPerCluster: 2, SCCBytes: 32 * 1024,
-		Scale: s, Verify: true, Backend: "exact",
+		Scale: s, Sim: opts, Verify: true, Backend: "exact",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +71,10 @@ func TestHTTPClusterSpeaksTheServeWireSchema(t *testing.T) {
 	if got.ScaleSpec == nil || scaleOf(got.ScaleSpec) != s {
 		t.Fatalf("scale did not survive the wire: %+v", got.ScaleSpec)
 	}
-	if got.Sim == nil || !got.Sim.Verify {
-		t.Fatalf("verify flag did not survive the wire: %+v", got.Sim)
+	want := serve.SimSpec{WriteBufferDepth: 3, BusOccupancy: 2, SwitchPenalty: 7,
+		MemBanks: 4, MemBankOccupancy: 5, VictimEntries: 6, WarmupRefs: 8, Verify: true}
+	if got.Sim == nil || *got.Sim != want {
+		t.Fatalf("simulator options did not survive the wire: %+v, want %+v", got.Sim, want)
 	}
 }
 

@@ -1,32 +1,71 @@
 package sccsim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"sccsim"
+	"sccsim/internal/trace"
 )
 
-// The functional-options experiment API must agree exactly with the
-// deprecated wrappers it replaces.
+// TestDoMatchesRun: a single point run by Do is byte-identical to the
+// same cell of a SweepCtx grid, on both backends.
 func TestDoMatchesRun(t *testing.T) {
-	s := sccsim.QuickScale()
-	old, err := sccsim.Run(sccsim.BarnesHut, 2, 32*1024, s)
-	if err != nil {
-		t.Fatal(err)
+	s := sccsim.WithScale(sccsim.QuickScale())
+	for _, b := range []sccsim.Backend{sccsim.BackendExact, sccsim.BackendAnalytic} {
+		grid, err := sccsim.SweepCtx(context.Background(), sccsim.BarnesHut, s, sccsim.WithBackend(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := sccsim.Do(context.Background(), sccsim.BarnesHut, s, sccsim.WithBackend(b),
+			sccsim.WithPoint(2, 32*1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(pt)
+		want, _ := json.Marshal(grid.At(32*1024, 2))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Do point differs from the sweep cell", b)
+		}
 	}
-	pt, err := sccsim.Do(context.Background(), sccsim.BarnesHut,
-		sccsim.WithPoint(2, 32*1024), sccsim.WithScale(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Result.Cycles != old.Result.Cycles || pt.Result.Refs != old.Result.Refs {
-		t.Errorf("Do = %d cycles / %d refs, Run = %d / %d",
-			pt.Result.Cycles, pt.Result.Refs, old.Result.Cycles, old.Result.Refs)
-	}
-	if pt.Config != old.Config {
-		t.Errorf("Do config %v, Run config %v", pt.Config, old.Config)
+}
+
+// countingStore is a trace store that never hits, counting lookups.
+type countingStore struct{ loads atomic.Int64 }
+
+func (s *countingStore) Load(string) (*trace.Program, error) { s.loads.Add(1); return nil, nil }
+func (s *countingStore) Store(string, *trace.Program) error  { return nil }
+
+// TestDoReachesTraceStoreAndMetrics: every Do path — exact or analytic,
+// WithPoint or WithConfig — resolves its trace through the persistent
+// store once and reports to the metrics registry, like a sweep point.
+func TestDoReachesTraceStoreAndMetrics(t *testing.T) {
+	t.Cleanup(sccsim.ResetTraceCache)
+	for _, b := range []sccsim.Backend{sccsim.BackendExact, sccsim.BackendAnalytic} {
+		for name, point := range map[string]sccsim.Opt{
+			"WithPoint":  sccsim.WithPoint(2, 32*1024),
+			"WithConfig": sccsim.WithConfig(sccsim.DefaultConfig(2, 32*1024)),
+		} {
+			sccsim.ResetTraceCache()
+			st := &countingStore{}
+			reg := sccsim.NewMetrics()
+			if _, err := sccsim.Do(context.Background(), sccsim.MP3D, point, sccsim.WithBackend(b),
+				sccsim.WithScale(sccsim.QuickScale()), sccsim.WithTraceStore(st), sccsim.WithMetrics(reg)); err != nil {
+				t.Fatal(err)
+			}
+			if n := st.loads.Load(); n != 1 {
+				t.Errorf("%s %s: %d store loads, want 1", b, name, n)
+			}
+			for _, c := range []string{"explorer.points_done", "explorer.trace_cache_misses"} {
+				if n := reg.Counter(c).Value(); n != 1 {
+					t.Errorf("%s %s: %s = %d, want 1", b, name, c, n)
+				}
+			}
+		}
 	}
 }
 
@@ -53,16 +92,20 @@ func TestDoWithConfig(t *testing.T) {
 	if pt.Config.Assoc != 2 {
 		t.Errorf("associativity not preserved: %v", pt.Config)
 	}
-	// An explicit Config is a parallel-workload feature, as in RunConfig.
+	// An explicit Config is a parallel-workload feature.
 	if _, err := sccsim.Do(context.Background(), sccsim.Multiprog,
 		sccsim.WithConfig(cfg), sccsim.WithScale(sccsim.QuickScale())); err == nil {
 		t.Error("Do accepted WithConfig for the multiprogramming workload")
 	}
 }
 
+// TestSweepCtxMatchesSweepWithProgress: a two-worker sweep with a
+// progress hook renders the same table as a one-worker sweep, with one
+// event per point.
 func TestSweepCtxMatchesSweepWithProgress(t *testing.T) {
 	s := sccsim.QuickScale()
-	old, err := sccsim.Sweep(sccsim.BarnesHut, s)
+	old, err := sccsim.SweepCtx(context.Background(), sccsim.BarnesHut,
+		sccsim.WithScale(s), sccsim.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +117,7 @@ func TestSweepCtxMatchesSweepWithProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := sccsim.SpeedupTable(grid), sccsim.SpeedupTable(old); got != want {
-		t.Errorf("SweepCtx table diverged from Sweep:\n%s\nvs\n%s", got, want)
+		t.Errorf("two-worker table diverged from one-worker:\n%s\nvs\n%s", got, want)
 	}
 	if want := len(sccsim.SCCSizes) * len(sccsim.ProcsPerClusterSweep); events != want {
 		t.Errorf("progress events = %d, want %d", events, want)

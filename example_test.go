@@ -1,15 +1,17 @@
 package sccsim_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"sccsim"
 )
 
-// ExampleRun simulates one design point and reads the result.
-func ExampleRun() {
-	pt, err := sccsim.Run(sccsim.BarnesHut, 2, 32*1024, sccsim.QuickScale())
+// ExampleDo simulates one design point and reads the result.
+func ExampleDo() {
+	pt, err := sccsim.Do(context.Background(), sccsim.BarnesHut,
+		sccsim.WithPoint(2, 32*1024), sccsim.WithScale(sccsim.QuickScale()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -21,10 +23,11 @@ func ExampleRun() {
 	// finished: true
 }
 
-// ExampleSweep runs the full design space for one workload and renders
-// the paper's Table 3.
-func ExampleSweep() {
-	grid, err := sccsim.Sweep(sccsim.MP3D, sccsim.QuickScale())
+// ExampleSweepCtx runs the full design space for one workload and
+// reads the paper's Table 3 metric off the grid.
+func ExampleSweepCtx() {
+	grid, err := sccsim.SweepCtx(context.Background(), sccsim.MP3D,
+		sccsim.WithScale(sccsim.QuickScale()))
 	if err != nil {
 		log.Fatal(err)
 	}

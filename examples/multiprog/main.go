@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,7 +24,7 @@ func main() {
 
 	fmt.Printf("processes: %v\n\n", sccsim.MultiprogApps())
 
-	grid, err := sccsim.Sweep(sccsim.Multiprog, scale)
+	grid, err := sccsim.SweepCtx(context.Background(), sccsim.Multiprog, sccsim.WithScale(scale))
 	if err != nil {
 		log.Fatal(err)
 	}

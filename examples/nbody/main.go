@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,7 +22,7 @@ func main() {
 		scale = sccsim.PaperScale()
 	}
 
-	grid, err := sccsim.Sweep(sccsim.BarnesHut, scale)
+	grid, err := sccsim.SweepCtx(context.Background(), sccsim.BarnesHut, sccsim.WithScale(scale))
 	if err != nil {
 		log.Fatal(err)
 	}

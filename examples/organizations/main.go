@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,20 +32,22 @@ func main() {
 	}
 
 	const ppc, scc = 8, 128 * 1024 // the 32-processor MCM design point
+	ctx := context.Background()
+	// The flat machine: 32 single-processor "clusters", each cache a
+	// processor's share of an SCC, all on the one snoopy bus.
+	flatCfg := sccsim.Config{Clusters: 4 * ppc, ProcsPerCluster: 1, SCCBytes: scc / ppc, LoadLatency: 2, Assoc: 1}
 
 	for _, w := range []sccsim.Workload{sccsim.BarnesHut, sccsim.MP3D} {
-		shared, err := sccsim.Run(w, ppc, scc, scale)
-		if err != nil {
-			log.Fatal(err)
+		run := func(opts ...sccsim.Opt) *sccsim.Point {
+			pt, err := sccsim.Do(ctx, w, append(opts, sccsim.WithScale(scale))...)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return pt
 		}
-		private, err := sccsim.RunPrivateCaches(w, ppc, scc, scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		flat, err := sccsim.RunFlat(w, 4*ppc, scc/ppc, scale)
-		if err != nil {
-			log.Fatal(err)
-		}
+		shared := run(sccsim.WithPoint(ppc, scc))
+		private := run(sccsim.WithPoint(ppc, scc), sccsim.WithAxes(sccsim.Axes{Hierarchy: sccsim.HierarchyPrivate}))
+		flat := run(sccsim.WithConfig(flatCfg))
 
 		fmt.Printf("%s, 32 processors, %d KB cache per cluster:\n", w, scc/1024)
 		show := func(name string, p *sccsim.Point) {

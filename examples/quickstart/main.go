@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,8 @@ func main() {
 	// sccsim.PaperScale() for the full 1024-body configuration.
 	scale := sccsim.QuickScale()
 
-	pt, err := sccsim.Run(sccsim.BarnesHut, 2 /* procs per cluster */, 32*1024, scale)
+	pt, err := sccsim.Do(context.Background(), sccsim.BarnesHut,
+		sccsim.WithPoint(2 /* procs per cluster */, 32*1024), sccsim.WithScale(scale))
 	if err != nil {
 		log.Fatal(err)
 	}

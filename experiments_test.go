@@ -17,7 +17,7 @@ func TestPaperHeadlines(t *testing.T) {
 
 	run := func(w sccsim.Workload, ppc, scc int) *sccsim.Point {
 		t.Helper()
-		pt, err := sccsim.Run(w, ppc, scc, scale)
+		pt, err := runPoint(w, ppc, scc, scale)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,13 +6,15 @@ import (
 	"sccsim"
 )
 
+// TestRunPrivateCachesAPI: the Section 2.1 private-cache organization
+// is Do with the private hierarchy axis.
 func TestRunPrivateCachesAPI(t *testing.T) {
 	s := sccsim.QuickScale()
-	shared, err := sccsim.Run(sccsim.BarnesHut, 4, 64*1024, s)
+	shared, err := runPoint(sccsim.BarnesHut, 4, 64*1024, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := sccsim.RunPrivateCaches(sccsim.BarnesHut, 4, 64*1024, s)
+	private, err := runPrivate(sccsim.BarnesHut, 4, 64*1024, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +27,11 @@ func TestRunPrivateCachesAPI(t *testing.T) {
 	}
 }
 
+// TestRunFlatAPI: a flat snoopy machine is Do with an explicit
+// configuration of single-processor clusters.
 func TestRunFlatAPI(t *testing.T) {
 	s := sccsim.QuickScale()
-	flat, err := sccsim.RunFlat(sccsim.MP3D, 8, 16*1024, s)
+	flat, err := runFlat(sccsim.MP3D, 8, 16*1024, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +45,7 @@ func TestRunFlatAPI(t *testing.T) {
 
 func TestRunConfigAPI(t *testing.T) {
 	s := sccsim.QuickScale()
-	cfg := sccsim.DefaultConfig(2, 32*1024)
-	cfg.Assoc = 2
-	pt, err := sccsim.RunConfig(sccsim.BarnesHut, cfg, s, sccsim.Options{})
+	pt, err := runAssoc(sccsim.BarnesHut, 2, 32*1024, 2, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestRunConfigAPI(t *testing.T) {
 		t.Errorf("associativity not preserved: %+v", pt.Config)
 	}
 	// 2-way must not miss more than direct-mapped on the same trace.
-	dm, err := sccsim.Run(sccsim.BarnesHut, 2, 32*1024, s)
+	dm, err := runPoint(sccsim.BarnesHut, 2, 32*1024, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +65,11 @@ func TestRunConfigAPI(t *testing.T) {
 
 func TestRunWithOptionsAPI(t *testing.T) {
 	s := sccsim.QuickScale()
-	base, err := sccsim.RunWithOptions(sccsim.MP3D, 2, 16*1024, s, sccsim.Options{})
+	base, err := runWithOptions(sccsim.MP3D, 2, 16*1024, s, sccsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := sccsim.RunWithOptions(sccsim.MP3D, 2, 16*1024, s, sccsim.Options{WriteBufferDepth: 1})
+	tight, err := runWithOptions(sccsim.MP3D, 2, 16*1024, s, sccsim.Options{WriteBufferDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

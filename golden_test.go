@@ -31,7 +31,7 @@ func TestGoldenQuickScaleResults(t *testing.T) {
 	results := make([]outcome, len(cases))
 	for round := 0; round < 2; round++ {
 		for i, c := range cases {
-			pt, err := sccsim.Run(c.w, c.ppc, c.scc, sccsim.QuickScale())
+			pt, err := runPoint(c.w, c.ppc, c.scc, sccsim.QuickScale())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestGoldenQuickScaleResults(t *testing.T) {
 // unintentional changes to any layer (allocator, generator, cache,
 // coherence, timing) are caught. Update deliberately when retuning.
 func TestGoldenPinnedValues(t *testing.T) {
-	pt, err := sccsim.Run(sccsim.BarnesHut, 2, 32*1024, sccsim.QuickScale())
+	pt, err := runPoint(sccsim.BarnesHut, 2, 32*1024, sccsim.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"sccsim/internal/explorer"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/sim"
+	"sccsim/internal/sysmodel"
 )
 
 // ClusterConfigs maps processors-per-cluster to the cluster SCC size of
@@ -61,7 +62,11 @@ func BuildEntryCtx(ctx context.Context, w explorer.Workload, s explorer.Scale, o
 		AdjCycles: make(map[int]float64),
 	}
 	specs := explorer.SortedPointSpecs(ClusterConfigs())
-	pts, err := explorer.RunPointsCtx(ctx, w, specs, s, opts, eng)
+	cfgs := make([]sysmodel.Config, len(specs))
+	for i, sp := range specs {
+		cfgs[i] = explorer.PointConfig(w, sp.PPC, sp.SCCBytes, eng.Axes)
+	}
+	pts, err := explorer.RunConfigs(ctx, w, cfgs, s, opts, eng)
 	if err != nil {
 		return nil, fmt.Errorf("costperf: %s: %w", w, err)
 	}

@@ -8,9 +8,9 @@ import (
 	"sccsim/internal/sim"
 )
 
-// TestBuildEntryCtxMatchesSerialPoints: building an entry on the
-// concurrent engine yields exactly the cycles the serial RunPoint path
-// produces for each Section 4 implementation.
+// TestBuildEntryCtxMatchesSerialPoints: building an entry on a
+// four-worker engine yields exactly the cycles of the same cells of a
+// one-worker sweep grid for each Section 4 implementation.
 func TestBuildEntryCtxMatchesSerialPoints(t *testing.T) {
 	s := explorer.QuickScale()
 	e, err := BuildEntryCtx(context.Background(), explorer.BarnesHut, s, sim.Options{},
@@ -18,15 +18,17 @@ func TestBuildEntryCtxMatchesSerialPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := explorer.Sweep(context.Background(), explorer.BarnesHut, s, sim.Options{},
+		explorer.EngineOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for ppc, scc := range ClusterConfigs() {
-		pt, err := explorer.RunPoint(explorer.BarnesHut, ppc, scc, s, sim.Options{})
-		if err != nil {
-			t.Fatal(err)
+		cycles := g.At(scc, ppc).Result.Cycles
+		if e.RawCycles[ppc] != cycles {
+			t.Errorf("%dP: batch %d cycles, sweep %d", ppc, e.RawCycles[ppc], cycles)
 		}
-		if e.RawCycles[ppc] != pt.Result.Cycles {
-			t.Errorf("%dP: engine %d cycles, serial %d", ppc, e.RawCycles[ppc], pt.Result.Cycles)
-		}
-		if e.AdjCycles[ppc] != Adjusted(explorer.BarnesHut, ppc, pt.Result.Cycles) {
+		if e.AdjCycles[ppc] != Adjusted(explorer.BarnesHut, ppc, cycles) {
 			t.Errorf("%dP: adjusted cycles diverged", ppc)
 		}
 	}

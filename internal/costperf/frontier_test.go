@@ -1,6 +1,7 @@
 package costperf
 
 import (
+	"context"
 	"testing"
 
 	"sccsim/internal/explorer"
@@ -10,7 +11,8 @@ import (
 
 func frontierGrid(t *testing.T) []FrontierPoint {
 	t.Helper()
-	g, err := explorer.SweepParallel(explorer.BarnesHut, explorer.QuickScale(), sim.Options{})
+	g, err := explorer.Sweep(context.Background(), explorer.BarnesHut, explorer.QuickScale(), sim.Options{},
+		explorer.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

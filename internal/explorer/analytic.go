@@ -1,19 +1,18 @@
-// The analytic backend: the same design-space sweeps as engine.go, but
-// each point is *predicted* from a reuse-distance profile
+// The analytic backend: the same run path as the exact one (engine.go),
+// but each point is *predicted* from a reuse-distance profile
 // (internal/rdmodel) instead of simulated cycle by cycle. A profile is
 // built once per system shape — (workload, processors, clusters) for
 // parallel workloads, (trace, scheduling slots) for multiprogramming —
 // and answers every SCC size on the grid in microseconds, which is what
 // makes the analytic grid orders of magnitude faster than the exact
 // one. Profiles are content-keyed and cached alongside the traces they
-// were measured from, and the points flow through the same runPoints
-// pool, so Progress events, SweepReports and manifests work identically
-// for both backends.
+// were measured from, and the points flow through the same RunConfigs
+// path, so trace stores, metrics, Progress events, SweepReports and
+// manifests work identically for both backends.
 
 package explorer
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -229,15 +228,32 @@ func AnalyticSupports(cfg sysmodel.Config) error {
 	return nil
 }
 
-// analyticParallelPoint resolves the trace, profile and prediction for
-// one parallel design point.
-func analyticParallelPoint(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc trace.Store) (*Point, error) {
+// profileFor resolves the shared reuse-distance profile for a
+// configuration's system shape: (workload, processors, clusters) for a
+// parallel workload, (trace, scheduling slots) for multiprogramming.
+// The trace comes through the same caches and store as the exact
+// backend's, and tc records how it resolved.
+func profileFor(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc trace.Store) (*rdmodel.Profile, error) {
+	if w == Multiprog {
+		refs := multiprogRefs(s)
+		pset, src, err := cachedMultiprogProcesses(refs, s.Seed, dc)
+		if err != nil {
+			return nil, err
+		}
+		tc.record(src)
+		return cachedScheduledProfile(refs, s.Seed, cfg.Procs(), multiprog.Quantum(refs), pset)
+	}
 	prog, src, err := cachedParallelProgram(w, cfg.Procs(), s, dc)
 	if err != nil {
 		return nil, err
 	}
 	tc.record(src)
-	prof, err := cachedParallelProfile(w, cfg.Clusters, s, prog)
+	return cachedParallelProfile(w, cfg.Clusters, s, prog)
+}
+
+// analyticPoint predicts one configuration from its shared profile.
+func analyticPoint(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc trace.Store) (*Point, error) {
+	prof, err := profileFor(w, cfg, s, tc, dc)
 	if err != nil {
 		return nil, err
 	}
@@ -246,97 +262,4 @@ func analyticParallelPoint(w Workload, cfg sysmodel.Config, s Scale, tc *traceCo
 		return nil, fmt.Errorf("explorer: %s at %v: %w", w, cfg, err)
 	}
 	return &Point{Config: cfg, Result: analyticResult(cfg, prof, pred)}, nil
-}
-
-// analyticMultiprogPoint resolves the process set, scheduled profile
-// and prediction for one multiprogramming design point.
-func analyticMultiprogPoint(cfg sysmodel.Config, s Scale, tc *traceCounters, dc trace.Store) (*Point, error) {
-	refs := multiprogRefs(s)
-	pset, src, err := cachedMultiprogProcesses(refs, s.Seed, dc)
-	if err != nil {
-		return nil, err
-	}
-	tc.record(src)
-	prof, err := cachedScheduledProfile(refs, s.Seed, cfg.Procs(), multiprog.Quantum(refs), pset)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := prof.Predict(cfg.SCCBytes, cfg.Assoc)
-	if err != nil {
-		return nil, fmt.Errorf("explorer: multiprog at %v: %w", cfg, err)
-	}
-	return &Point{Config: cfg, Result: analyticResult(cfg, prof, pred)}, nil
-}
-
-// analyticJobFor builds the engine job for one analytic design point,
-// sharing the exact path's configuration rules.
-func analyticJobFor(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc trace.Store) pointJob {
-	return pointJob{cfg: cfg, run: func(ctx context.Context, _ sim.Tracer) (*Point, error) {
-		if w == Multiprog {
-			return analyticMultiprogPoint(cfg, s, tc, dc)
-		}
-		return analyticParallelPoint(w, cfg, s, tc, dc)
-	}}
-}
-
-// SweepAnalyticCtx runs the full design-space sweep on the analytic
-// backend: the same grid, worker pool, progress events and report as
-// SweepCtx, with every point predicted from a cached reuse-distance
-// profile. Simulator options do not apply to the model and are not
-// accepted; the paper's default system model is assumed throughout.
-func SweepAnalyticCtx(ctx context.Context, w Workload, s Scale, eng EngineOptions) (*Grid, error) {
-	eng.Backend = BackendAnalytic
-	if err := AnalyticSupports(eng.Axes.Apply(sysmodel.Default(1, 64*1024))); err != nil {
-		return nil, err
-	}
-	tc := &traceCounters{reg: eng.Metrics}
-	jobs := make([]pointJob, 0, len(sysmodel.SCCSizes)*len(sysmodel.ProcsPerClusterSweep))
-	for _, size := range sysmodel.SCCSizes {
-		for _, ppc := range sysmodel.ProcsPerClusterSweep {
-			var cfg sysmodel.Config
-			if w == Multiprog {
-				cfg = sysmodel.Config{
-					Clusters: 1, ProcsPerCluster: ppc, SCCBytes: size,
-					LoadLatency: sysmodel.ImpliedLoadLatency(ppc), Assoc: 1,
-				}
-			} else {
-				cfg = sysmodel.Default(ppc, size)
-			}
-			jobs = append(jobs, analyticJobFor(w, eng.Axes.Apply(cfg), s, tc, eng.TraceCache))
-		}
-	}
-	points, err := runPoints(ctx, w, jobs, eng, tc)
-	if err != nil {
-		return nil, err
-	}
-	return assembleGrid(w, points), nil
-}
-
-// RunPointAnalyticCtx predicts one RunPoint-style design point on the
-// analytic backend, sharing RunPoint's configuration rules
-// (multiprogramming runs on a single cluster) and applying the
-// architecture axes on top of the paper's default machine.
-func RunPointAnalyticCtx(ctx context.Context, w Workload, ppc, sccBytes int, axes sysmodel.Axes, s Scale) (*Point, error) {
-	cfg := sysmodel.Default(ppc, sccBytes)
-	if w == Multiprog {
-		cfg.Clusters = 1
-	}
-	return RunConfigAnalyticCtx(ctx, w, axes.Apply(cfg), s)
-}
-
-// RunConfigAnalyticCtx predicts an arbitrary configuration on the
-// analytic backend, rejecting axes the model cannot answer for (see
-// AnalyticSupports).
-func RunConfigAnalyticCtx(ctx context.Context, w Workload, cfg sysmodel.Config, s Scale) (*Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := AnalyticSupports(cfg); err != nil {
-		return nil, err
-	}
-	tc := (*traceCounters)(nil)
-	if w == Multiprog {
-		return analyticMultiprogPoint(cfg, s, tc, nil)
-	}
-	return analyticParallelPoint(w, cfg, s, tc, nil)
 }

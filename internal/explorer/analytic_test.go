@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sccsim/internal/sim"
 	"sccsim/internal/sysmodel"
 )
 
@@ -34,8 +35,8 @@ func TestParseBackend(t *testing.T) {
 func TestSweepAnalyticGrid(t *testing.T) {
 	s := QuickScale()
 	var rep SweepReport
-	eng := EngineOptions{Report: func(r SweepReport) { rep = r }}
-	g, err := SweepAnalyticCtx(context.Background(), BarnesHut, s, eng)
+	eng := EngineOptions{Backend: BackendAnalytic, Report: func(r SweepReport) { rep = r }}
+	g, err := Sweep(context.Background(), BarnesHut, s, sim.Options{}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,11 @@ func TestSweepAnalyticGrid(t *testing.T) {
 // caches, any parallelism) produce identical grids.
 func TestSweepAnalyticDeterministic(t *testing.T) {
 	s := QuickScale()
-	a, err := SweepAnalyticCtx(context.Background(), MP3D, s, EngineOptions{Parallelism: 1})
+	a, err := Sweep(context.Background(), MP3D, s, sim.Options{}, EngineOptions{Backend: BackendAnalytic, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepAnalyticCtx(context.Background(), MP3D, s, EngineOptions{Parallelism: 4})
+	b, err := Sweep(context.Background(), MP3D, s, sim.Options{}, EngineOptions{Backend: BackendAnalytic, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSweepAnalyticDeterministic(t *testing.T) {
 // scheduled-profile path — single cluster, scheduling slots = ppc.
 func TestSweepAnalyticMultiprog(t *testing.T) {
 	s := QuickScale()
-	g, err := SweepAnalyticCtx(context.Background(), Multiprog, s, EngineOptions{})
+	g, err := Sweep(context.Background(), Multiprog, s, sim.Options{}, EngineOptions{Backend: BackendAnalytic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +128,16 @@ func TestSweepAnalyticMultiprog(t *testing.T) {
 // sweep cell (shared profile, same prediction).
 func TestRunPointAnalytic(t *testing.T) {
 	s := QuickScale()
-	g, err := SweepAnalyticCtx(context.Background(), Cholesky, s, EngineOptions{})
+	g, err := Sweep(context.Background(), Cholesky, s, sim.Options{}, EngineOptions{Backend: BackendAnalytic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := RunPointAnalyticCtx(context.Background(), Cholesky, 2, 32*1024, sysmodel.Axes{}, s)
+	pts, err := RunConfigs(context.Background(), Cholesky, []sysmodel.Config{PointConfig(Cholesky, 2, 32*1024, sysmodel.Axes{})},
+		s, sim.Options{}, EngineOptions{Backend: BackendAnalytic})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pt := pts[0]
 	want := g.At(32*1024, 2)
 	if want == nil {
 		t.Fatal("grid misses the 2P/32KB cell")

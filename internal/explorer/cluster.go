@@ -1,12 +1,13 @@
-// The cluster sweep path: a coordinator splits the design-space grid
-// into per-point jobs, offers each to a remote executor (worker nodes
-// reached over the service's HTTP/JSON protocol), falls back to local
-// simulation when a worker fails, and merges the partial results into a
-// grid byte-identical to the single-node engine's. The merge is not a
-// blind append: every partial result passes through an Assembler that
-// rejects unknown slots, duplicates, and configuration mismatches, so a
-// confused or malicious worker can fail a point but never corrupt a
-// grid (FuzzShardMerge hammers exactly this property).
+// The cluster path: a coordinator offers each exact design point to a
+// remote executor (worker nodes reached over the service's HTTP/JSON
+// protocol), falls back to local simulation when a worker fails, and
+// merges the results into a grid byte-identical to the single-node
+// engine's. The merge is not a blind append: every remote result is
+// validated against the configuration it was asked for, and Sweep
+// merges through an Assembler that rejects unknown slots, duplicates,
+// and configuration mismatches, so a confused or malicious worker can
+// fail a point but never corrupt a grid (FuzzShardMerge hammers exactly
+// this property).
 
 package explorer
 
@@ -27,8 +28,8 @@ import (
 type RemotePointFunc func(ctx context.Context, w Workload, spec PointSpec) (*Point, error)
 
 // GridSpecs returns the design-space grid's point list in job order
-// (SCC-size-major, the order the serial sweep loops and assembleGrid
-// both use) — the shard plan a coordinator fans out.
+// (SCC-size-major, the order Sweep runs and assembleGrid lays out) —
+// the shard plan a coordinator fans out.
 func GridSpecs() []PointSpec {
 	specs := make([]PointSpec, 0, len(sysmodel.SCCSizes)*len(sysmodel.ProcsPerClusterSweep))
 	for _, size := range sysmodel.SCCSizes {
@@ -39,26 +40,13 @@ func GridSpecs() []PointSpec {
 	return specs
 }
 
-// expectedConfig is the exact configuration a point for spec must carry:
-// the paper's default system with the sweep's architecture axes applied,
-// single-cluster for multiprogramming — identical to what the local
-// sweep paths construct, which is what makes a merged grid
-// byte-identical to a single-node one.
-func expectedConfig(w Workload, spec PointSpec, axes sysmodel.Axes) sysmodel.Config {
-	cfg := sysmodel.Default(spec.PPC, spec.SCCBytes)
-	if w == Multiprog {
-		cfg.Clusters = 1
-	}
-	return axes.Apply(cfg)
-}
-
 // Assembler accumulates per-point partial results into a design-space
 // grid. It is the coordinator's merge point: Put validates each partial
 // result against the shard plan — the slot must exist, be empty, and
 // the point's configuration must match it exactly — so malformed,
 // duplicated or misdirected results are rejected as errors instead of
-// corrupting the grid. Not safe for concurrent use; the engine calls it
-// from one goroutine.
+// corrupting the grid. Not safe for concurrent use; Sweep calls it from
+// one goroutine.
 type Assembler struct {
 	w      Workload
 	axes   sysmodel.Axes
@@ -90,19 +78,25 @@ func (a *Assembler) Specs() []PointSpec {
 
 // Check validates a partial result against its slot without merging it:
 // nil or incomplete points, unknown slots, and configuration mismatches
-// are errors. The cluster path calls it on every remote result before
-// accepting it, so a bad worker response triggers local fallback rather
-// than a failed sweep.
+// are errors. Every remote result passes the same configuration check
+// (checkPoint) before the engine accepts it, so a bad worker response
+// triggers local fallback rather than a failed sweep.
 func (a *Assembler) Check(spec PointSpec, pt *Point) error {
 	if _, ok := a.index[spec]; !ok {
 		return fmt.Errorf("explorer: point %dP/%dB is not in the sweep grid", spec.PPC, spec.SCCBytes)
 	}
+	return checkPoint(PointConfig(a.w, spec.PPC, spec.SCCBytes, a.axes), pt)
+}
+
+// checkPoint validates a point produced elsewhere against the
+// configuration it was asked for.
+func checkPoint(want sysmodel.Config, pt *Point) error {
 	if pt == nil || pt.Result == nil {
-		return fmt.Errorf("explorer: partial result for %dP/%dB has no simulation result", spec.PPC, spec.SCCBytes)
+		return fmt.Errorf("explorer: partial result for %dP/%dB has no simulation result", want.ProcsPerCluster, want.SCCBytes)
 	}
-	if want := expectedConfig(a.w, spec, a.axes); pt.Config != want {
+	if pt.Config != want {
 		return fmt.Errorf("explorer: partial result for %dP/%dB carries config %+v, want %+v",
-			spec.PPC, spec.SCCBytes, pt.Config, want)
+			want.ProcsPerCluster, want.SCCBytes, pt.Config, want)
 	}
 	return nil
 }
@@ -163,57 +157,23 @@ func DecodePointEnvelope(raw []byte) (*Point, error) {
 	return env.Point, nil
 }
 
-// SweepClusterCtx runs the full design-space sweep with remote
-// execution: each grid point is offered to eng.Remote (with the local
-// worker pool providing concurrency, progress events and the sweep
-// report exactly as in a single-node sweep) and simulated locally when
-// the remote path fails — a dead, draining or lying worker costs one
-// retry round, never a failed or incorrect sweep. Accepted results are
-// merged through an Assembler, so the returned grid is byte-identical
-// to SweepCtx's for the same experiment. Metrics (when enabled) count
-// the split: explorer.cluster_remote_points ran remotely,
+// offerRemote wraps an exact job so its point is offered to eng.Remote
+// first and simulated locally (run) when the remote call fails or its
+// result fails checkPoint — unless the run itself is being cancelled,
+// which must propagate, not degrade. Metrics (when enabled) count the
+// split: explorer.cluster_remote_points ran remotely,
 // explorer.cluster_local_points ran here (including fallbacks).
-func SweepClusterCtx(ctx context.Context, w Workload, s Scale, opts sim.Options, eng EngineOptions) (*Grid, error) {
-	remote := eng.Remote
-	if remote == nil {
-		return SweepCtx(ctx, w, s, opts, eng)
-	}
-	asm := NewAssembler(w, eng.Axes)
-	specs := asm.Specs()
-	tc := &traceCounters{reg: eng.Metrics}
-	jobs := make([]pointJob, len(specs))
-	for i, spec := range specs {
-		local := pointJobFor(w, spec, eng.Axes, s, opts, tc, eng.TraceCache)
-		jobs[i] = pointJob{cfg: local.cfg, run: func(ctx context.Context, tr sim.Tracer) (*Point, error) {
-			pt, err := remote(ctx, w, spec)
-			if err == nil {
-				if cerr := asm.Check(spec, pt); cerr == nil {
-					if m := eng.Metrics; m != nil {
-						m.Counter("explorer.cluster_remote_points").Inc()
-					}
-					return pt, nil
-				}
-			}
-			// Remote failure (or a result that fails validation): fall
-			// back to local simulation — unless the sweep itself is
-			// being cancelled, which must propagate, not degrade.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			if m := eng.Metrics; m != nil {
-				m.Counter("explorer.cluster_local_points").Inc()
-			}
-			return local.run(ctx, tr)
-		}}
-	}
-	points, err := runPoints(ctx, w, jobs, eng, tc)
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range points {
-		if err := asm.Put(specs[i], pt); err != nil {
+func offerRemote(w Workload, cfg sysmodel.Config, eng EngineOptions, run func(context.Context, sim.Tracer) (*Point, error)) func(context.Context, sim.Tracer) (*Point, error) {
+	spec := PointSpec{PPC: cfg.ProcsPerCluster, SCCBytes: cfg.SCCBytes}
+	return func(ctx context.Context, tr sim.Tracer) (*Point, error) {
+		if pt, err := eng.Remote(ctx, w, spec); err == nil && checkPoint(cfg, pt) == nil {
+			eng.Metrics.Counter("explorer.cluster_remote_points").Inc()
+			return pt, nil
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		eng.Metrics.Counter("explorer.cluster_local_points").Inc()
+		return run(ctx, tr)
 	}
-	return asm.Grid()
 }

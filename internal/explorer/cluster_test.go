@@ -5,13 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"sccsim/internal/sim"
 	"sccsim/internal/sysmodel"
 )
+
+// runPoint simulates one grid point the way a worker node does.
+func runPoint(ctx context.Context, w Workload, spec PointSpec, s Scale) (*Point, error) {
+	pts, err := RunConfigs(ctx, w, []sysmodel.Config{PointConfig(w, spec.PPC, spec.SCCBytes, sysmodel.Axes{})},
+		s, sim.Options{}, EngineOptions{Parallelism: 1})
+	if err != nil {
+		return nil, err
+	}
+	return pts[0], nil
+}
 
 func TestGridSpecsCoverTheGrid(t *testing.T) {
 	specs := GridSpecs()
@@ -34,7 +43,7 @@ func TestGridSpecsCoverTheGrid(t *testing.T) {
 func TestAssemblerRejectsBadPartials(t *testing.T) {
 	asm := NewAssembler(BarnesHut, sysmodel.Axes{})
 	spec := asm.Specs()[0]
-	good := &Point{Config: expectedConfig(BarnesHut, spec, sysmodel.Axes{}), Result: &sim.Result{Cycles: 1}}
+	good := &Point{Config: PointConfig(BarnesHut, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), Result: &sim.Result{Cycles: 1}}
 
 	if err := asm.Put(spec, nil); err == nil {
 		t.Error("nil point accepted")
@@ -69,7 +78,7 @@ func TestAssemblerRejectsBadPartials(t *testing.T) {
 
 func TestDecodePointEnvelope(t *testing.T) {
 	spec := PointSpec{PPC: 1, SCCBytes: 64 * 1024}
-	pt := &Point{Config: expectedConfig(BarnesHut, spec, sysmodel.Axes{}), Result: &sim.Result{Cycles: 42, Refs: 7}}
+	pt := &Point{Config: PointConfig(BarnesHut, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), Result: &sim.Result{Cycles: 42, Refs: 7}}
 	raw, err := json.Marshal(map[string]any{"status": "done", "point": pt})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +118,7 @@ func TestSweepClusterByteIdentity(t *testing.T) {
 	ctx := context.Background()
 
 	for _, w := range []Workload{BarnesHut, Multiprog} {
-		want, err := SweepCtx(ctx, w, s, sim.Options{}, EngineOptions{Parallelism: 2})
+		want, err := Sweep(ctx, w, s, sim.Options{}, EngineOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +129,7 @@ func TestSweepClusterByteIdentity(t *testing.T) {
 
 		var served, progress atomic.Int64
 		remote := func(ctx context.Context, rw Workload, spec PointSpec) (*Point, error) {
-			pt, err := RunPointCtx(ctx, rw, spec.PPC, spec.SCCBytes, s, sim.Options{})
+			pt, err := runPoint(ctx, rw, spec, s)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +144,7 @@ func TestSweepClusterByteIdentity(t *testing.T) {
 		}
 		eng := EngineOptions{Parallelism: 4, Remote: remote,
 			Progress: func(Progress) { progress.Add(1) }}
-		got, err := SweepClusterCtx(ctx, w, s, sim.Options{}, eng)
+		got, err := Sweep(ctx, w, s, sim.Options{}, eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +167,7 @@ func TestSweepClusterByteIdentity(t *testing.T) {
 		down := func(context.Context, Workload, PointSpec) (*Point, error) {
 			return nil, errors.New("worker down")
 		}
-		got, err = SweepClusterCtx(ctx, w, s, sim.Options{}, EngineOptions{Parallelism: 4, Remote: down})
+		got, err = Sweep(ctx, w, s, sim.Options{}, EngineOptions{Parallelism: 4, Remote: down})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +189,7 @@ func TestSweepClusterRejectsLyingWorker(t *testing.T) {
 	t.Cleanup(ResetTraceCache)
 	s := QuickScale()
 	ctx := context.Background()
-	want, err := SweepCtx(ctx, BarnesHut, s, sim.Options{}, EngineOptions{Parallelism: 2})
+	want, err := Sweep(ctx, BarnesHut, s, sim.Options{}, EngineOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +198,9 @@ func TestSweepClusterRejectsLyingWorker(t *testing.T) {
 	liar := func(ctx context.Context, w Workload, spec PointSpec) (*Point, error) {
 		// Always serve the grid's first point, whatever was asked.
 		first := GridSpecs()[0]
-		return RunPointCtx(ctx, w, first.PPC, first.SCCBytes, s, sim.Options{})
+		return runPoint(ctx, w, first, s)
 	}
-	got, err := SweepClusterCtx(ctx, BarnesHut, s, sim.Options{}, EngineOptions{Parallelism: 4, Remote: liar})
+	got, err := Sweep(ctx, BarnesHut, s, sim.Options{}, EngineOptions{Parallelism: 4, Remote: liar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +221,7 @@ func TestSweepClusterCancellationPropagates(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	_, err := SweepClusterCtx(ctx, BarnesHut, QuickScale(), sim.Options{},
+	_, err := Sweep(ctx, BarnesHut, QuickScale(), sim.Options{},
 		EngineOptions{Parallelism: 2, Remote: remote})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -228,7 +237,7 @@ func TestSweepClusterCancellationPropagates(t *testing.T) {
 // plan).
 func FuzzShardMerge(f *testing.F) {
 	spec := GridSpecs()[0]
-	pt := &Point{Config: expectedConfig(BarnesHut, spec, sysmodel.Axes{}), Result: &sim.Result{Cycles: 9, Refs: 3}}
+	pt := &Point{Config: PointConfig(BarnesHut, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), Result: &sim.Result{Cycles: 9, Refs: 3}}
 	good, _ := json.Marshal(map[string]any{"status": "done", "point": pt})
 	f.Add(good, 1, 64*1024)
 	f.Add([]byte(`{"status":"failed","error":"x"}`), 1, 4096)
@@ -265,5 +274,3 @@ func FuzzShardMerge(f *testing.F) {
 		}
 	})
 }
-
-var _ = fmt.Sprintf // keep fmt for debugging edits

@@ -26,7 +26,7 @@ func newTestDiskCache(t *testing.T) *trace.DiskCache {
 func sweepWithReport(t *testing.T, w Workload, dc *trace.DiskCache) (*Grid, SweepReport) {
 	t.Helper()
 	var rep SweepReport
-	g, err := SweepCtx(context.Background(), w, QuickScale(), sim.Options{},
+	g, err := Sweep(context.Background(), w, QuickScale(), sim.Options{},
 		EngineOptions{TraceCache: dc, Report: func(r SweepReport) { rep = r }})
 	if err != nil {
 		t.Fatal(err)

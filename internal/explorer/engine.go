@@ -2,9 +2,9 @@
 // design-space grid per workload, and every point is an independent
 // simulation over an immutable trace. The engine runs those points on a
 // bounded worker pool, shares one generated trace per processor count
-// through a keyed cache, and assembles the grid deterministically so the
-// rendered tables are byte-identical to the serial path regardless of
-// completion order.
+// through a keyed cache, and returns points in job order so grids and
+// the tables rendered from them are byte-identical for every
+// parallelism, regardless of completion order.
 
 package explorer
 
@@ -77,7 +77,7 @@ type SweepReport struct {
 	// Wall is the whole sweep's wall-clock time.
 	Wall time.Duration `json:"wall_ns"`
 	// PointWall[i] is design point i's simulation time, in job order
-	// (SCC-size-major, matching the serial sweep loops).
+	// (for a sweep, SCC-size-major: the GridSpecs order).
 	PointWall []time.Duration `json:"point_wall_ns"`
 	// QueueWait[i] is how long point i waited for a worker.
 	QueueWait []time.Duration `json:"queue_wait_ns"`
@@ -105,16 +105,16 @@ type EngineOptions struct {
 	// Results are deterministic for every value.
 	Parallelism int
 	// Axes overrides the architecture axes (line size, associativity,
-	// replacement policy, hierarchy) of every design point the engine
-	// builds. The zero value leaves each point's configuration exactly
-	// as the default sweep constructs it, preserving byte-identical
-	// grids. Trace resolution is unaffected: the axes change the machine,
-	// not the workload, so trace-cache keys do not include them.
+	// replacement policy, hierarchy) of every grid point Sweep builds
+	// (see PointConfig); RunConfigs runs its configurations as given.
+	// The zero value leaves each point exactly as the paper's system,
+	// preserving byte-identical grids. Trace resolution is unaffected:
+	// the axes change the machine, not the workload, so trace-cache keys
+	// do not include them.
 	Axes sysmodel.Axes
-	// Backend labels the sweep's result-producing strategy in reports
-	// and progress accounting; empty means BackendExact. The analytic
-	// entry points set it themselves — it is informational, not a
-	// dispatch switch.
+	// Backend selects how every point is produced — BackendExact (the
+	// cycle simulator; also what empty means) or BackendAnalytic (the
+	// reuse-distance model) — and is stamped on the SweepReport.
 	Backend Backend
 	// Progress, when non-nil, is called (serially, from engine
 	// goroutines) after every completed design point.
@@ -140,12 +140,11 @@ type EngineOptions struct {
 	// trace.DiskCache; cluster workers pass a trace.PeerCache so traces
 	// any node in the fleet has generated are fetched, not regenerated.
 	TraceCache trace.Store
-	// Remote, when non-nil, executes design points on other nodes: the
-	// cluster sweep path (SweepClusterCtx) offers every point to Remote
-	// first and falls back to local simulation when the call fails, so
-	// a sweep completes — with identical results — whether the fleet is
-	// healthy, degraded, or absent. Exact backend only; analytic sweeps
-	// ignore it.
+	// Remote, when non-nil, executes design points on other nodes: every
+	// exact point is offered to Remote first and simulated locally when
+	// the call fails or its result fails validation, so a run completes
+	// — with identical results — whether the fleet is healthy,
+	// degraded, or absent. The analytic backend ignores it.
 	Remote RemotePointFunc
 	// Logger, when non-nil, receives a debug-level record per completed
 	// design point. The facade stamps it with the request ID, so engine
@@ -184,7 +183,7 @@ const (
 
 // traceCounters accumulates one sweep's trace-cache lookups; jobs record
 // into it and the engine folds the totals into Progress events and the
-// SweepReport. A nil receiver no-ops (points run outside a sweep).
+// SweepReport. A nil receiver no-ops (EstimatePoints runs no points).
 type traceCounters struct {
 	hits, misses        atomic.Uint64
 	diskHits, generated atomic.Uint64
@@ -535,84 +534,119 @@ func multiprogRefs(s Scale) int {
 	if s.MultiprogRefs != 0 {
 		return s.MultiprogRefs
 	}
-	return 600_000
+	return multiprog.DefaultRefsPerApp
 }
 
-// ---- Concurrent sweeps ----
+// ---- The run path ----
 
-// SweepParallelCtx is the concurrent counterpart of SweepParallel: the
-// same design space, run on the engine's worker pool. The grid — and
-// every table rendered from it — is byte-identical to the serial path
-// for any parallelism.
-func SweepParallelCtx(ctx context.Context, w Workload, s Scale, opts sim.Options, eng EngineOptions) (*Grid, error) {
+// PointSpec names one (processors per cluster, SCC size) design point.
+type PointSpec struct {
+	PPC, SCCBytes int
+}
+
+// RunConfigs runs workload w at every configuration on the engine's
+// worker pool and returns the points in input order, whatever the
+// parallelism. It is the one run path behind every sweep, point,
+// search and cost/performance entry: eng.Backend picks how each point
+// is produced, eng.Remote (exact backend) is offered each point first,
+// and every point shares the trace cache, the persistent trace store,
+// the metrics and the progress and report hooks. The analytic backend
+// rejects, before any work, configurations it cannot model (see
+// AnalyticSupports).
+func RunConfigs(ctx context.Context, w Workload, cfgs []sysmodel.Config, s Scale, opts sim.Options, eng EngineOptions) ([]*Point, error) {
 	tc := &traceCounters{reg: eng.Metrics}
-	jobs := make([]pointJob, 0, len(sysmodel.SCCSizes)*len(sysmodel.ProcsPerClusterSweep))
-	for _, size := range sysmodel.SCCSizes {
-		for _, ppc := range sysmodel.ProcsPerClusterSweep {
-			cfg := eng.Axes.Apply(sysmodel.Default(ppc, size))
-			jobs = append(jobs, pointJob{cfg: cfg, run: func(ctx context.Context, tr sim.Tracer) (*Point, error) {
-				prog, src, err := cachedParallelProgram(w, cfg.Procs(), s, eng.TraceCache)
-				if err != nil {
-					return nil, err
-				}
-				tc.record(src)
-				o := opts
-				o.Tracer = tr
-				res, err := sim.Run(cfg, o, prog)
-				if err != nil {
-					return nil, fmt.Errorf("explorer: %s at %v: %w", w, cfg, err)
-				}
-				return &Point{Config: cfg, Result: res}, nil
-			}})
+	jobs := make([]pointJob, len(cfgs))
+	for i, cfg := range cfgs {
+		job, err := newJob(w, cfg, s, opts, eng, tc)
+		if err != nil {
+			return nil, err
 		}
+		jobs[i] = job
 	}
-	points, err := runPoints(ctx, w, jobs, eng, tc)
+	return runPoints(ctx, w, jobs, eng, tc)
+}
+
+// Sweep runs workload w over the full design-space grid — RunConfigs
+// over GridSpecs() on the paper's system with eng.Axes applied — and
+// merges the points through an Assembler, so the grid is the same
+// bytes whether its points ran here or on remote workers.
+func Sweep(ctx context.Context, w Workload, s Scale, opts sim.Options, eng EngineOptions) (*Grid, error) {
+	asm := NewAssembler(w, eng.Axes)
+	specs := asm.Specs()
+	cfgs := make([]sysmodel.Config, len(specs))
+	for i, sp := range specs {
+		cfgs[i] = PointConfig(w, sp.PPC, sp.SCCBytes, eng.Axes)
+	}
+	points, err := RunConfigs(ctx, w, cfgs, s, opts, eng)
 	if err != nil {
 		return nil, err
 	}
-	return assembleGrid(w, points), nil
-}
-
-// SweepMultiprogCtx is the concurrent counterpart of SweepMultiprog:
-// 1/2/4/8 processors sharing one SCC, eight processes, round-robin
-// scheduling. The eight-process trace is generated once and shared by
-// all 28 points.
-func SweepMultiprogCtx(ctx context.Context, s Scale, opts sim.Options, eng EngineOptions) (*Grid, error) {
-	refs := multiprogRefs(s)
-	quantum := multiprog.Quantum(refs)
-	tc := &traceCounters{reg: eng.Metrics}
-	jobs := make([]pointJob, 0, len(sysmodel.SCCSizes)*len(sysmodel.ProcsPerClusterSweep))
-	for _, size := range sysmodel.SCCSizes {
-		for _, ppc := range sysmodel.ProcsPerClusterSweep {
-			cfg := eng.Axes.Apply(sysmodel.Config{
-				Clusters: 1, ProcsPerCluster: ppc, SCCBytes: size,
-				LoadLatency: sysmodel.ImpliedLoadLatency(ppc), Assoc: 1,
-			})
-			jobs = append(jobs, pointJob{cfg: cfg, run: func(ctx context.Context, tr sim.Tracer) (*Point, error) {
-				procs, src, err := cachedMultiprogProcesses(refs, s.Seed, eng.TraceCache)
-				if err != nil {
-					return nil, err
-				}
-				tc.record(src)
-				o := opts
-				o.Tracer = tr
-				res, err := sim.RunMultiprog(cfg, o, procs, quantum)
-				if err != nil {
-					return nil, fmt.Errorf("explorer: multiprog at %v: %w", cfg, err)
-				}
-				return &Point{Config: cfg, Result: res}, nil
-			}})
+	for i, pt := range points {
+		if err := asm.Put(specs[i], pt); err != nil {
+			return nil, err
 		}
 	}
-	points, err := runPoints(ctx, Multiprog, jobs, eng, tc)
-	if err != nil {
-		return nil, err
+	return asm.Grid()
+}
+
+// newJob builds the engine job for one configuration on the selected
+// backend.
+func newJob(w Workload, cfg sysmodel.Config, s Scale, opts sim.Options, eng EngineOptions, tc *traceCounters) (pointJob, error) {
+	switch eng.Backend {
+	case "", BackendExact:
+		run := func(_ context.Context, tr sim.Tracer) (*Point, error) {
+			return exactPoint(w, cfg, s, opts, tr, tc, eng.TraceCache)
+		}
+		if eng.Remote != nil {
+			run = offerRemote(w, cfg, eng, run)
+		}
+		return pointJob{cfg: cfg, run: run}, nil
+	case BackendAnalytic:
+		if err := AnalyticSupports(cfg); err != nil {
+			return pointJob{}, err
+		}
+		return pointJob{cfg: cfg, run: func(context.Context, sim.Tracer) (*Point, error) {
+			return analyticPoint(w, cfg, s, tc, eng.TraceCache)
+		}}, nil
 	}
-	return assembleGrid(Multiprog, points), nil
+	_, err := ParseBackend(string(eng.Backend))
+	return pointJob{}, err
+}
+
+// exactPoint simulates one configuration over the shared trace for its
+// processor count (multiprogramming: the shared eight-process set).
+// tr, the engine-built tracer, replaces any opts.Tracer; without one a
+// caller's tracer is kept.
+func exactPoint(w Workload, cfg sysmodel.Config, s Scale, opts sim.Options, tr sim.Tracer, tc *traceCounters, dc trace.Store) (*Point, error) {
+	if tr != nil {
+		opts.Tracer = tr
+	}
+	var res *sim.Result
+	var err error
+	if w == Multiprog {
+		refs := multiprogRefs(s)
+		pset, src, perr := cachedMultiprogProcesses(refs, s.Seed, dc)
+		if perr != nil {
+			return nil, perr
+		}
+		tc.record(src)
+		res, err = sim.RunMultiprog(cfg, opts, pset, multiprog.Quantum(refs))
+	} else {
+		prog, src, perr := cachedParallelProgram(w, cfg.Procs(), s, dc)
+		if perr != nil {
+			return nil, perr
+		}
+		tc.record(src)
+		res, err = sim.Run(cfg, opts, prog)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("explorer: %s at %v: %w", w, cfg, err)
+	}
+	return &Point{Config: cfg, Result: res}, nil
 }
 
 // assembleGrid lays the engine's in-order point slice out as the
-// [size][ppc] grid. Job order is size-major, matching the serial loops.
+// [size][ppc] grid. Job order is size-major (GridSpecs).
 func assembleGrid(w Workload, points []*Point) *Grid {
 	g := &Grid{Workload: w, Points: make([][]*Point, len(sysmodel.SCCSizes))}
 	i := 0
@@ -624,106 +658,6 @@ func assembleGrid(w Workload, points []*Point) *Grid {
 		}
 	}
 	return g
-}
-
-// SweepCtx dispatches to the concurrent sweep for the workload — the
-// cluster path when a remote executor is configured, the local engine
-// otherwise. Both produce byte-identical grids.
-func SweepCtx(ctx context.Context, w Workload, s Scale, opts sim.Options, eng EngineOptions) (*Grid, error) {
-	if eng.Remote != nil {
-		return SweepClusterCtx(ctx, w, s, opts, eng)
-	}
-	if w == Multiprog {
-		return SweepMultiprogCtx(ctx, s, opts, eng)
-	}
-	return SweepParallelCtx(ctx, w, s, opts, eng)
-}
-
-// PointSpec names one (processors per cluster, SCC size) design point.
-type PointSpec struct {
-	PPC, SCCBytes int
-}
-
-// pointJobFor builds the engine job for one RunPoint-style design point,
-// sharing RunPoint's configuration rules (multiprogramming runs on a
-// single cluster), the architecture axes and the trace cache.
-func pointJobFor(w Workload, spec PointSpec, axes sysmodel.Axes, s Scale, opts sim.Options, tc *traceCounters, dc trace.Store) pointJob {
-	cfg := sysmodel.Default(spec.PPC, spec.SCCBytes)
-	if w == Multiprog {
-		cfg.Clusters = 1
-	}
-	cfg = axes.Apply(cfg)
-	return pointJob{cfg: cfg, run: func(ctx context.Context, tr sim.Tracer) (*Point, error) {
-		o := opts
-		if tr != nil {
-			// Engine-built tracers win; a caller-provided opts.Tracer
-			// survives only when the engine isn't making its own (the
-			// single-point path, where no sharing is possible).
-			o.Tracer = tr
-		}
-		if w == Multiprog {
-			refs := multiprogRefs(s)
-			procs, src, err := cachedMultiprogProcesses(refs, s.Seed, dc)
-			if err != nil {
-				return nil, err
-			}
-			tc.record(src)
-			res, err := sim.RunMultiprog(cfg, o, procs, multiprog.Quantum(refs))
-			if err != nil {
-				return nil, err
-			}
-			return &Point{Config: cfg, Result: res}, nil
-		}
-		prog, src, err := cachedParallelProgram(w, cfg.Procs(), s, dc)
-		if err != nil {
-			return nil, err
-		}
-		tc.record(src)
-		res, err := sim.Run(cfg, o, prog)
-		if err != nil {
-			return nil, err
-		}
-		return &Point{Config: cfg, Result: res}, nil
-	}}
-}
-
-// RunPointsCtx runs several design points for one workload concurrently,
-// returning results in input order.
-func RunPointsCtx(ctx context.Context, w Workload, specs []PointSpec, s Scale, opts sim.Options, eng EngineOptions) ([]*Point, error) {
-	tc := &traceCounters{reg: eng.Metrics}
-	jobs := make([]pointJob, len(specs))
-	for i, spec := range specs {
-		jobs[i] = pointJobFor(w, spec, eng.Axes, s, opts, tc, eng.TraceCache)
-	}
-	return runPoints(ctx, w, jobs, eng, tc)
-}
-
-// RunPointCtx is the context-aware, trace-cached form of RunPoint.
-func RunPointCtx(ctx context.Context, w Workload, ppc, sccBytes int, s Scale, opts sim.Options) (*Point, error) {
-	pts, err := RunPointsCtx(ctx, w, []PointSpec{{ppc, sccBytes}}, s, opts, EngineOptions{Parallelism: 1})
-	if err != nil {
-		return nil, err
-	}
-	return pts[0], nil
-}
-
-// RunConfigCtx simulates a parallel workload on an arbitrary
-// configuration through the trace cache. dc, when non-nil, is the
-// persistent trace store consulted before generating (and filled
-// after), exactly as in sweeps.
-func RunConfigCtx(ctx context.Context, w Workload, cfg sysmodel.Config, s Scale, opts sim.Options, dc trace.Store) (*Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prog, _, err := cachedParallelProgram(w, cfg.Procs(), s, dc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(cfg, opts, prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Point{Config: cfg, Result: res}, nil
 }
 
 // SortedPointSpecs returns the specs in (ppc, size) order — a helper for

@@ -19,7 +19,7 @@ import (
 // (see BENCH_sweep.json and `make bench-compare`).
 func BenchmarkSweepParallelism(b *testing.B) {
 	s := explorer.QuickScale()
-	if _, err := explorer.SweepParallelCtx(context.Background(), explorer.BarnesHut, s,
+	if _, err := explorer.Sweep(context.Background(), explorer.BarnesHut, s,
 		sim.Options{}, explorer.EngineOptions{Parallelism: 1}); err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func BenchmarkSweepParallelism(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				g, err := explorer.SweepParallelCtx(context.Background(), explorer.BarnesHut, s,
+				g, err := explorer.Sweep(context.Background(), explorer.BarnesHut, s,
 					sim.Options{}, explorer.EngineOptions{Parallelism: workers})
 				if err != nil {
 					b.Fatal(err)

@@ -1,10 +1,11 @@
 // External test package so the engine's output can be rendered through
 // internal/report (which imports explorer) and compared byte-for-byte
-// against the serial sweep path.
+// across worker-pool sizes.
 package explorer_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -12,27 +13,31 @@ import (
 	"sccsim/internal/obs"
 	"sccsim/internal/report"
 	"sccsim/internal/sim"
+	"sccsim/internal/sysmodel"
 )
 
+// sweep runs the grid on the default backend, failing the test on error.
+func sweep(t *testing.T, w explorer.Workload, s explorer.Scale, eng explorer.EngineOptions) *explorer.Grid {
+	t.Helper()
+	g, err := explorer.Sweep(context.Background(), w, s, sim.Options{}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestSweepParallelCtxByteIdentical is the engine's determinism
-// guarantee: for QuickScale Barnes-Hut, the concurrent sweep renders
-// byte-identical tables to the serial engine, and the progress hook
+// guarantee: for QuickScale Barnes-Hut, a four-worker sweep renders
+// byte-identical tables to a one-worker sweep, and the progress hook
 // reports every point exactly once.
 func TestSweepParallelCtxByteIdentical(t *testing.T) {
 	s := explorer.QuickScale()
-	serial, err := explorer.SweepParallel(explorer.BarnesHut, s, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := sweep(t, explorer.BarnesHut, s, explorer.EngineOptions{Parallelism: 1})
 
 	var events []explorer.Progress
-	par, err := explorer.SweepParallelCtx(context.Background(), explorer.BarnesHut, s, sim.Options{},
-		explorer.EngineOptions{Parallelism: 4, Progress: func(p explorer.Progress) {
-			events = append(events, p)
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := sweep(t, explorer.BarnesHut, s, explorer.EngineOptions{Parallelism: 4, Progress: func(p explorer.Progress) {
+		events = append(events, p)
+	}})
 
 	if got, want := report.SpeedupTable(par), report.SpeedupTable(serial); got != want {
 		t.Errorf("SpeedupTable diverged:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
@@ -67,21 +72,19 @@ func TestSweepParallelCtxByteIdentical(t *testing.T) {
 }
 
 // TestSweepMultiprogCtxByteIdentical checks the multiprogramming sweep
-// the same way, at a reduced reference budget to keep the 28 points
+// the same way, at a reduced reference budget to keep the 32 points
 // cheap.
 func TestSweepMultiprogCtxByteIdentical(t *testing.T) {
 	s := explorer.Scale{MultiprogRefs: 20_000, Seed: 1}
-	serial, err := explorer.SweepMultiprog(s, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := explorer.SweepMultiprogCtx(context.Background(), s, sim.Options{},
-		explorer.EngineOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := sweep(t, explorer.Multiprog, s, explorer.EngineOptions{Parallelism: 1})
+	var events int
+	par := sweep(t, explorer.Multiprog, s, explorer.EngineOptions{Parallelism: 4,
+		Progress: func(explorer.Progress) { events++ }})
 	if got, want := report.GridCSV(par), report.GridCSV(serial); got != want {
 		t.Errorf("multiprog GridCSV diverged:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
+	}
+	if total := len(par.Sizes()) * len(par.Procs()); events != total {
+		t.Errorf("progress events = %d, want %d", events, total)
 	}
 }
 
@@ -94,7 +97,7 @@ func TestSweepTelemetryAndTraceCache(t *testing.T) {
 	s := explorer.Scale{MultiprogRefs: 20_000, Seed: 1}
 	var rep *explorer.SweepReport
 	var lastProgress explorer.Progress
-	g, err := explorer.SweepMultiprogCtx(context.Background(), s, sim.Options{},
+	g, err := explorer.Sweep(context.Background(), explorer.Multiprog, s, sim.Options{},
 		explorer.EngineOptions{
 			Parallelism: 4,
 			Report:      func(r explorer.SweepReport) { rep = &r },
@@ -151,7 +154,7 @@ func TestSweepEngineMetrics(t *testing.T) {
 	explorer.ResetTraceCache()
 	reg := obs.NewRegistry()
 	s := explorer.Scale{MultiprogRefs: 20_000, Seed: 1}
-	g, err := explorer.SweepMultiprogCtx(context.Background(), s, sim.Options{},
+	g, err := explorer.Sweep(context.Background(), explorer.Multiprog, s, sim.Options{},
 		explorer.EngineOptions{Parallelism: 4, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +174,7 @@ func TestSweepEngineMetrics(t *testing.T) {
 func TestSweepCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := explorer.SweepCtx(ctx, explorer.BarnesHut, explorer.QuickScale(), sim.Options{},
+	_, err := explorer.Sweep(ctx, explorer.BarnesHut, explorer.QuickScale(), sim.Options{},
 		explorer.EngineOptions{Parallelism: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -181,7 +184,7 @@ func TestSweepCtxCancellation(t *testing.T) {
 // TestSweepCtxFirstError: a failing design point cancels the rest of the
 // sweep and its error — not the secondary cancellation — is returned.
 func TestSweepCtxFirstError(t *testing.T) {
-	_, err := explorer.SweepParallelCtx(context.Background(), explorer.Workload("no-such-workload"),
+	_, err := explorer.Sweep(context.Background(), explorer.Workload("no-such-workload"),
 		explorer.QuickScale(), sim.Options{}, explorer.EngineOptions{Parallelism: 4})
 	if err == nil {
 		t.Fatal("sweep of an unknown workload succeeded")
@@ -191,33 +194,64 @@ func TestSweepCtxFirstError(t *testing.T) {
 	}
 }
 
-// TestRunPointsCtxMatchesRunPoint: the engine's point runner (with its
-// trace cache) returns the same results as the serial RunPoint path, in
-// input order, for both parallel and multiprogramming workloads.
+// TestRunPointsCtxMatchesRunPoint: a batch of points (with its trace
+// cache) returns, in input order and at any parallelism, exactly the
+// points of the same cells of the sweep grid, for both parallel and
+// multiprogramming workloads.
 func TestRunPointsCtxMatchesRunPoint(t *testing.T) {
 	s := explorer.QuickScale()
+	specs := []explorer.PointSpec{{PPC: 2, SCCBytes: 32 * 1024}, {PPC: 1, SCCBytes: 64 * 1024}, {PPC: 8, SCCBytes: 4 * 1024}}
 	for _, w := range []explorer.Workload{explorer.BarnesHut, explorer.Multiprog} {
-		specs := []explorer.PointSpec{{PPC: 1, SCCBytes: 64 * 1024}, {PPC: 2, SCCBytes: 32 * 1024}}
-		pts, err := explorer.RunPointsCtx(context.Background(), w, specs, s, sim.Options{},
-			explorer.EngineOptions{Parallelism: 2})
+		g := sweep(t, w, s, explorer.EngineOptions{Parallelism: 1})
+		cfgs := make([]sysmodel.Config, len(specs))
+		for i, sp := range specs {
+			cfgs[i] = explorer.PointConfig(w, sp.PPC, sp.SCCBytes, sysmodel.Axes{})
+		}
+		var events int
+		pts, err := explorer.RunConfigs(context.Background(), w, cfgs, s, sim.Options{},
+			explorer.EngineOptions{Parallelism: 4, Progress: func(explorer.Progress) { events++ }})
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		for i, spec := range specs {
-			want, err := explorer.RunPoint(w, spec.PPC, spec.SCCBytes, s, sim.Options{})
-			if err != nil {
-				t.Fatalf("%s: %v", w, err)
-			}
-			if pts[i].Result.Cycles != want.Result.Cycles || pts[i].Result.Refs != want.Result.Refs {
-				t.Errorf("%s %dP/%dKB: engine %d cycles / %d refs, serial %d / %d",
-					w, spec.PPC, spec.SCCBytes/1024,
-					pts[i].Result.Cycles, pts[i].Result.Refs,
-					want.Result.Cycles, want.Result.Refs)
-			}
-			if pts[i].Config != want.Config {
-				t.Errorf("%s: config %v, want %v", w, pts[i].Config, want.Config)
+		if events != len(specs) {
+			t.Errorf("%s: progress events = %d, want %d", w, events, len(specs))
+		}
+		for i, sp := range specs {
+			got, _ := json.Marshal(pts[i])
+			want, _ := json.Marshal(g.At(sp.SCCBytes, sp.PPC))
+			if string(got) != string(want) {
+				t.Errorf("%s %dP/%dKB: batch point differs from the sweep cell", w, sp.PPC, sp.SCCBytes/1024)
 			}
 		}
+	}
+}
+
+// TestRunConfigsBackendDispatch: EngineOptions.Backend selects the
+// backend; the analytic backend rejects configurations it cannot model
+// before running anything, and an unknown backend is an error.
+func TestRunConfigsBackendDispatch(t *testing.T) {
+	s := explorer.QuickScale()
+	private := []sysmodel.Config{explorer.PointConfig(explorer.MP3D, 2, 32*1024, sysmodel.Axes{Hierarchy: sysmodel.HierarchyPrivate})}
+	ran := false
+	_, err := explorer.RunConfigs(context.Background(), explorer.MP3D, private, s, sim.Options{},
+		explorer.EngineOptions{Backend: explorer.BackendAnalytic, Progress: func(explorer.Progress) { ran = true }})
+	if err == nil || ran {
+		t.Errorf("analytic private-hierarchy point: err = %v, ran = %v; want an error before any work", err, ran)
+	}
+	if _, err := explorer.RunConfigs(context.Background(), explorer.MP3D, private, s, sim.Options{},
+		explorer.EngineOptions{Backend: "warp"}); err == nil {
+		t.Error("unknown backend accepted")
+	}
+	cfgs := []sysmodel.Config{explorer.PointConfig(explorer.MP3D, 2, 32*1024, sysmodel.Axes{})}
+	var rep explorer.SweepReport
+	pts, err := explorer.RunConfigs(context.Background(), explorer.MP3D, cfgs, s, sim.Options{},
+		explorer.EngineOptions{Backend: explorer.BackendAnalytic, Report: func(r explorer.SweepReport) { rep = r }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Backend != explorer.BackendAnalytic || pts[0].Result.Snoop.Invalidations != 0 {
+		t.Errorf("analytic batch: report backend %q, %d invalidations; want a prediction",
+			rep.Backend, pts[0].Result.Snoop.Invalidations)
 	}
 }
 

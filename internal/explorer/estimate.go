@@ -16,7 +16,6 @@ import (
 	"sccsim/internal/rdmodel"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
-	"sccsim/internal/workload/multiprog"
 )
 
 // EstimatePoints returns the analytic estimated cycle count for each
@@ -26,8 +25,8 @@ import (
 // rdmodel.Curve. Each Curve.At is O(cap): it rebuilds the cap-long
 // miss-probability table and scans every cluster's histogram. So
 // estimating a 10^4-point space costs a few profile builds plus O(cap)
-// work per point. Multiprogramming points follow the sweep's rules
-// (single cluster, ppc scheduling slots).
+// work per point. Every point's system shape comes from PointConfig,
+// as in sweeps (multiprogramming: one cluster, ppc scheduling slots).
 func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale, dc trace.Store) ([]uint64, error) {
 	curves := make(map[int]*rdmodel.Curve)
 	out := make([]uint64, len(specs))
@@ -37,7 +36,7 @@ func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale,
 		}
 		curve, ok := curves[spec.PPC]
 		if !ok {
-			prof, err := profileFor(w, spec.PPC, s, dc)
+			prof, err := profileFor(w, PointConfig(w, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), s, nil, dc)
 			if err != nil {
 				return nil, err
 			}
@@ -51,24 +50,4 @@ func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale,
 		out[i] = pt.EstCycles
 	}
 	return out, nil
-}
-
-// profileFor resolves the shared reuse-distance profile for one
-// processors-per-cluster value, mirroring the analytic backend's
-// configuration rules.
-func profileFor(w Workload, ppc int, s Scale, dc trace.Store) (*rdmodel.Profile, error) {
-	if w == Multiprog {
-		refs := multiprogRefs(s)
-		pset, _, err := cachedMultiprogProcesses(refs, s.Seed, dc)
-		if err != nil {
-			return nil, err
-		}
-		return cachedScheduledProfile(refs, s.Seed, ppc, multiprog.Quantum(refs), pset)
-	}
-	cfg := sysmodel.Default(ppc, sysmodel.SCCSizes[0])
-	prog, _, err := cachedParallelProgram(w, cfg.Procs(), s, dc)
-	if err != nil {
-		return nil, err
-	}
-	return cachedParallelProfile(w, cfg.Clusters, s, prog)
 }

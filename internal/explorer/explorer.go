@@ -5,6 +5,7 @@
 package explorer
 
 import (
+	"context"
 	"fmt"
 
 	"sccsim/internal/sim"
@@ -14,7 +15,6 @@ import (
 	"sccsim/internal/workload/barnes"
 	"sccsim/internal/workload/cholesky"
 	"sccsim/internal/workload/mp3d"
-	"sccsim/internal/workload/multiprog"
 )
 
 // Workload names the four benchmarks.
@@ -166,106 +166,19 @@ func (g *Grid) NormalizedTime(sccBytes, ppc int) float64 {
 	return float64(pt.Result.Cycles) / float64(max)
 }
 
-// SweepParallel runs the full design space for a parallel workload:
-// four clusters, 1/2/4/8 processors per cluster, 4 KB-512 KB SCCs.
-// Traces are generated once per processor count and reused across sizes.
-func SweepParallel(w Workload, s Scale, opts sim.Options) (*Grid, error) {
-	g := &Grid{Workload: w, Points: make([][]*Point, len(sysmodel.SCCSizes))}
-	for si := range sysmodel.SCCSizes {
-		g.Points[si] = make([]*Point, len(sysmodel.ProcsPerClusterSweep))
-	}
-	for pi, ppc := range sysmodel.ProcsPerClusterSweep {
-		prog, err := GenerateParallel(w, sysmodel.DefaultClusters*ppc, s)
-		if err != nil {
-			return nil, err
-		}
-		for si, size := range sysmodel.SCCSizes {
-			cfg := sysmodel.Default(ppc, size)
-			res, err := sim.Run(cfg, opts, prog)
-			if err != nil {
-				return nil, fmt.Errorf("explorer: %s at %v: %w", w, cfg, err)
-			}
-			g.Points[si][pi] = &Point{Config: cfg, Result: res}
-		}
-	}
-	return g, nil
-}
-
-// SweepMultiprog runs the multiprogramming design space on a single
-// cluster (the paper's Figures 5-6 setup): 1/2/4/8 processors sharing
-// one SCC, eight processes, round-robin scheduling.
-func SweepMultiprog(s Scale, opts sim.Options) (*Grid, error) {
-	refs := s.MultiprogRefs
-	if refs == 0 {
-		refs = 600_000
-	}
-	quantum := multiprog.Quantum(refs)
-	g := &Grid{Workload: Multiprog, Points: make([][]*Point, len(sysmodel.SCCSizes))}
-	for si := range sysmodel.SCCSizes {
-		g.Points[si] = make([]*Point, len(sysmodel.ProcsPerClusterSweep))
-	}
-	// All 28 points replay the same eight-process trace: generate it
-	// once (the simulator never mutates it) instead of once per point.
-	procs, err := multiprog.Generate(multiprog.Params{RefsPerApp: refs, Seed: s.Seed})
-	if err != nil {
-		return nil, err
-	}
-	for pi, ppc := range sysmodel.ProcsPerClusterSweep {
-		for si, size := range sysmodel.SCCSizes {
-			cfg := sysmodel.Config{
-				Clusters: 1, ProcsPerCluster: ppc, SCCBytes: size,
-				LoadLatency: sysmodel.ImpliedLoadLatency(ppc), Assoc: 1,
-			}
-			res, err := sim.RunMultiprog(cfg, opts, procs, quantum)
-			if err != nil {
-				return nil, fmt.Errorf("explorer: multiprog at %v: %w", cfg, err)
-			}
-			g.Points[si][pi] = &Point{Config: cfg, Result: res}
-		}
-	}
-	return g, nil
-}
-
-// Sweep dispatches to the right sweep for the workload.
-func Sweep(w Workload, s Scale, opts sim.Options) (*Grid, error) {
-	if w == Multiprog {
-		return SweepMultiprog(s, opts)
-	}
-	return SweepParallel(w, s, opts)
-}
-
-// RunPoint runs a single design point for a workload (used by the
-// cost/performance comparisons, which need only four points per
-// workload).
-func RunPoint(w Workload, ppc, sccBytes int, s Scale, opts sim.Options) (*Point, error) {
+// PointConfig is the configuration of design point (ppc, sccBytes) for
+// workload w: the paper's default system (sysmodel.Default), on a
+// single cluster for the multiprogramming workload (the Figures 5-6
+// setup: eight jobs on one cluster's processors), with the
+// architecture axes applied. Every sweep, point, search and
+// cost/performance entry builds its configurations here, and a remote
+// worker's result must carry exactly this configuration.
+func PointConfig(w Workload, ppc, sccBytes int, axes sysmodel.Axes) sysmodel.Config {
 	cfg := sysmodel.Default(ppc, sccBytes)
 	if w == Multiprog {
-		// The multiprogramming workload runs on a single cluster (the
-		// Figures 5-6 setup): eight jobs on the cluster's processors.
 		cfg.Clusters = 1
-		refs := s.MultiprogRefs
-		if refs == 0 {
-			refs = 600_000
-		}
-		procs, err := multiprog.Generate(multiprog.Params{RefsPerApp: refs, Seed: s.Seed})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunMultiprog(cfg, opts, procs, multiprog.Quantum(refs))
-		if err != nil {
-			return nil, err
-		}
-		return &Point{Config: cfg, Result: res}, nil
 	}
-	prog, err := GenerateParallel(w, cfg.Procs(), s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(cfg, opts, prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Point{Config: cfg, Result: res}, nil
+	return axes.Apply(cfg)
 }
 
 // SeedSensitivity runs one design point across several seeds and
@@ -277,15 +190,16 @@ func SeedSensitivity(w Workload, ppc, sccBytes int, s Scale, opts sim.Options, s
 	if len(seeds) == 0 {
 		return stats.Summary{}, fmt.Errorf("explorer: no seeds")
 	}
+	cfg := []sysmodel.Config{PointConfig(w, ppc, sccBytes, sysmodel.Axes{})}
 	cycles := make([]float64, 0, len(seeds))
 	for _, seed := range seeds {
 		sc := s
 		sc.Seed = seed
-		pt, err := RunPoint(w, ppc, sccBytes, sc, opts)
+		pts, err := RunConfigs(context.TODO(), w, cfg, sc, opts, EngineOptions{})
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		cycles = append(cycles, float64(pt.Result.Cycles))
+		cycles = append(cycles, float64(pts[0].Result.Cycles))
 	}
 	return stats.Summarize(cycles), nil
 }

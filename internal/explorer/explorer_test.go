@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"testing"
 
 	"sccsim/internal/sim"
@@ -27,7 +28,7 @@ func TestGenerateParallelAllWorkloads(t *testing.T) {
 }
 
 func TestSweepParallelGrid(t *testing.T) {
-	g, err := SweepParallel(BarnesHut, QuickScale(), sim.Options{})
+	g, err := Sweep(context.Background(), BarnesHut, QuickScale(), sim.Options{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestSweepParallelGrid(t *testing.T) {
 }
 
 func TestNormalizedTimeBounds(t *testing.T) {
-	g, err := SweepParallel(MP3D, QuickScale(), sim.Options{})
+	g, err := Sweep(context.Background(), MP3D, QuickScale(), sim.Options{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestNormalizedTimeBounds(t *testing.T) {
 
 func TestSweepMultiprog(t *testing.T) {
 	s := QuickScale()
-	g, err := SweepMultiprog(s, sim.Options{})
+	g, err := Sweep(context.Background(), Multiprog, s, sim.Options{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,30 +104,51 @@ func TestSweepMultiprog(t *testing.T) {
 	}
 }
 
+// TestSweepDispatch: the multiprogramming grid runs every point on one
+// cluster, the parallel workloads on four — the PointConfig rule.
 func TestSweepDispatch(t *testing.T) {
-	g, err := Sweep(Multiprog, QuickScale(), sim.Options{})
+	g, err := Sweep(context.Background(), Multiprog, QuickScale(), sim.Options{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Workload != Multiprog {
 		t.Errorf("workload = %s", g.Workload)
 	}
+	for _, row := range g.Points {
+		for _, pt := range row {
+			if pt.Config.Clusters != 1 {
+				t.Fatalf("multiprog point %v not on one cluster", pt.Config)
+			}
+		}
+	}
+}
+
+func TestPointConfig(t *testing.T) {
+	if got, want := PointConfig(BarnesHut, 2, 32*1024, sysmodel.Axes{}), sysmodel.Default(2, 32*1024); got != want {
+		t.Errorf("parallel point = %+v, want the paper's default %+v", got, want)
+	}
+	mp := PointConfig(Multiprog, 8, 4*1024, sysmodel.Axes{Assoc: 2})
+	if mp.Clusters != 1 || mp.ProcsPerCluster != 8 || mp.LoadLatency != 4 || mp.Assoc != 2 {
+		t.Errorf("multiprog point = %+v, want one 8P cluster, 4-cycle loads, 2-way", mp)
+	}
 }
 
 func TestRunPoint(t *testing.T) {
 	s := QuickScale()
-	pt, err := RunPoint(BarnesHut, 2, 32*1024, s, sim.Options{})
+	cfgs := []sysmodel.Config{PointConfig(BarnesHut, 2, 32*1024, sysmodel.Axes{})}
+	pts, err := RunConfigs(context.Background(), BarnesHut, cfgs, s, sim.Options{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Config.LoadLatency != 3 {
+	if pt := pts[0]; pt.Config.LoadLatency != 3 {
 		t.Errorf("load latency = %d, want 3 for a 2P cluster", pt.Config.LoadLatency)
 	}
-	mp, err := RunPoint(Multiprog, 2, 32*1024, s, sim.Options{})
+	cfgs = []sysmodel.Config{PointConfig(Multiprog, 2, 32*1024, sysmodel.Axes{})}
+	mp, err := RunConfigs(context.Background(), Multiprog, cfgs, s, sim.Options{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.Result.Cycles == 0 {
+	if mp[0].Result.Cycles == 0 {
 		t.Error("multiprog point has zero cycles")
 	}
 }

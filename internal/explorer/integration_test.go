@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -41,7 +42,7 @@ func TestWorkConservation(t *testing.T) {
 func TestMissesBoundedByAccessesEverywhere(t *testing.T) {
 	s := QuickScale()
 	for _, w := range ParallelWorkloads {
-		g, err := SweepParallel(w, s, sim.Options{})
+		g, err := Sweep(context.Background(), w, s, sim.Options{}, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestInvalidationClusterInvariance(t *testing.T) {
 	// flat-to-decreasing).
 	s := QuickScale()
 	for _, w := range ParallelWorkloads {
-		g, err := SweepParallel(w, s, sim.Options{})
+		g, err := Sweep(context.Background(), w, s, sim.Options{}, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 // Oracle cross-check for the real simulator: every point of the
 // design-space grid, for every workload, must produce exactly the
 // numbers the naive map-based oracle model (internal/verify) computes
-// from the same trace. Unlike the compiled-vs-legacy differential test —
-// which proves the fast path matches the slow path but is blind to bugs
-// they share — the oracle shares no simulation code with internal/sim,
-// so agreement here pins the implementation to the documented model
-// itself. The real runs execute with the invariant checker enabled, so
+// from the same trace. Unlike a differential test against an older
+// implementation — which proves the fast path matches the slow path but
+// is blind to bugs they share — the oracle shares no simulation code
+// with internal/sim, so agreement here pins the implementation to the
+// documented model itself. The real runs execute with the invariant checker enabled, so
 // this test also exercises the per-transaction coherence checks and the
 // end-of-run residency audit across the whole grid.
 package explorer_test

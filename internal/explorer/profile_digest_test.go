@@ -7,6 +7,8 @@ import (
 	"hash"
 	"reflect"
 	"testing"
+
+	"sccsim/internal/sysmodel"
 )
 
 // digestValue feeds every exported field of v into h in declaration
@@ -90,7 +92,7 @@ func TestQuickScaleProfileDigests(t *testing.T) {
 	t.Cleanup(ResetTraceCache)
 	for _, w := range []Workload{BarnesHut, MP3D, Cholesky, Multiprog} {
 		for i, ppc := range []int{1, 2, 4, 8} {
-			prof, err := profileFor(w, ppc, QuickScale(), nil)
+			prof, err := profileFor(w, PointConfig(w, ppc, sysmodel.SCCSizes[0], sysmodel.Axes{}), QuickScale(), nil, nil)
 			if err != nil {
 				t.Fatalf("%s ppc %d: %v", w, ppc, err)
 			}

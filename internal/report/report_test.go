@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestTableAlignment(t *testing.T) {
 
 func quickGrid(t *testing.T, w explorer.Workload) *explorer.Grid {
 	t.Helper()
-	g, err := explorer.Sweep(w, explorer.QuickScale(), sim.Options{})
+	g, err := explorer.Sweep(context.Background(), w, explorer.QuickScale(), sim.Options{}, explorer.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,26 @@ import (
 	"sccsim"
 )
 
+// TestLegacyReplayRejected: the retired legacy_replay simulator option
+// is an unknown field, so both run endpoints reject it with a 400 that
+// names it instead of silently running the default experiment.
+func TestLegacyReplayRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	for _, path := range []string{"/v1/sweep", "/v1/point"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"sim":{"legacy_replay":true}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, "legacy_replay") {
+			t.Errorf("%s: status %d, error %q (%v); want a 400 naming legacy_replay", path, resp.StatusCode, eb.Error, err)
+		}
+	}
+}
+
 // TestRequestValidation400s: the decode-time boundary for both POST
 // endpoints — every rejection is a 400 (never a 500) with an error
 // message actionable enough to fix the request from, i.e. one that

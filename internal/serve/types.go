@@ -53,7 +53,6 @@ type SimSpec struct {
 	MemBankOccupancy int    `json:"mem_bank_occupancy,omitempty"`
 	VictimEntries    int    `json:"victim_entries,omitempty"`
 	WarmupRefs       uint64 `json:"warmup_refs,omitempty"`
-	LegacyReplay     bool   `json:"legacy_replay,omitempty"`
 	// Verify attaches the coherence invariant checker to every run.
 	Verify bool `json:"verify,omitempty"`
 }
@@ -67,7 +66,6 @@ func (s *SimSpec) toOptions() sccsim.Options {
 		MemBankOccupancy: s.MemBankOccupancy,
 		VictimEntries:    s.VictimEntries,
 		WarmupRefs:       s.WarmupRefs,
-		LegacyReplay:     s.LegacyReplay,
 	}
 }
 
@@ -242,9 +240,9 @@ func scaleKeyPart(s sccsim.Scale) string {
 
 // simKeyPart canonicalizes the simulator options for the content key.
 func simKeyPart(o sccsim.Options, verify bool) string {
-	return fmt.Sprintf("wb%d-bo%d-sp%d-mb%d-mbo%d-ve%d-wr%d-lr%t-v%t",
+	return fmt.Sprintf("wb%d-bo%d-sp%d-mb%d-mbo%d-ve%d-wr%d-v%t",
 		o.WriteBufferDepth, o.BusOccupancy, o.SwitchPenalty, o.MemBanks,
-		o.MemBankOccupancy, o.VictimEntries, o.WarmupRefs, o.LegacyReplay, verify)
+		o.MemBankOccupancy, o.VictimEntries, o.WarmupRefs, verify)
 }
 
 // axesKeyPart canonicalizes the architecture-axis overlay for the

@@ -65,7 +65,7 @@ func RunHybrid(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result,
 		return nil, fmt.Errorf("sim: program %q generated for %d processors, config has %d",
 			prog.Name, prog.Procs, procs)
 	}
-	phases, comp, err := programPhases(prog, opts)
+	comp, err := trace.Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +73,7 @@ func RunHybrid(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if comp != nil {
-		s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	}
+	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
 
 	l1 := make([]*cache.Cache, procs)
 	l1Stats := make([]cache.Stats, procs)
@@ -167,7 +165,7 @@ func RunHybrid(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result,
 			l1Stats[i] = cache.Stats{}
 		}
 	}
-	clock := replay(phases, procs, s.res, s.tr, opts.WarmupRefs, reset, access)
+	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, reset, access)
 	s.finish(clock)
 	s.flushMetrics()
 	s.res.L1 = make([]*cache.Stats, procs)
@@ -175,13 +173,7 @@ func RunHybrid(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result,
 		s.res.L1[p] = &l1Stats[p]
 	}
 	if s.ck != nil {
-		var exp uint64
-		if comp != nil {
-			exp = comp.Refs()
-		} else {
-			exp = countRefs(phases)
-		}
-		if err := s.verifyFinish(exp); err != nil {
+		if err := s.verifyFinish(comp.Refs()); err != nil {
 			return nil, err
 		}
 	}

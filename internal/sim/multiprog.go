@@ -43,28 +43,24 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 	if err != nil {
 		return nil, err
 	}
+	// Size the flat presence table from the workload's footprint (and
+	// count the non-idle references the verifier expects); one linear
+	// pass over the streams is negligible against the run.
 	var expRefs uint64
-	if !opts.LegacyReplay || s.ck != nil {
-		// Size the flat presence table from the workload's footprint (and
-		// count the non-idle references the verifier expects); one linear
-		// pass over the streams is negligible against the run.
-		var maxLine uint32
-		shift := cfg.LineShift()
-		for i := range processes {
-			for _, r := range processes[i].Refs {
-				if r.Kind == mem.Idle {
-					continue
-				}
-				expRefs++
-				if li := r.Addr >> shift; li > maxLine {
-					maxLine = li
-				}
+	var maxLine uint32
+	shift := cfg.LineShift()
+	for i := range processes {
+		for _, r := range processes[i].Refs {
+			if r.Kind == mem.Idle {
+				continue
+			}
+			expRefs++
+			if li := r.Addr >> shift; li > maxLine {
+				maxLine = li
 			}
 		}
-		if !opts.LegacyReplay {
-			s.bus.ReserveLines(maxLine + 1)
-		}
 	}
+	s.bus.ReserveLines(maxLine + 1)
 
 	// Per-process progress.
 	pos := make([]int, len(processes))

@@ -41,7 +41,7 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 		return nil, fmt.Errorf("sim: program %q generated for %d processors, config has %d",
 			prog.Name, prog.Procs, procs)
 	}
-	phases, comp, err := programPhases(prog, opts)
+	comp, err := trace.Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +75,7 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 	bus.MemBankOccupancy = opts.MemBankOccupancy
 	bus.GroupOf = groups
 	bus.IntraLatency = IntraClusterLatency
-	if comp != nil {
-		bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	}
+	bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
 
 	// The invariant checker audits the same laws as the shared machine,
 	// with each private cache standing in as a "cluster" (the bus indexes
@@ -176,7 +174,7 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 	// Private-cache mode traces barrier waits only; the per-reference
 	// event stream is a shared-SCC (Run/RunMultiprog) feature. Warmup
 	// resets are likewise a shared-SCC feature (warmupAt = 0).
-	clock := replay(phases, procs, res, opts.Tracer, 0, nil, access)
+	clock := replay(comp.Streams, procs, res, opts.Tracer, 0, nil, access)
 	copy(res.ProcFinish, clock)
 	for _, t := range clock {
 		if t > res.Cycles {
@@ -189,16 +187,10 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 	}
 	res.Snoop = bus.Stats()
 	if ck != nil {
-		var exp uint64
-		if comp != nil {
-			exp = comp.Refs()
-		} else {
-			exp = countRefs(phases)
-		}
 		err := ck.FinishRun(verify.Final{
 			Cycles:           res.Cycles,
 			Refs:             res.Refs,
-			ExpectedRefs:     exp,
+			ExpectedRefs:     comp.Refs(),
 			Cache:            res.SCC,
 			BankAccessCycles: sysmodel.BankAccessCycles,
 		})

@@ -93,14 +93,6 @@ type Options struct {
 	// default) disables verification at near-zero cost — the same
 	// nil-disabled contract as Tracer and Metrics.
 	Verify *verify.Options
-	// LegacyReplay, when true, bypasses the compiled-trace execution path:
-	// the program is re-validated per run, replay iterates the Program's
-	// own stream slices, and the coherence bus keeps its paged presence
-	// table instead of the direct-indexed one. Results are byte-identical
-	// either way (the differential test in internal/explorer runs the full
-	// design grid both ways); this is a debugging escape hatch and the
-	// reference the differential test compares against.
-	LegacyReplay bool
 }
 
 // DefaultWriteBufferDepth is the per-cluster write-buffer depth used when
@@ -643,9 +635,8 @@ func (s *sched) isMin(p int, t uint64) bool {
 
 // replay drives barrier-delimited phase streams through an access
 // function in global issue order, handling barriers and accounting into
-// res. phases is the per-phase, per-processor stream table — a compiled
-// program's arena views or a legacy Program's own slices; replay is
-// agnostic. The access function performs one memory reference for a
+// res. phases is the per-phase, per-processor stream table (a compiled
+// program's arena views, trace.Compiled.Streams). The access function performs one memory reference for a
 // processor at a time and returns when the processor may proceed.
 // warmupAt, when nonzero, invokes reset exactly once, immediately after
 // the warmupAt'th reference completes. A non-nil tracer receives a
@@ -771,30 +762,6 @@ func replay1(phases [][][]mem.Ref, res *Result, warmupAt uint64, reset func(),
 	return []uint64{now}
 }
 
-// programPhases resolves a program into the stream table replay consumes.
-// The default path compiles the program (validation and arena packing
-// happen once per Program, memoized — not once per run) and returns the
-// compiled form so Run can size the flat presence table; under
-// Options.LegacyReplay it returns the raw per-phase slices with a fresh
-// validation and a nil Compiled.
-func programPhases(prog *trace.Program, opts Options) ([][][]mem.Ref, *trace.Compiled, error) {
-	if opts.LegacyReplay {
-		if err := prog.Validate(); err != nil {
-			return nil, nil, err
-		}
-		phases := make([][][]mem.Ref, len(prog.Phases))
-		for i := range prog.Phases {
-			phases[i] = prog.Phases[i].Streams
-		}
-		return phases, nil, nil
-	}
-	c, err := trace.Compile(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.Streams, c, nil
-}
-
 // Run simulates a parallel program on the configured system. The program
 // must have exactly cfg.Procs() streams per phase. Run never mutates
 // prog, so concurrent Runs may share one Program (see the package
@@ -815,7 +782,7 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 		return nil, fmt.Errorf("sim: program %q generated for %d processors, config has %d",
 			prog.Name, prog.Procs, procs)
 	}
-	phases, comp, err := programPhases(prog, opts)
+	comp, err := trace.Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -823,20 +790,12 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if comp != nil {
-		s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	}
-	clock := replay(phases, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access)
+	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
+	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access)
 	s.finish(clock)
 	s.flushMetrics()
 	if s.ck != nil {
-		var exp uint64
-		if comp != nil {
-			exp = comp.Refs()
-		} else {
-			exp = countRefs(phases)
-		}
-		if err := s.verifyFinish(exp); err != nil {
+		if err := s.verifyFinish(comp.Refs()); err != nil {
 			return nil, err
 		}
 	}
@@ -863,23 +822,6 @@ func reserveLines(maxLine16 uint32, lineBytes int) uint32 {
 		n = snoop.MaxFlatLines
 	}
 	return uint32(n)
-}
-
-// countRefs counts the non-idle references of a stream table — the
-// expected Result.Refs when no compiled form carries the precomputed
-// total (LegacyReplay with verification enabled).
-func countRefs(phases [][][]mem.Ref) uint64 {
-	var n uint64
-	for _, streams := range phases {
-		for _, st := range streams {
-			for _, r := range st {
-				if r.Kind != mem.Idle {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // verifyFinish runs the checker's end-of-run audit against the

@@ -63,24 +63,6 @@ func TestVerifyCleanRunIsTransparent(t *testing.T) {
 	}
 }
 
-// TestVerifyLegacyReplay exercises the countRefs path (no compiled form
-// to supply the expected reference total) and checks legacy-vs-compiled
-// equivalence under verification.
-func TestVerifyLegacyReplay(t *testing.T) {
-	p := sharingProg()
-	compiled, err := Run(cfg2(4096), Options{Verify: &verify.Options{}}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Run(cfg2(4096), Options{Verify: &verify.Options{}, LegacyReplay: true}, p)
-	if err != nil {
-		t.Fatalf("verified legacy run failed: %v", err)
-	}
-	if !reflect.DeepEqual(compiled, legacy) {
-		t.Fatal("legacy and compiled verified runs diverge")
-	}
-}
-
 func TestVerifyDeterminism(t *testing.T) {
 	p := sharingProg()
 	opts := Options{Verify: &verify.Options{}, VictimEntries: 4, WarmupRefs: 100}
@@ -148,7 +130,7 @@ func TestRunPrivateVerifyTransparent(t *testing.T) {
 func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	p := sharingProg()
 	opts := Options{Verify: &verify.Options{}}
-	phases, comp, err := programPhases(p, opts)
+	comp, err := trace.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +139,7 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
-	clock := replay(phases, 2, s.res, s.tr, 0, s.warmupReset, s.access)
+	clock := replay(comp.Streams, 2, s.res, s.tr, 0, s.warmupReset, s.access)
 	s.finish(clock)
 
 	var addr uint32
@@ -229,8 +211,8 @@ func fuzzProgram(procs int, stream []byte) *trace.Program {
 // FuzzSimConfig drives the verified simulator across fuzzed
 // configurations and programs and holds it to three oracles at once:
 // the invariant checker (any violation fails the run), determinism
-// (identical reruns), legacy-vs-compiled equivalence, and the naive
-// map-based model (exact statistics match).
+// (identical reruns), and the naive map-based model (exact statistics
+// match).
 func FuzzSimConfig(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(2), uint8(0), int8(0), []byte("sccsim"))
 	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int8(-1), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
@@ -250,15 +232,6 @@ func FuzzSimConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, again) {
 			t.Fatalf("non-deterministic result on %v", cfg)
-		}
-		legacyOpts := opts
-		legacyOpts.LegacyReplay = true
-		legacy, err := Run(cfg, legacyOpts, p)
-		if err != nil {
-			t.Fatalf("verified legacy run failed on %v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(res, legacy) {
-			t.Fatalf("legacy replay diverges on %v", cfg)
 		}
 
 		oracle, err := verify.RunOracle(cfg, p, verify.OracleOptions{WriteBufferDepth: int(wbDepth)})

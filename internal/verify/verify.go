@@ -6,11 +6,11 @@
 // The package exists because the hot paths the paper's numbers depend on
 // (compiled traces, the flat presence table, the fused direct-mapped
 // access path) are the most optimized and least self-checking code in
-// the repo. Byte-identity against LegacyReplay only proves the fast path
-// matches the slow path — it says nothing when both share a bug. The
-// checker and the oracle are written against the documented model, not
-// against the implementation, so they fail when the implementation
-// drifts from the model in either path.
+// the repo. Byte-identity against an older implementation only proves
+// the fast path matches the slow one — it says nothing when both share a
+// bug. The checker and the oracle are written against the documented
+// model, not against the implementation, so they fail when the
+// implementation drifts from the model.
 //
 // verify deliberately does not import internal/sim: sim wires a Checker
 // into its machinery via Options.Verify, and the oracle consumes the

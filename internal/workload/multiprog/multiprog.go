@@ -26,10 +26,14 @@ import (
 	"sccsim/internal/trace"
 )
 
+// DefaultRefsPerApp is the per-process reference budget used when
+// Params.RefsPerApp is zero (see the package comment on scaling).
+const DefaultRefsPerApp = 600_000
+
 // Params configures the workload.
 type Params struct {
 	// RefsPerApp is the memory-reference budget per process
-	// (default 600,000 — see the package comment on scaling).
+	// (0: DefaultRefsPerApp).
 	RefsPerApp int
 	// Seed drives all the synthetic kernels.
 	Seed int64
@@ -110,7 +114,7 @@ func Names() []string {
 // parallel workloads' processor stacks.
 func Generate(p Params) ([]sim.Process, error) {
 	if p.RefsPerApp == 0 {
-		p.RefsPerApp = 600_000
+		p.RefsPerApp = DefaultRefsPerApp
 	}
 	if p.RefsPerApp < 1000 {
 		return nil, fmt.Errorf("multiprog: RefsPerApp = %d, want >= 1000", p.RefsPerApp)

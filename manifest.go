@@ -55,7 +55,7 @@ func WithLogger(l *slog.Logger) Opt { return func(c *expCfg) { c.logger = l } }
 func WithRequestID(id string) Opt { return func(c *expCfg) { c.requestID = id } }
 
 // WithSweepReport installs a telemetry hook called once after a sweep
-// completes successfully.
+// (or Do's single point) completes successfully.
 func WithSweepReport(fn func(SweepReport)) Opt { return func(c *expCfg) { c.reportFn = fn } }
 
 // WithManifest makes SweepCtx write a versioned JSON run manifest

@@ -148,9 +148,9 @@ type expCfg struct {
 	// simSet records that WithSimOptions was used (the zero Options is
 	// also the default, so presence needs its own bit — the analytic
 	// backend rejects simulator tuning).
-	simSet      bool
-	backend     Backend
-	cfg         *Config
+	simSet  bool
+	backend Backend
+	cfg     *Config
 	// axes overlays architecture-axis overrides (line size,
 	// associativity, replacement, hierarchy) on every configuration the
 	// experiment builds; the zero value changes nothing (see WithAxes).
@@ -294,74 +294,51 @@ func (c expCfg) engine() (explorer.EngineOptions, error) {
 	return eng, nil
 }
 
-// Do evaluates one workload at one design point — the single entry
-// point behind the legacy Run wrappers (see compat.go). The design
-// point comes from WithConfig or WithPoint (default: the paper's
-// 1P/64KB baseline); problem sizes from WithScale (default:
-// PaperScale); the backend from WithBackend (default: the exact
-// simulator). Workload traces are generated once per (workload,
-// processors, scale) and cached, so repeated experiments over the same
-// trace pay for generation once; the analytic backend likewise shares
-// one reuse-distance profile per system shape.
+// Do evaluates one workload at one design point. The design point
+// comes from WithConfig or WithPoint (default: the paper's 1P/64KB
+// baseline); problem sizes from WithScale (default: PaperScale); the
+// backend from WithBackend (default: the exact simulator). Do resolves
+// the point's configuration once and runs it on the same engine path
+// as a sweep, so the trace caches, WithTraceCache/WithTraceStore,
+// WithMetrics and WithLogger behave identically on both backends:
+// workload traces are generated once per (workload, processors, scale)
+// and cached, and the analytic backend shares one reuse-distance
+// profile per system shape.
 func Do(ctx context.Context, w Workload, opts ...Opt) (*Point, error) {
 	c, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
+	cfg := explorer.PointConfig(w, c.ppc, c.scc, c.axes)
+	if c.cfg != nil {
+		if w == Multiprog {
+			return nil, fmt.Errorf("sccsim: WithConfig pins a parallel-workload system; the multiprogramming workload runs on one cluster — use WithPoint")
+		}
+		cfg = c.axes.Apply(*c.cfg)
+	}
 	if c.logger != nil {
 		c.logger.Debug("point start",
 			"workload", string(w), "backend", string(c.backend))
 	}
-	if c.backend == BackendAnalytic {
-		if c.cfg != nil {
-			return explorer.RunConfigAnalyticCtx(ctx, w, c.axes.Apply(*c.cfg), c.scale)
-		}
-		return explorer.RunPointAnalyticCtx(ctx, w, c.ppc, c.scc, c.axes, c.scale)
-	}
-	var ts *obs.TraceSet
-	if c.traceW != nil {
-		// Single-run trace: one collector, wired straight into the
-		// simulator options.
-		var newTracer func(Config) sim.Tracer
-		ts, newTracer = newTraceSet()
-		cfg := sysmodel.Default(c.ppc, c.scc)
-		if c.cfg != nil {
-			cfg = *c.cfg
-		} else if w == Multiprog {
-			cfg.Clusters = 1
-		}
-		c.sim.Tracer = newTracer(c.axes.Apply(cfg))
-	}
 	c.sim.Metrics = c.metrics
-	// Single points flow through the same persistent trace store as
-	// sweeps (WithTraceCache/WithTraceStore) — on a cluster worker,
-	// that is what lets a point fetch a trace the fleet already has
-	// instead of regenerating it.
 	eng, err := c.engine()
 	if err != nil {
 		return nil, err
 	}
-	var pt *Point
-	if c.cfg != nil {
-		pt, err = explorer.RunConfigCtx(ctx, w, c.axes.Apply(*c.cfg), c.scale, c.sim, eng.TraceCache)
-	} else {
-		pts, perr := explorer.RunPointsCtx(ctx, w,
-			[]explorer.PointSpec{{PPC: c.ppc, SCCBytes: c.scc}}, c.scale, c.sim,
-			explorer.EngineOptions{Parallelism: 1, TraceCache: eng.TraceCache, Metrics: c.metrics, Logger: c.logger, Axes: c.axes})
-		if perr != nil {
-			return nil, perr
-		}
-		pt = pts[0]
+	var ts *obs.TraceSet
+	if c.traceW != nil {
+		ts, eng.NewTracer = newTraceSet()
 	}
+	pts, err := explorer.RunConfigs(ctx, w, []Config{cfg}, c.scale, c.sim, eng)
 	if err != nil {
 		return nil, err
 	}
 	if ts != nil {
-		if werr := ts.WriteChrome(c.traceW); werr != nil {
-			return nil, werr
+		if err := ts.WriteChrome(c.traceW); err != nil {
+			return nil, err
 		}
 	}
-	return pt, nil
+	return pts[0], nil
 }
 
 // SweepCtx runs a workload over the full processor-cache design space
@@ -421,17 +398,12 @@ func SweepCtx(ctx context.Context, w Workload, opts ...Opt) (*Grid, error) {
 		}
 	}
 
-	var g *Grid
-	if c.backend == BackendAnalytic {
-		g, err = explorer.SweepAnalyticCtx(ctx, w, c.scale, eng)
-	} else {
-		if c.remote != nil {
-			// Cluster mode: offer every point to the remote executor,
-			// simulate locally on failure (see WithCluster).
-			eng.Remote = c.remoteFunc()
-		}
-		g, err = explorer.SweepCtx(ctx, w, c.scale, c.sim, eng)
+	if c.remote != nil {
+		// Cluster mode: offer every exact point to the remote executor,
+		// simulate locally on failure (see WithCluster).
+		eng.Remote = c.remoteFunc()
 	}
+	g, err := explorer.Sweep(ctx, w, c.scale, c.sim, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -471,46 +443,6 @@ func BuildCostPerfEntryCtx(ctx context.Context, w Workload, opts ...Opt) (*CostP
 // ResetTraceCache drops every cached workload trace, releasing memory
 // after paper-scale experiments.
 func ResetTraceCache() { explorer.ResetTraceCache() }
-
-// RunPrivateCaches simulates a parallel workload on the paper's
-// alternative cluster organization (Section 2.1): private per-processor
-// caches (sccBytes/procsPerCluster each, same total capacity) kept
-// coherent by snooping, with fast intra-cluster cache-to-cache
-// transfers. Comparing with Run on the same arguments reproduces the
-// shared-vs-private cluster cache argument.
-func RunPrivateCaches(w Workload, procsPerCluster, sccBytes int, s Scale) (*Point, error) {
-	cfg := sysmodel.Default(procsPerCluster, sccBytes)
-	prog, err := explorer.GenerateParallel(w, cfg.Procs(), s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunPrivate(cfg, sim.Options{}, prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Point{Config: cfg, Result: res}, nil
-}
-
-// RunFlat simulates a parallel workload on a conventional flat snoopy
-// multiprocessor — every processor is its own "cluster" with a private
-// cache of sccBytes/procsPerCluster on the single shared bus. This is
-// the organization whose invalidation growth motivates clustering in
-// Section 2.1. totalProcs must be at most 32.
-func RunFlat(w Workload, totalProcs, cacheBytes int, s Scale) (*Point, error) {
-	cfg := sysmodel.Config{
-		Clusters: totalProcs, ProcsPerCluster: 1, SCCBytes: cacheBytes,
-		LoadLatency: 2, Assoc: 1,
-	}
-	prog, err := explorer.GenerateParallel(w, totalProcs, s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(cfg, sim.Options{}, prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Point{Config: cfg, Result: res}, nil
-}
 
 // GenerateTrace builds the raw per-processor reference trace for a
 // parallel workload — the substrate a custom experiment can feed to the

@@ -1,6 +1,7 @@
 package sccsim_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestDefaultConfig(t *testing.T) {
 }
 
 func TestSweepAndRenderPublicAPI(t *testing.T) {
-	grid, err := sccsim.Sweep(sccsim.BarnesHut, sccsim.QuickScale())
+	grid, err := sccsim.SweepCtx(context.Background(), sccsim.BarnesHut, sccsim.WithScale(sccsim.QuickScale()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestSweepAndRenderPublicAPI(t *testing.T) {
 }
 
 func TestRunPublicAPI(t *testing.T) {
-	pt, err := sccsim.Run(sccsim.MP3D, 4, 64*1024, sccsim.QuickScale())
+	pt, err := runPoint(sccsim.MP3D, 4, 64*1024, sccsim.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

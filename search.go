@@ -112,11 +112,10 @@ var searchMargins = map[string]float64{
 	string(Multiprog): 0.22,
 }
 
-// searchEvaluator adapts the explorer's batch entry points to the
-// search pipeline's Evaluator: analytic estimates come from the shared
-// reuse-distance curves, exact confirmations run on the concurrent
-// sweep engine (in-order results keep the runner deterministic at any
-// parallelism).
+// searchEvaluator adapts the explorer to the search pipeline's
+// Evaluator: analytic estimates come from the shared reuse-distance
+// curves, exact confirmations are one RunConfigs batch each (in-order
+// results keep the runner deterministic at any parallelism).
 type searchEvaluator struct {
 	w     Workload
 	scale Scale
@@ -137,7 +136,11 @@ func (e *searchEvaluator) Estimate(ctx context.Context, cands []search.Candidate
 }
 
 func (e *searchEvaluator) Exact(ctx context.Context, cands []search.Candidate) ([]uint64, error) {
-	pts, err := explorer.RunPointsCtx(ctx, e.w, searchPointSpecs(cands), e.scale, e.sim, e.eng)
+	cfgs := make([]Config, len(cands))
+	for i, c := range cands {
+		cfgs[i] = explorer.PointConfig(e.w, c.PPC, c.SCCBytes, e.eng.Axes)
+	}
+	pts, err := explorer.RunConfigs(ctx, e.w, cfgs, e.scale, e.sim, e.eng)
 	if err != nil {
 		return nil, err
 	}
@@ -214,14 +217,11 @@ func SearchCtx(ctx context.Context, w Workload, spec SearchSpec, opts ...Opt) (r
 		}(time.Now())
 	}
 
-	clusters := 4
-	if w == Multiprog {
-		clusters = 1
-	}
 	r := &search.Runner{
-		Eval:          &searchEvaluator{w: w, scale: c.scale, sim: c.sim, eng: eng},
-		Workload:      string(w),
-		Clusters:      clusters,
+		Eval:     &searchEvaluator{w: w, scale: c.scale, sim: c.sim, eng: eng},
+		Workload: string(w),
+		// The workload fixes the cluster count at every point.
+		Clusters:      explorer.PointConfig(w, c.ppc, c.scc, c.axes).Clusters,
 		DefaultMargin: DefaultSearchMargin(w),
 		Metrics:       c.metrics,
 		Logger:        c.logger,
