@@ -104,11 +104,14 @@ obs-overhead-run:
 # Seed-plus-30s coverage-guided fuzz of the two properties most worth
 # hammering: the verified simulator against the oracle model
 # (FuzzSimConfig) and the trace binary format round trip
-# (FuzzTraceRoundTrip). Each target runs alone (go test allows one
-# -fuzz pattern per invocation).
+# (FuzzTraceRoundTrip); then 15s of the HTTP service's one untrusted
+# input, request bodies (FuzzResolveRequest: no panic, and an accepted
+# body's experiment re-encodes to the same content key). Each target
+# runs alone (go test allows one -fuzz pattern per invocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimConfig$$' -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 15s ./internal/serve
 
 # Machine-readable sweep benchmark: quick-scale Barnes-Hut sweeps on
 # both backends, merged into one run manifest (timings, utilization,

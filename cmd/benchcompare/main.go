@@ -68,7 +68,7 @@ var (
 	stderr io.Writer = os.Stderr
 )
 
-type pointKey struct {
+type pointSlot struct {
 	backend                 string
 	clusters, ppc, sccBytes int
 }
@@ -106,8 +106,8 @@ func readManifest(path string) (*obs.Manifest, error) {
 	return &m, nil
 }
 
-func index(m *obs.Manifest) map[pointKey]obs.PointRecord {
-	idx := make(map[pointKey]obs.PointRecord, len(m.Points))
+func index(m *obs.Manifest) map[pointSlot]obs.PointRecord {
+	idx := make(map[pointSlot]obs.PointRecord, len(m.Points))
 	for _, p := range m.Points {
 		idx[keyOf(m, p)] = p
 	}
@@ -116,12 +116,12 @@ func index(m *obs.Manifest) map[pointKey]obs.PointRecord {
 
 // keyOf builds a point's comparison key, falling back to the
 // manifest-level backend when the point predates per-point stamps.
-func keyOf(m *obs.Manifest, p obs.PointRecord) pointKey {
+func keyOf(m *obs.Manifest, p obs.PointRecord) pointSlot {
 	b := p.Backend
 	if b == "" {
 		b = m.Backend
 	}
-	return pointKey{normBackend(b), p.Clusters, p.ProcsPerCluster, p.SCCBytes}
+	return pointSlot{normBackend(b), p.Clusters, p.ProcsPerCluster, p.SCCBytes}
 }
 
 func median(v []float64) float64 {
@@ -149,7 +149,7 @@ func mergeManifests(out string, inputs []string) int {
 		return 2
 	}
 	var merged *obs.Manifest
-	seen := map[pointKey]string{}
+	seen := map[pointSlot]string{}
 	for _, path := range inputs {
 		m, err := readManifest(path)
 		if err != nil {
@@ -248,7 +248,7 @@ func cli(args []string) int {
 	}
 
 	baseIdx, candIdx := index(base), index(cand)
-	keys := make([]pointKey, 0, len(baseIdx))
+	keys := make([]pointSlot, 0, len(baseIdx))
 	for k := range baseIdx {
 		keys = append(keys, k)
 	}

@@ -4,7 +4,9 @@
 // their exported methods), every "Deprecated:" notice must point at the
 // replacement ("Deprecated: use X instead" — a deprecation that leaves
 // the reader stranded is a problem), docs/API.md must mention every
-// HTTP route the serve package registers, the design-space guide must
+// HTTP route the serve package registers and every JSON field of its
+// request bodies (the three POST bodies, ScaleSpec and SimSpec), the
+// design-space guide must
 // name every sccsim.Spec field and every architecture axis (so a new
 // sweep axis cannot ship undocumented), and relative markdown links
 // must resolve to files that exist.
@@ -16,8 +18,9 @@
 // Each DIR is parsed as one Go package (test files excluded). Problems
 // are listed one per line on stderr and the exit code is non-zero when
 // any are found, so `make docs-check` and CI fail loudly. The source
-// checks are purely static; -design reflects over the library's Spec
-// and Axes types so the field list can never drift from the code.
+// checks are purely static; -api and -design reflect over the request
+// bodies and the library's Spec and Axes types so the field lists can
+// never drift from the code.
 package main
 
 import (
@@ -54,7 +57,7 @@ func main() {
 func cli(args []string) int {
 	fs := flag.NewFlagSet("docscheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	apiDoc := fs.String("api", "", "markdown file that must mention every serve route")
+	apiDoc := fs.String("api", "", "markdown file that must mention every serve route and request field")
 	designDoc := fs.String("design", "", "markdown file that must name every sccsim.Spec field and Axes axis")
 	links := fs.String("links", "", "comma-separated markdown files/directories whose relative links must resolve")
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +73,7 @@ func cli(args []string) int {
 		problems = append(problems, ps...)
 	}
 	if *apiDoc != "" {
-		ps, err := checkAPIDoc(*apiDoc, serve.Routes())
+		ps, err := checkAPIDoc(*apiDoc, serve.Routes(), requestFields())
 		if err != nil {
 			fmt.Fprintf(stderr, "docscheck: %v\n", err)
 			return 2
@@ -194,6 +197,37 @@ func deprecatedWithoutPointer(docText string) bool {
 	return !strings.Contains(strings.ToLower(docText[idx:]), "use ")
 }
 
+// jsonNames returns the JSON names of the fields of each struct type
+// (the Go field name when a field has no tag), in order, skipping
+// names already listed.
+func jsonNames(types ...reflect.Type) []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, t := range types {
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			name := f.Name
+			if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag != "" && tag != "-" {
+				name = tag
+			}
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	return names
+}
+
+// requestFields lists the JSON fields a request body can carry: those
+// of the three POST bodies and of the scale_spec and sim objects.
+// Reflection keeps the list in lockstep with the wire types: a field
+// added to a body without documenting it fails `make docs-check`.
+func requestFields() []string {
+	return jsonNames(reflect.TypeOf(serve.SweepRequest{}), reflect.TypeOf(serve.PointRequest{}),
+		reflect.TypeOf(serve.SearchRequest{}), reflect.TypeOf(serve.ScaleSpec{}), reflect.TypeOf(serve.SimSpec{}))
+}
+
 // specAxisNames collects the names the design-space guide must carry:
 // every field of the declarative sccsim.Spec (its JSON names — the Go
 // field names, since Spec carries no tags) and every architecture axis
@@ -201,20 +235,7 @@ func deprecatedWithoutPointer(docText string) bool {
 // lockstep with the code: adding a Spec field or an axis without
 // documenting it fails `make docs-check`.
 func specAxisNames() []string {
-	var names []string
-	collect := func(t reflect.Type) {
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			name := f.Name
-			if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag != "" && tag != "-" {
-				name = tag
-			}
-			names = append(names, name)
-		}
-	}
-	collect(reflect.TypeOf(sccsim.Spec{}))
-	collect(reflect.TypeOf(sccsim.Axes{}))
-	return names
+	return jsonNames(reflect.TypeOf(sccsim.Spec{}), reflect.TypeOf(sccsim.Axes{}))
 }
 
 // checkDesignDoc verifies every Spec field and Axes axis name appears
@@ -289,8 +310,8 @@ func checkLinks(targets []string) ([]string, error) {
 }
 
 // checkAPIDoc verifies every route pattern appears verbatim in the API
-// document.
-func checkAPIDoc(path string, routes []string) ([]string, error) {
+// document, and every request field as a `code` span.
+func checkAPIDoc(path string, routes, fields []string) ([]string, error) {
 	content, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -299,6 +320,11 @@ func checkAPIDoc(path string, routes []string) ([]string, error) {
 	for _, r := range routes {
 		if !strings.Contains(string(content), r) {
 			problems = append(problems, fmt.Sprintf("%s: route %q is not documented", path, r))
+		}
+	}
+	for _, f := range fields {
+		if !strings.Contains(string(content), "`"+f+"`") {
+			problems = append(problems, fmt.Sprintf("%s: request field %q is not documented", path, f))
 		}
 	}
 	return problems, nil

@@ -95,12 +95,22 @@ func (T) M() {}
 	}
 }
 
+// documentedFields renders every request field as a code span, the
+// form -api looks for.
+func documentedFields() string {
+	var b strings.Builder
+	for _, f := range requestFields() {
+		b.WriteString("`" + f + "`\n")
+	}
+	return b.String()
+}
+
 // TestAPIDocRouteCoverage: -api fails when a registered route is
 // missing from the document and passes when all are present.
 func TestAPIDocRouteCoverage(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.md")
-	if err := os.WriteFile(full, []byte(strings.Join(serve.Routes(), "\n")), 0o644); err != nil {
+	if err := os.WriteFile(full, []byte(strings.Join(serve.Routes(), "\n")+"\n"+documentedFields()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code, errOut := runCLI(t, "-api", full); code != 0 {
@@ -109,7 +119,7 @@ func TestAPIDocRouteCoverage(t *testing.T) {
 
 	partial := filepath.Join(dir, "partial.md")
 	routes := serve.Routes()
-	if err := os.WriteFile(partial, []byte(strings.Join(routes[:len(routes)-1], "\n")), 0o644); err != nil {
+	if err := os.WriteFile(partial, []byte(strings.Join(routes[:len(routes)-1], "\n")+"\n"+documentedFields()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, errOut := runCLI(t, "-api", partial)
@@ -118,6 +128,35 @@ func TestAPIDocRouteCoverage(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "is not documented") {
 		t.Errorf("stderr missing the undocumented-route problem:\n%s", errOut)
+	}
+}
+
+// TestAPIDocFieldCoverage: -api fails when a field of a request body,
+// of scale_spec or of sim is missing from the document, naming it. The
+// field list comes from the wire types, so it covers every route's
+// body, including fields only one route takes.
+func TestAPIDocFieldCoverage(t *testing.T) {
+	fields := requestFields()
+	for _, want := range []string{"workload", "wait", "procs_per_cluster", "search", "multiprog_refs", "warmup_refs", "verify"} {
+		found := false
+		for _, f := range fields {
+			found = found || f == want
+		}
+		if !found {
+			t.Errorf("request field %q missing from the reflected list %v", want, fields)
+		}
+	}
+	routes := strings.Join(serve.Routes(), "\n")
+	doc := filepath.Join(t.TempDir(), "api.md")
+	for _, missing := range []string{"scc_bytes", "cholesky_grid_h", "bus_occupancy"} {
+		body := strings.Replace(documentedFields(), "`"+missing+"`\n", "", 1)
+		if err := os.WriteFile(doc, []byte(routes+"\n"+body+missing), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, errOut := runCLI(t, "-api", doc)
+		if code != 1 || !strings.Contains(errOut, `request field "`+missing+`" is not documented`) {
+			t.Errorf("doc without `%s`: exit %d, stderr:\n%s", missing, code, errOut)
+		}
 	}
 }
 

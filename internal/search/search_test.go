@@ -109,11 +109,18 @@ func TestSpaceRange(t *testing.T) {
 		{SCCBytes: []int{24}},                                     // unaligned explicit
 		{ProcsPerCluster: []int{0}},                               // bad ppc
 		{SCCBytesMin: 16, SCCBytesMax: 1 << 27, SCCBytesStep: 16}, // over the cap
+		{SCCBytesMin: 16, SCCBytesMax: math.MaxInt, SCCBytesStep: 16},
 	}
 	for i, sp := range bad {
 		if _, err := sp.Enumerate(); err == nil {
 			t.Errorf("bad space %d accepted", i)
 		}
+	}
+	// A range reaching the top of int ends at its last size instead of
+	// overflowing past max and looping.
+	top := Space{SCCBytesMin: 16, SCCBytesMax: math.MaxInt, SCCBytesStep: 1 << 61}
+	if _, sizes, err := top.Axes(); err != nil || len(sizes) != 4 || sizes[3] != 16+3<<61 {
+		t.Errorf("top-of-int range: sizes %v, err %v; want 4 sizes ending at 16+3<<61", sizes, err)
 	}
 }
 

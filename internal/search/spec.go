@@ -131,8 +131,14 @@ func (sp Space) Axes() (ppcs, sizes []int, err error) {
 		if max < min {
 			return nil, nil, fmt.Errorf("search: scc_bytes_max %d below scc_bytes_min %d", max, min)
 		}
-		for s := min; s <= max; s += step {
-			sizes = append(sizes, s)
+		// Count before generating: a huge range must fail here, not
+		// exhaust memory (or overflow s) on the way to the cap check.
+		n := (max-min)/step + 1
+		if n > maxSpacePoints {
+			return nil, nil, fmt.Errorf("search: scc_bytes range has %d sizes, above the %d-point cap", n, maxSpacePoints)
+		}
+		for i := 0; i < n; i++ {
+			sizes = append(sizes, min+i*step)
 		}
 	default:
 		sizes = append([]int(nil), sysmodel.SCCSizes...)

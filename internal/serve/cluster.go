@@ -1,8 +1,8 @@
 // Cluster mode: the server-side half of sharded sweep execution. A
 // coordinator keeps a registry of worker nodes (registration doubles
 // as heartbeat; entries expire after a TTL) and, when a sweep job
-// runs, snapshots the healthy workers into an sccsim.HTTPCluster so
-// the engine offers every design point to the fleet — with local
+// runs, snapshots the healthy workers into an httpCluster (client.go)
+// so the engine offers every design point to the fleet — with local
 // simulation as the per-point fallback, so losing workers mid-sweep
 // costs retries, never correctness. The same module serves the
 // fleet-shared trace cache: GET /v1/trace/{digest} streams a
@@ -36,15 +36,14 @@ type ClusterOptions struct {
 	// shorter period (see HeartbeatLoop); an expired worker is dropped
 	// from sweep sharding until it registers again.
 	HeartbeatTTL time.Duration
-	// Retries is how many workers a sweep point is offered to before
-	// the coordinator simulates it locally (<= 0: the HTTPCluster
-	// default of 2).
+	// Retries is how many times a sweep point is re-offered to a worker
+	// after its first attempt fails, before the coordinator simulates
+	// it locally (<= 0: 2).
 	Retries int
-	// BackoffMS is the base retry backoff in milliseconds (<= 0: the
-	// HTTPCluster default of 50).
+	// BackoffMS is the base retry backoff in milliseconds, doubled per
+	// attempt and capped at 8x (<= 0: 50).
 	BackoffMS int64
-	// PointTimeoutMS caps each remote point attempt (<= 0: the
-	// HTTPCluster default of 120s).
+	// PointTimeoutMS caps each remote point attempt (<= 0: 120s).
 	PointTimeoutMS int64
 	// PeerTraceURL, when set on a worker, is the base URL of a peer
 	// node (normally the coordinator) whose trace cache is consulted —
@@ -195,12 +194,7 @@ func (s *Server) clusterRemote() sccsim.Remote {
 	for i, n := range nodes {
 		urls[i] = n.url
 	}
-	return sccsim.NewHTTPCluster(sccsim.ClusterSpec{
-		Workers:   urls,
-		Retries:   s.opts.Cluster.Retries,
-		BackoffMS: s.opts.Cluster.BackoffMS,
-		TimeoutMS: s.opts.Cluster.PointTimeoutMS,
-	})
+	return newHTTPCluster(urls, s.opts.Cluster)
 }
 
 // handleTrace serves GET /v1/trace/{digest}: the raw .scct bytes of a

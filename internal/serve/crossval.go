@@ -16,14 +16,13 @@ import (
 // publishCrossval compares a just-finished sweep job with its
 // other-backend twin and sets the crossval.<workload>.* gauges. Both
 // jobs are terminal; their grids cover the same design points because
-// they share everything in the content key except the backend.
+// their experiments differ only in the backend.
 func (s *Server) publishCrossval(j, twin *job) {
 	exact, analytic := j, twin
-	if j.spec.Backend == string(sccsim.BackendAnalytic) {
+	if j.exp.Backend == sccsim.BackendAnalytic {
 		exact, analytic = twin, j
 	}
-	_, _, eg, _, _, _, _ := exact.snapshot()
-	_, _, ag, _, _, _, _ := analytic.snapshot()
+	eg, ag := exact.snapshot().grid, analytic.snapshot().grid
 	if eg == nil || ag == nil {
 		return
 	}
@@ -52,8 +51,8 @@ func (s *Server) publishCrossval(j, twin *job) {
 	if len(pts) == 0 {
 		return
 	}
-	rep := verify.NewCrossReport(string(j.workload), pts)
-	name := "crossval." + string(j.workload)
+	rep := verify.NewCrossReport(string(j.exp.Workload), pts)
+	name := "crossval." + string(j.exp.Workload)
 	s.reg.FGauge(name + ".max_abs_err").Set(rep.MaxAbsErr)
 	s.reg.FGauge(name + ".mean_abs_err").Set(rep.MeanAbsErr)
 	s.reg.FGauge(name + ".max_rel_err").Set(rep.MaxRelErr)

@@ -1,19 +1,22 @@
-// HTTP handlers: decode, validate, admit, render. Handlers never touch
-// the engine directly — they only talk to the admission control and the
-// job they are handed, so every route automatically shares the queue,
-// the coalescing map and the result cache.
+// HTTP handlers. The three POST routes share one request path (handle):
+// decode, resolve, validate, key, admit, wait, encode. A route adds only
+// its body type and its render step, plus the sweep's stream and async
+// modes. Handlers never touch the engine directly — they only talk to
+// the admission control and the job they are handed, so every route
+// shares the queue, the coalescing map and the result cache.
 
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
 	"time"
 
-	"sccsim"
 	"sccsim/internal/obs"
 )
 
@@ -108,82 +111,63 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, r *http.Request, err *ht
 	writeError(w, err.code, err.msg)
 }
 
-// decodeBody decodes a bounded JSON request body, rejecting unknown
-// fields so client typos fail loudly instead of silently running the
-// default experiment.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeStrict decodes exactly one JSON value into v, rejecting unknown
+// fields and anything but whitespace after the value, so a client typo
+// or a second concatenated body fails loudly instead of silently
+// running the default — or only the first — experiment.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
+// decodeBody decodes a bounded request body strictly, answering 400 on
+// failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
 	return true
 }
 
-// handleSweep serves POST /v1/sweep: synchronous by default, 202+poll
-// with "wait": false, NDJSON progress streaming with "stream": true.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+// handle is the request path of the three POST routes: decode req,
+// resolve it into an experiment, validate and key it, admit it, wait for
+// the job and encode render's envelope of it — 500 when the job failed.
+// The decode, admit, wait and encode spans time the steps. early, when
+// non-nil, may answer an admitted request before the wait (the sweep's
+// stream and async modes) and reports whether it did.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, req request,
+	render func(j *job, source string) any, early func(j *job, source string) bool) {
 	tr := obs.TraceFrom(r.Context())
-	var req SweepRequest
 	dsp := tr.StartSpan("decode")
-	ok := decodeBody(w, r, &req)
+	ok := decodeBody(w, r, req)
 	dsp.End()
 	if !ok {
 		return
 	}
-	workload, err := sccsim.ParseWorkload(req.Workload)
+	e, err := req.resolve()
+	if err == nil {
+		err = e.validate()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	backend, err := resolveBackend(req.Backend)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := resolveScale(req.Scale, req.Seed, req.ScaleSpec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var sim sccsim.Options
-	verify := false
-	if req.Sim != nil {
-		sim = req.Sim.toOptions()
-		verify = req.Sim.Verify
-	}
-	spec := sccsim.Spec{
-		Scale: &scale, Parallelism: s.jobParallelism(req.Parallelism),
-		TraceCacheDir: s.opts.TraceCacheDir, Verify: verify,
-		Backend: string(backend), Axes: req.Axes,
-	}
-	if req.Sim != nil {
-		spec.Sim = &sim
-	}
-	// Contradictory specs — verification or simulator ablations on the
-	// analytic backend, or axes it cannot model — are client errors, not
-	// server faults.
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := sweepKey(workload, backend, scale, sim, verify, req.Axes)
-	// The same experiment on the other backend — only meaningful for
-	// untuned specs whose axes the analytic backend can model, since
-	// tuned, verified or analytic-unsupported runs are exact-only and
-	// could never have an analytic twin.
-	twinKey := ""
-	if req.Sim == nil && axesAnalyticOK(req.Axes) {
-		other := sccsim.BackendAnalytic
-		if backend == sccsim.BackendAnalytic {
-			other = sccsim.BackendExact
-		}
-		twinKey = sweepKey(workload, other, scale, sim, verify, req.Axes)
+	key, twinKey := e.key(), e.twinKey()
+	parallelism, timeoutMS := req.serving()
+	if parallelism <= 0 {
+		parallelism = s.opts.Parallelism
 	}
 	asp := tr.StartSpan("admit")
 	adm, aerr := s.admit(key, func(id string) *job {
-		nj := newJob(id, key, jobSweep, workload, spec, time.Duration(req.TimeoutMS)*time.Millisecond)
+		nj := newJob(id, key, e, parallelism, time.Duration(timeoutMS)*time.Millisecond)
 		nj.requestID = obs.RequestIDFrom(r.Context())
 		nj.trace = tr
 		nj.twinKey = twinKey
@@ -195,53 +179,63 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := adm.j
-	switch {
-	case req.Stream:
-		s.streamSweep(w, r, j, adm.source)
-	case req.Wait != nil && !*req.Wait:
-		if adm.source == "hit" {
-			// The result cache already has the grid; no reason to make
-			// the client poll for it.
-			writeJSON(w, http.StatusOK, s.sweepResponse(j, adm.source, true))
-			return
-		}
-		writeJSON(w, http.StatusAccepted, s.sweepResponse(j, adm.source, false))
-	default:
-		wsp := tr.StartSpan("wait")
-		select {
-		case <-j.done:
-			wsp.End()
-			resp := s.sweepResponse(j, adm.source, true)
-			code := http.StatusOK
-			if resp.Error != "" {
-				code = http.StatusInternalServerError
-			}
-			esp := tr.StartSpan("encode")
-			writeJSON(w, code, resp)
-			esp.End()
-		case <-r.Context().Done():
-			wsp.End()
-			// The client went away; the shared job keeps running for
-			// any coalesced waiters and the result cache.
-		}
+	if early != nil && early(j, adm.source) {
+		return
 	}
+	wsp := tr.StartSpan("wait")
+	select {
+	case <-j.done:
+		wsp.End()
+	case <-r.Context().Done():
+		wsp.End()
+		// The client went away; the shared job keeps running for any
+		// coalesced waiters and the result cache.
+		return
+	}
+	code := http.StatusOK
+	if j.snapshot().err != nil {
+		code = http.StatusInternalServerError
+	}
+	esp := tr.StartSpan("encode")
+	writeJSON(w, code, render(j, adm.source))
+	esp.End()
+}
+
+// handleSweep serves POST /v1/sweep: synchronous by default, 202+poll
+// with "wait": false, NDJSON progress streaming with "stream": true.
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req SweepRequest
+	render := func(j *job, source string) any { return sweepResponse(j, source, true) }
+	s.handle(w, r, &req, render, func(j *job, source string) bool {
+		switch {
+		case req.Stream:
+			s.streamSweep(w, r, j, source)
+		case req.Wait != nil && !*req.Wait && source != "hit":
+			// A hit falls through to the wait, which returns at once:
+			// no reason to make the client poll for a cached grid.
+			writeJSON(w, http.StatusAccepted, sweepResponse(j, source, false))
+		default:
+			return false
+		}
+		return true
+	})
 }
 
 // sweepResponse renders a job as the sweep envelope. includeResult is
 // false for 202 acknowledgements, which only need identity and state.
-func (s *Server) sweepResponse(j *job, source string, includeResult bool) *SweepResponse {
-	state, _, grid, _, report, err, _ := j.snapshot()
+func sweepResponse(j *job, source string, includeResult bool) *SweepResponse {
+	o := j.snapshot()
 	resp := &SweepResponse{
-		ID: j.id, Status: state.String(), Workload: string(j.workload),
-		Backend: j.spec.Backend, Cache: source, RequestID: j.requestID,
+		ID: j.id, Status: o.state.String(), Workload: string(j.exp.Workload),
+		Backend: string(j.exp.Backend), Cache: source, RequestID: j.requestID,
 	}
 	if !includeResult {
 		return resp
 	}
-	resp.Grid = grid
-	resp.Report = report
-	if err != nil {
-		resp.Error = err.Error()
+	resp.Grid = o.grid
+	resp.Report = o.report
+	if o.err != nil {
+		resp.Error = o.err.Error()
 	}
 	return resp
 }
@@ -266,7 +260,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, j *job, sou
 			if !ok {
 				// Job finished (or was already finished): emit the
 				// terminal event.
-				resp := s.sweepResponse(j, source, true)
+				resp := sweepResponse(j, source, true)
 				if resp.Error != "" {
 					_ = enc.Encode(StreamEvent{Event: "error", Error: resp.Error})
 				} else {
@@ -283,214 +277,75 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, j *job, sou
 	}
 }
 
-// handleSweepStatus serves GET /v1/sweep/{id} for async jobs.
+// handleSweepStatus serves GET /v1/sweep/{id} for sweep jobs; point and
+// search job IDs are not sweeps and get the same 404 as unknown ones.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job "+id)
+	if j == nil || j.exp.Kind != jobSweep {
+		writeError(w, http.StatusNotFound, "unknown sweep job "+id)
 		return
 	}
-	state, last, grid, _, report, err, coalesced := j.snapshot()
+	o := j.snapshot()
 	st := &JobStatus{
-		ID: j.id, Status: state.String(), Workload: string(j.workload),
-		Backend:   j.spec.Backend,
+		ID: j.id, Status: o.state.String(), Workload: string(j.exp.Workload),
+		Backend:   string(j.exp.Backend),
 		RequestID: j.requestID,
-		Coalesced: coalesced,
+		Coalesced: o.coalesced,
 		AgeMS:     time.Since(j.created).Milliseconds(),
 	}
-	if last != nil {
-		st.Done, st.Total = last.Done, last.Total
+	if o.last != nil {
+		st.Done, st.Total = o.last.Done, o.last.Total
 	}
-	if state == jobDone || state == jobFailed {
-		st.Grid = grid
-		st.Report = report
-		if last != nil {
-			st.Done, st.Total = last.Total, last.Total
+	if o.state == jobDone || o.state == jobFailed {
+		st.Grid = o.grid
+		st.Report = o.report
+		if o.last != nil {
+			st.Done, st.Total = o.last.Total, o.last.Total
 		}
-		if err != nil {
-			st.Error = err.Error()
+		if o.err != nil {
+			st.Error = o.err.Error()
 		}
 	}
 	writeJSON(w, http.StatusOK, st)
 }
 
 // handlePoint serves POST /v1/point: one design point, synchronously,
-// through the same queue, coalescing and cache as sweeps.
+// through the same queue, coalescing and cache as sweeps. Cluster
+// coordinators post their remote points here (see httpCluster).
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	tr := obs.TraceFrom(r.Context())
-	var req PointRequest
-	dsp := tr.StartSpan("decode")
-	ok := decodeBody(w, r, &req)
-	dsp.End()
-	if !ok {
-		return
-	}
-	workload, err := sccsim.ParseWorkload(req.Workload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	backend, err := resolveBackend(req.Backend)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := resolveScale(req.Scale, req.Seed, req.ScaleSpec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var sim sccsim.Options
-	verify := false
-	if req.Sim != nil {
-		sim = req.Sim.toOptions()
-		verify = req.Sim.Verify
-	}
-	ppc, scc := req.ProcsPerCluster, req.SCCBytes
-	if ppc == 0 {
-		ppc = 1
-	}
-	if scc == 0 {
-		scc = 64 * 1024
-	}
-	spec := sccsim.Spec{
-		Scale: &scale, ProcsPerCluster: ppc, SCCBytes: scc,
-		Parallelism:   s.jobParallelism(0),
-		TraceCacheDir: s.opts.TraceCacheDir, Verify: verify,
-		Backend: string(backend), Axes: req.Axes,
-	}
-	if req.Sim != nil {
-		spec.Sim = &sim
-	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := pointKey(workload, backend, ppc, scc, scale, sim, verify, req.Axes)
-	asp := tr.StartSpan("admit")
-	adm, aerr := s.admit(key, func(id string) *job {
-		nj := newJob(id, key, jobPoint, workload, spec, time.Duration(req.TimeoutMS)*time.Millisecond)
-		nj.requestID = obs.RequestIDFrom(r.Context())
-		nj.trace = tr
-		return nj
-	})
-	asp.End()
-	if aerr != nil {
-		s.writeAdmitError(w, r, aerr)
-		return
-	}
-	j := adm.j
-	wsp := tr.StartSpan("wait")
-	select {
-	case <-j.done:
-		wsp.End()
-	case <-r.Context().Done():
-		wsp.End()
-		return
-	}
-	state, _, _, point, _, jerr, _ := j.snapshot()
-	resp := &PointResponse{
-		ID: j.id, Status: state.String(), Workload: string(j.workload),
-		Backend: j.spec.Backend, Cache: adm.source, Point: point,
-		RequestID: j.requestID,
-	}
-	code := http.StatusOK
-	if jerr != nil {
-		resp.Error = jerr.Error()
-		code = http.StatusInternalServerError
-	}
-	esp := tr.StartSpan("encode")
-	writeJSON(w, code, resp)
-	esp.End()
+	s.handle(w, r, &PointRequest{}, func(j *job, source string) any {
+		o := j.snapshot()
+		resp := &PointResponse{
+			ID: j.id, Status: o.state.String(), Workload: string(j.exp.Workload),
+			Backend: string(j.exp.Backend), Cache: source, Point: o.point,
+			RequestID: j.requestID,
+		}
+		if o.err != nil {
+			resp.Error = o.err.Error()
+		}
+		return resp
+	}, nil)
 }
 
 // handleSearch serves POST /v1/search: an adaptive design-space search
 // (analytic triage, exact confirmation — sccsim.SearchCtx),
 // synchronously, through the same queue, coalescing and cache as
-// sweeps. The content key digests the workload, the resolved scale and
-// the canonical JSON of the search spec, so identical searches share
-// one execution and repeated ones are served from memory.
+// sweeps.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	tr := obs.TraceFrom(r.Context())
-	var req SearchRequest
-	dsp := tr.StartSpan("decode")
-	ok := decodeBody(w, r, &req)
-	dsp.End()
-	if !ok {
-		return
-	}
-	workload, err := sccsim.ParseWorkload(req.Workload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := resolveScale(req.Scale, req.Seed, req.ScaleSpec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// A malformed space or unknown objective/strategy/constraint is a
-	// client error; catching it here keeps it off the job queue.
-	if err := req.Search.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec := sccsim.Spec{
-		Scale: &scale, Parallelism: s.jobParallelism(req.Parallelism),
-		TraceCacheDir: s.opts.TraceCacheDir,
-	}
-	key, err := searchKey(workload, scale, req.Search)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	asp := tr.StartSpan("admit")
-	adm, aerr := s.admit(key, func(id string) *job {
-		nj := newJob(id, key, jobSearch, workload, spec, time.Duration(req.TimeoutMS)*time.Millisecond)
-		nj.searchSpec = req.Search
-		nj.requestID = obs.RequestIDFrom(r.Context())
-		nj.trace = tr
-		return nj
-	})
-	asp.End()
-	if aerr != nil {
-		s.writeAdmitError(w, r, aerr)
-		return
-	}
-	j := adm.j
-	wsp := tr.StartSpan("wait")
-	select {
-	case <-j.done:
-		wsp.End()
-	case <-r.Context().Done():
-		wsp.End()
-		return
-	}
-	state, res, jerr := j.searchSnapshot()
-	resp := &SearchResponse{
-		ID: j.id, Status: state.String(), Workload: string(j.workload),
-		Cache: adm.source, RequestID: j.requestID, Result: res,
-	}
-	code := http.StatusOK
-	if jerr != nil {
-		resp.Error = jerr.Error()
-		code = http.StatusInternalServerError
-	}
-	esp := tr.StartSpan("encode")
-	writeJSON(w, code, resp)
-	esp.End()
-}
-
-// jobParallelism resolves a request's engine parallelism against the
-// server default.
-func (s *Server) jobParallelism(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return s.opts.Parallelism
+	s.handle(w, r, &SearchRequest{}, func(j *job, source string) any {
+		o := j.snapshot()
+		resp := &SearchResponse{
+			ID: j.id, Status: o.state.String(), Workload: string(j.exp.Workload),
+			Cache: source, RequestID: j.requestID, Result: o.search,
+		}
+		if o.err != nil {
+			resp.Error = o.err.Error()
+		}
+		return resp
+	}, nil)
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 with

@@ -13,16 +13,17 @@ import (
 	"sccsim/internal/obs"
 )
 
-// jobKind says what a job computes.
-type jobKind int
+// jobKind says what a job computes; it is the first field of the
+// experiment, so the three kinds never share a content key.
+type jobKind string
 
 const (
-	// jobSweep runs the full 28-point design-space sweep.
-	jobSweep jobKind = iota
+	// jobSweep runs the full 32-point design-space sweep.
+	jobSweep jobKind = "sweep"
 	// jobPoint runs a single design point.
-	jobPoint
+	jobPoint jobKind = "point"
 	// jobSearch runs an adaptive design-space search.
-	jobSearch
+	jobSearch jobKind = "search"
 )
 
 // jobState is a job's lifecycle position.
@@ -49,20 +50,17 @@ func (s jobState) String() string {
 }
 
 // job is one deduplicated unit of work. The identity fields are set at
-// creation and never change; the mutable state is guarded by mu. done
-// closes exactly once, after the terminal state is published, so
-// waiters can select on it.
+// creation and never change; the outcome is guarded by mu. done closes
+// exactly once, after the terminal state is published, so waiters can
+// select on it.
 type job struct {
-	id       string
-	key      string // content digest (trace.KeyDigest of the canonical request)
-	kind     jobKind
-	workload sccsim.Workload
-	spec     sccsim.Spec
-	// searchSpec is the search declaration (jobSearch only); it is part
-	// of the job's identity, digested into the content key.
-	searchSpec sccsim.SearchSpec
-	timeout    time.Duration // per-request cap; 0 means the server default
-	created    time.Time
+	id  string
+	key string // content digest of exp (experiment.key)
+	// exp is what the job computes: the resolved request its key digests.
+	exp         experiment
+	parallelism int           // engine worker pool; 0 means GOMAXPROCS
+	timeout     time.Duration // per-request cap; 0 means the server default
+	created     time.Time
 	// requestID is the X-Request-ID of the request that created the job;
 	// coalesced requests keep their own IDs in their own log lines but
 	// share this job record. Set once, before the job goroutine starts.
@@ -70,16 +68,22 @@ type job struct {
 	// trace is the creating request's span trace: the job's queue-wait
 	// and simulate spans land there so /debug/requests shows them.
 	trace *obs.Trace
-	// twinKey, when non-empty, is the content key of the same experiment
-	// on the other backend — the pairing the live cross-validation
-	// gauges hang off (sweeps with untuned simulator options only).
+	// twinKey, when non-empty, is the content key of the same sweep on
+	// the other backend — the pairing the live cross-validation gauges
+	// hang off (see experiment.twinKey).
 	twinKey string
 
 	done chan struct{}
 
-	mu        sync.Mutex
+	mu   sync.Mutex
+	subs map[chan sccsim.Progress]struct{}
+	out  outcome
+}
+
+// outcome is a job's mutable state, copied whole by snapshot for
+// rendering.
+type outcome struct {
 	state     jobState
-	subs      map[chan sccsim.Progress]struct{}
 	last      *sccsim.Progress
 	grid      *sccsim.Grid
 	point     *sccsim.Point
@@ -89,25 +93,27 @@ type job struct {
 	coalesced int // requests that attached beyond the first
 }
 
-func newJob(id, key string, kind jobKind, w sccsim.Workload, spec sccsim.Spec, timeout time.Duration) *job {
+func newJob(id, key string, e experiment, parallelism int, timeout time.Duration) *job {
 	return &job{
-		id: id, key: key, kind: kind, workload: w, spec: spec,
+		id: id, key: key, exp: e, parallelism: parallelism,
 		timeout: timeout, created: time.Now(),
 		done: make(chan struct{}),
 		subs: make(map[chan sccsim.Progress]struct{}),
 	}
 }
 
-func (j *job) setState(s jobState) {
+// set applies f to the job's outcome under its lock.
+func (j *job) set(f func(*outcome)) {
 	j.mu.Lock()
-	j.state = s
+	f(&j.out)
 	j.mu.Unlock()
 }
 
-func (j *job) addCoalesced() {
+// snapshot copies the outcome for response rendering.
+func (j *job) snapshot() outcome {
 	j.mu.Lock()
-	j.coalesced++
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	return j.out
 }
 
 // broadcast fans one engine progress event out to every subscriber.
@@ -115,7 +121,7 @@ func (j *job) addCoalesced() {
 // loses events rather than stalling the sweep engine.
 func (j *job) broadcast(p sccsim.Progress) {
 	j.mu.Lock()
-	j.last = &p
+	j.out.last = &p
 	for ch := range j.subs {
 		select {
 		case ch <- p:
@@ -131,7 +137,7 @@ func (j *job) broadcast(p sccsim.Progress) {
 func (j *job) subscribe() (<-chan sccsim.Progress, func()) {
 	ch := make(chan sccsim.Progress, 64)
 	j.mu.Lock()
-	if j.state == jobDone || j.state == jobFailed {
+	if j.out.state == jobDone || j.out.state == jobFailed {
 		j.mu.Unlock()
 		close(ch)
 		return ch, func() {}
@@ -148,59 +154,21 @@ func (j *job) subscribe() (<-chan sccsim.Progress, func()) {
 	}
 }
 
-func (j *job) setReport(r sccsim.SweepReport) {
-	j.mu.Lock()
-	j.report = &r
-	j.mu.Unlock()
-}
-
-func (j *job) setGrid(g *sccsim.Grid) {
-	j.mu.Lock()
-	j.grid = g
-	j.mu.Unlock()
-}
-
-func (j *job) setPoint(p *sccsim.Point) {
-	j.mu.Lock()
-	j.point = p
-	j.mu.Unlock()
-}
-
-func (j *job) setSearch(r *sccsim.SearchResult) {
-	j.mu.Lock()
-	j.search = r
-	j.mu.Unlock()
-}
-
-// searchSnapshot copies the terminal state a search response renders.
-func (j *job) searchSnapshot() (state jobState, res *sccsim.SearchResult, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.search, j.err
-}
-
 // terminate publishes the terminal state and ends every progress
 // stream. The Server closes the done channel afterwards, once the job
 // is registered in the result cache, so a waiter woken by done — or a
 // cache hit — always sees a terminal snapshot.
 func (j *job) terminate(err error) {
 	j.mu.Lock()
-	j.err = err
+	j.out.err = err
 	if err != nil {
-		j.state = jobFailed
+		j.out.state = jobFailed
 	} else {
-		j.state = jobDone
+		j.out.state = jobDone
 	}
 	for ch := range j.subs {
 		delete(j.subs, ch)
 		close(ch)
 	}
 	j.mu.Unlock()
-}
-
-// snapshot copies the mutable state for response rendering.
-func (j *job) snapshot() (state jobState, last *sccsim.Progress, grid *sccsim.Grid, point *sccsim.Point, report *sccsim.SweepReport, err error, coalesced int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.last, j.grid, j.point, j.report, j.err, j.coalesced
 }

@@ -86,6 +86,6 @@ func (s *Server) jobLog(j *job, level slog.Level, msg string, attrs ...any) {
 	}
 	attrs = append(attrs,
 		"job", j.id, "request_id", j.requestID,
-		"workload", string(j.workload), "backend", j.spec.Backend)
+		"workload", string(j.exp.Workload), "backend", string(j.exp.Backend))
 	s.logger.Log(context.Background(), level, msg, attrs...)
 }

@@ -8,10 +8,9 @@
 //   - a bounded job queue with backpressure: admissions beyond the
 //     queue depth are shed with 429 and a Retry-After hint instead of
 //     piling up;
-//   - in-flight request coalescing: requests are content-keyed with the
-//     same SHA-256 digest scheme the trace disk cache uses
-//     (trace.KeyDigest), so two identical sweeps arriving together
-//     share one engine execution;
+//   - in-flight request coalescing: every request resolves to one
+//     experiment whose JSON's SHA-256 digest is its content key, so two
+//     identical sweeps arriving together share one engine execution;
 //   - an LRU result cache over completed grids, so repeated requests
 //     for the same design points are served from memory;
 //   - per-job timeouts and cancellation propagated through SweepCtx,
@@ -243,7 +242,7 @@ func (s *Server) admit(key string, newJob func(id string) *job) (admitResult, *h
 		return admitResult{j: j, source: "hit"}, nil
 	}
 	if j := s.inflight[key]; j != nil {
-		j.addCoalesced()
+		j.set(func(o *outcome) { o.coalesced++ })
 		s.reg.Counter("serve.coalesced").Inc()
 		return admitResult{j: j, source: "coalesced"}, nil
 	}
@@ -286,7 +285,7 @@ func (s *Server) run(j *job) {
 	qs.End()
 	defer func() { <-s.sem }()
 	s.dequeue()
-	j.setState(jobRunning)
+	j.set(func(o *outcome) { o.state = jobRunning })
 	s.reg.Gauge("serve.jobs_running").Add(1)
 	defer s.reg.Gauge("serve.jobs_running").Add(-1)
 
@@ -354,7 +353,7 @@ func (s *Server) finish(j *job, err error) {
 	// backend's grid for the same experiment is already cached, compare
 	// them once this lock is released.
 	var twin *job
-	if err == nil && j.kind == jobSweep && j.twinKey != "" {
+	if err == nil && j.twinKey != "" {
 		twin = s.cache.get(j.twinKey)
 	}
 	s.mu.Unlock()
@@ -369,11 +368,11 @@ func (s *Server) finish(j *job, err error) {
 	close(j.done)
 }
 
-// execute is the production job runner: it bridges the job to the
-// sccsim facade, fanning engine progress out to the job's subscribers
-// and capturing the sweep report for the job's response.
+// execute is the production job runner: it bridges the job's
+// experiment to the sccsim facade, fanning engine progress out to the
+// job's subscribers and capturing the sweep report for the response.
 func (s *Server) execute(ctx context.Context, j *job) error {
-	opts := j.spec.Opts()
+	opts := j.exp.spec(j.parallelism).Opts()
 	opts = append(opts, sccsim.WithMetrics(s.reg))
 	if j.requestID != "" {
 		opts = append(opts, sccsim.WithRequestID(j.requestID))
@@ -382,54 +381,46 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		opts = append(opts, sccsim.WithLogger(s.logger.With("job", j.id)))
 	}
 	if s.traceStore != nil {
-		// The already-open cache stack (possibly peer-fetching) wins
-		// over the spec's directory form of the same cache.
 		opts = append(opts, sccsim.WithTraceStore(s.traceStore))
 	}
-	switch j.kind {
+	if s.opts.ManifestDir != "" && j.exp.Kind != jobPoint {
+		f, err := os.Create(filepath.Join(s.opts.ManifestDir, j.id+".json"))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		opts = append(opts, sccsim.WithManifest(f))
+	}
+	switch j.exp.Kind {
 	case jobSweep:
 		opts = append(opts,
 			sccsim.WithProgress(j.broadcast),
-			sccsim.WithSweepReport(j.setReport),
+			sccsim.WithSweepReport(func(r sccsim.SweepReport) {
+				j.set(func(o *outcome) { o.report = &r })
+			}),
 		)
 		if rem := s.clusterRemote(); rem != nil {
 			// Healthy workers registered: shard the sweep across them,
 			// with local simulation as the per-point fallback.
 			opts = append(opts, sccsim.WithCluster(rem))
 		}
-		if s.opts.ManifestDir != "" {
-			f, err := os.Create(filepath.Join(s.opts.ManifestDir, j.id+".json"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			opts = append(opts, sccsim.WithManifest(f))
-		}
-		g, err := sccsim.SweepCtx(ctx, j.workload, opts...)
+		g, err := sccsim.SweepCtx(ctx, j.exp.Workload, opts...)
 		if err != nil {
 			return err
 		}
-		j.setGrid(g)
+		j.set(func(o *outcome) { o.grid = g })
 	case jobPoint:
-		pt, err := sccsim.Do(ctx, j.workload, opts...)
+		pt, err := sccsim.Do(ctx, j.exp.Workload, opts...)
 		if err != nil {
 			return err
 		}
-		j.setPoint(pt)
+		j.set(func(o *outcome) { o.point = pt })
 	case jobSearch:
-		if s.opts.ManifestDir != "" {
-			f, err := os.Create(filepath.Join(s.opts.ManifestDir, j.id+".json"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			opts = append(opts, sccsim.WithManifest(f))
-		}
-		res, err := sccsim.SearchCtx(ctx, j.workload, j.searchSpec, opts...)
+		res, err := sccsim.SearchCtx(ctx, j.exp.Workload, *j.exp.Search, opts...)
 		if err != nil {
 			return err
 		}
-		j.setSearch(res)
+		j.set(func(o *outcome) { o.search = res })
 	}
 	return nil
 }

@@ -1,26 +1,20 @@
-// Wire types: the JSON request and response bodies of the v1 API, their
-// validation, and the canonical content key that coalescing and result
-// caching hang off. Everything that can change a simulation's outcome —
-// workload, resolved scale, simulator options, verification — goes into
-// the key; everything that cannot (parallelism, timeouts, wait/stream
-// mode) stays out, so requests that differ only in how they want to be
-// served still share one execution.
+// Wire types: the JSON request and response bodies of the v1 API. Each
+// POST route keeps its own body type, so strict decoding rejects a field
+// only another route takes; each body resolves into one experiment
+// (experiment.go), the value every later step of the request path reads.
 
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"sccsim"
 	"sccsim/internal/obs"
-	"sccsim/internal/trace"
 )
 
 // ScaleSpec is the wire form of sccsim.Scale: explicit problem sizes
 // for requests that need something other than the named "paper" and
 // "quick" scales. Zero fields keep the Go zero value (the paper's
-// configuration), matching the library.
+// configuration), matching the library. It has sccsim.Scale's fields in
+// sccsim.Scale's order, so the two convert into each other directly.
 type ScaleSpec struct {
 	BarnesBodies  int   `json:"barnes_bodies,omitempty"`
 	BarnesSteps   int   `json:"barnes_steps,omitempty"`
@@ -30,16 +24,6 @@ type ScaleSpec struct {
 	CholeskyGridW int   `json:"cholesky_grid_w,omitempty"`
 	CholeskyGridH int   `json:"cholesky_grid_h,omitempty"`
 	Seed          int64 `json:"seed,omitempty"`
-}
-
-func (s *ScaleSpec) toScale() sccsim.Scale {
-	return sccsim.Scale{
-		BarnesBodies: s.BarnesBodies, BarnesSteps: s.BarnesSteps,
-		MP3DParticles: s.MP3DParticles, MP3DSteps: s.MP3DSteps,
-		MultiprogRefs: s.MultiprogRefs,
-		CholeskyGridW: s.CholeskyGridW, CholeskyGridH: s.CholeskyGridH,
-		Seed: s.Seed,
-	}
 }
 
 // SimSpec is the wire form of the simulator options — the data fields
@@ -67,6 +51,31 @@ func (s *SimSpec) toOptions() sccsim.Options {
 		VictimEntries:    s.VictimEntries,
 		WarmupRefs:       s.WarmupRefs,
 	}
+}
+
+// simSpecOf is the wire form of a remote point's simulator data
+// options and verification flag.
+func simSpecOf(o sccsim.Options, verify bool) SimSpec {
+	return SimSpec{
+		WriteBufferDepth: o.WriteBufferDepth,
+		BusOccupancy:     o.BusOccupancy,
+		SwitchPenalty:    o.SwitchPenalty,
+		MemBanks:         o.MemBanks,
+		MemBankOccupancy: o.MemBankOccupancy,
+		VictimEntries:    o.VictimEntries,
+		WarmupRefs:       o.WarmupRefs,
+		Verify:           verify,
+	}
+}
+
+// request is what the three POST bodies share: one resolution into an
+// experiment, and the serving knobs the experiment leaves out.
+type request interface {
+	// resolve turns the body into its experiment.
+	resolve() (experiment, error)
+	// serving returns the job's engine parallelism (0: the server
+	// default) and its timeout in milliseconds (0: the server default).
+	serving() (parallelism int, timeoutMS int64)
 }
 
 // SweepRequest is the body of POST /v1/sweep.
@@ -113,6 +122,13 @@ type SweepRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+func (q *SweepRequest) resolve() (experiment, error) {
+	e := experiment{Kind: jobSweep, Sim: absentIfZero(q.Sim), Axes: absentIfZero(q.Axes)}
+	return e.resolve(q.Workload, q.Backend, q.Scale, q.Seed, q.ScaleSpec)
+}
+
+func (q *SweepRequest) serving() (int, int64) { return q.Parallelism, q.TimeoutMS }
+
 // PointRequest is the body of POST /v1/point: one design point instead
 // of the whole grid. Always synchronous.
 type PointRequest struct {
@@ -141,6 +157,22 @@ type PointRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+func (q *PointRequest) resolve() (experiment, error) {
+	e := experiment{
+		Kind: jobPoint, PPC: q.ProcsPerCluster, SCCBytes: q.SCCBytes,
+		Sim: absentIfZero(q.Sim), Axes: absentIfZero(q.Axes),
+	}
+	if e.PPC == 0 {
+		e.PPC = 1
+	}
+	if e.SCCBytes == 0 {
+		e.SCCBytes = 64 * 1024
+	}
+	return e.resolve(q.Workload, q.Backend, q.Scale, q.Seed, q.ScaleSpec)
+}
+
+func (q *PointRequest) serving() (int, int64) { return 0, q.TimeoutMS }
+
 // SearchRequest is the body of POST /v1/search: an adaptive
 // design-space search (sccsim.SearchCtx) instead of an exhaustive
 // sweep. Always synchronous. There is no backend field — the search
@@ -168,6 +200,15 @@ type SearchRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+func (q *SearchRequest) resolve() (experiment, error) {
+	search := q.Search
+	search.Axes = absentIfZero(search.Axes)
+	e := experiment{Kind: jobSearch, Search: &search}
+	return e.resolve(q.Workload, "", q.Scale, q.Seed, q.ScaleSpec)
+}
+
+func (q *SearchRequest) serving() (int, int64) { return q.Parallelism, q.TimeoutMS }
+
 // SearchResponse is the body of POST /v1/search.
 type SearchResponse struct {
 	// ID names the job; coalesced requests share the executing job's ID.
@@ -187,102 +228,6 @@ type SearchResponse struct {
 	Result *sccsim.SearchResult `json:"result,omitempty"`
 	// Error describes the failure (present when failed).
 	Error string `json:"error,omitempty"`
-}
-
-// resolveScale applies the preset/seed/spec precedence shared by both
-// request types.
-func resolveScale(preset string, seed int64, spec *ScaleSpec) (sccsim.Scale, error) {
-	if spec != nil {
-		return spec.toScale(), nil
-	}
-	var s sccsim.Scale
-	switch preset {
-	case "", "paper":
-		s = sccsim.PaperScale()
-	case "quick":
-		s = sccsim.QuickScale()
-	default:
-		return s, fmt.Errorf("unknown scale %q (want \"paper\" or \"quick\")", preset)
-	}
-	if seed != 0 {
-		s.Seed = seed
-	}
-	return s, nil
-}
-
-// resolveBackend normalizes a request's backend: empty means exact,
-// anything else must parse against the library's backend list.
-func resolveBackend(name string) (sccsim.Backend, error) {
-	if name == "" {
-		return sccsim.BackendExact, nil
-	}
-	return sccsim.ParseBackend(name)
-}
-
-// axesAnalyticOK reports whether the analytic backend could run an
-// experiment with this axis overlay — associativity is modeled, the
-// other non-default axes are exact-only. Delegates to the library's
-// own validation so the answer cannot drift from what a real analytic
-// request would be told.
-func axesAnalyticOK(a *sccsim.Axes) bool {
-	if a == nil || a.IsZero() {
-		return true
-	}
-	return sccsim.Spec{Backend: string(sccsim.BackendAnalytic), Axes: a}.Validate() == nil
-}
-
-// scaleKeyPart canonicalizes a resolved scale for the content key.
-func scaleKeyPart(s sccsim.Scale) string {
-	return fmt.Sprintf("seed%d-bb%d-bs%d-mp%d-ms%d-mr%d-cw%d-ch%d",
-		s.Seed, s.BarnesBodies, s.BarnesSteps, s.MP3DParticles, s.MP3DSteps,
-		s.MultiprogRefs, s.CholeskyGridW, s.CholeskyGridH)
-}
-
-// simKeyPart canonicalizes the simulator options for the content key.
-func simKeyPart(o sccsim.Options, verify bool) string {
-	return fmt.Sprintf("wb%d-bo%d-sp%d-mb%d-mbo%d-ve%d-wr%d-v%t",
-		o.WriteBufferDepth, o.BusOccupancy, o.SwitchPenalty, o.MemBanks,
-		o.MemBankOccupancy, o.VictimEntries, o.WarmupRefs, verify)
-}
-
-// axesKeyPart canonicalizes the architecture-axis overlay for the
-// content key. Default axes contribute nothing, so every pre-axes
-// request keeps the digest it always had; any non-default axis makes
-// the key distinct from the default grid's.
-func axesKeyPart(a *sccsim.Axes) string {
-	if a == nil || a.IsZero() {
-		return ""
-	}
-	return fmt.Sprintf("-ax-lb%d-as%d-r%s-h%s-l1%d",
-		a.LineBytes, a.Assoc, a.Repl, a.Hierarchy, a.L1Bytes)
-}
-
-// sweepKey builds the sweep content digest: the same SHA-256 keying
-// scheme the trace disk cache uses (trace.KeyDigest), over everything
-// that determines the grid's content — including the backend, since
-// the two backends compute different numbers for the same experiment.
-func sweepKey(w sccsim.Workload, b sccsim.Backend, s sccsim.Scale, o sccsim.Options, verify bool, axes *sccsim.Axes) string {
-	return trace.KeyDigest(fmt.Sprintf("sweep-%s-%s-%s-%s%s", w, b, scaleKeyPart(s), simKeyPart(o, verify), axesKeyPart(axes)))
-}
-
-// searchKey builds the search content digest: the workload, the
-// resolved scale, and the full search spec in its canonical JSON form
-// (SearchSpec round-trips losslessly — the facade's spec test pins
-// that), so identical searches coalesce and cached results are reused
-// while any change to the space, objectives, constraints or knobs
-// yields a fresh key. Search runs have no backend dimension: the
-// pipeline always triages analytically and confirms exactly.
-func searchKey(w sccsim.Workload, s sccsim.Scale, spec sccsim.SearchSpec) (string, error) {
-	canon, err := json.Marshal(spec)
-	if err != nil {
-		return "", fmt.Errorf("canonicalize search spec: %w", err)
-	}
-	return trace.KeyDigest(fmt.Sprintf("search-%s-%s-%s", w, scaleKeyPart(s), canon)), nil
-}
-
-// pointKey builds the single-point content digest.
-func pointKey(w sccsim.Workload, b sccsim.Backend, ppc, scc int, s sccsim.Scale, o sccsim.Options, verify bool, axes *sccsim.Axes) string {
-	return trace.KeyDigest(fmt.Sprintf("point-%s-%s-p%d-c%d-%s-%s%s", w, b, ppc, scc, scaleKeyPart(s), simKeyPart(o, verify), axesKeyPart(axes)))
 }
 
 // SweepResponse is the terminal body of a sweep request: the full

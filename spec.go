@@ -46,11 +46,6 @@ type Spec struct {
 	// default (exact). Unknown values fail with an error listing the
 	// valid names — at Validate, or at run time through Opts.
 	Backend string
-	// Cluster, when set with a non-empty worker list, shards sweep
-	// execution across those sccserve workers (WithCluster over an
-	// HTTPCluster). Exact backend only; single points and analytic
-	// sweeps ignore it.
-	Cluster *ClusterSpec
 }
 
 // Validate checks the spec's data-borne fields without running
@@ -96,9 +91,6 @@ func (s Spec) Opts() []Opt {
 	}
 	if s.Verify {
 		o = append(o, WithVerify())
-	}
-	if s.Cluster != nil && len(s.Cluster.Workers) > 0 {
-		o = append(o, WithCluster(NewHTTPCluster(*s.Cluster)))
 	}
 	if s.Backend != "" {
 		// The raw string converts unchecked; resolve validates it with

@@ -31,9 +31,7 @@ func TestSpecRoundTripEveryField(t *testing.T) {
 		"Parallelism": 3,
 		"TraceCacheDir": "/tmp/scc-trace-cache-test",
 		"Verify": true,
-		"Backend": "exact",
-		"Cluster": {"workers": ["http://worker-a:1"], "retries": 1,
-			"backoff_ms": 5, "timeout_ms": 1000, "cooldown_ms": 100}
+		"Backend": "exact"
 	}`
 	var spec Spec
 	if err := json.Unmarshal([]byte(doc), &spec); err != nil {
@@ -51,7 +49,6 @@ func TestSpecRoundTripEveryField(t *testing.T) {
 		WithParallelism(3),
 		WithTraceCache("/tmp/scc-trace-cache-test"),
 		WithVerify(),
-		WithCluster(NewHTTPCluster(*spec.Cluster)),
 		WithBackend(BackendExact),
 	})
 	if err != nil {
@@ -82,7 +79,7 @@ func TestSpecRoundTripEveryField(t *testing.T) {
 		WithPoint(2, 32*1024), WithAxes(Axes{Assoc: 2, Repl: ReplRandom}),
 		WithParallelism(3),
 		WithTraceCache("/tmp/scc-trace-cache-test"), WithVerify(),
-		WithCluster(NewHTTPCluster(*spec.Cluster)), WithBackend(BackendExact),
+		WithBackend(BackendExact),
 	})
 	if err != nil {
 		t.Fatal(err)
