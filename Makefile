@@ -33,12 +33,14 @@ test-race:
 	$(GO) test -race -short ./internal/sim/... ./internal/explorer/... ./internal/costperf/... ./internal/trace/... ./internal/verify/... ./internal/serve/... .
 
 # Race-enabled run of the instrumentation layer, the engine that
-# drives it concurrently, and the HTTP service that shares one registry
-# across jobs — cheap enough to sit inside `make check`.
+# drives it concurrently, the HTTP service that shares one registry
+# across jobs, and the simulator layer whose shared-trace contract the
+# engine relies on (TestRunSharedProgramConcurrent) — cheap enough to
+# sit inside `make check`.
 # -short keeps the explorer's full-grid oracle diff (which `test` runs
 # uninstrumented) to a representative pair of cache sizes here.
 race-obs:
-	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve
+	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve ./internal/sim ./internal/cache ./internal/scc
 
 # The benchmark program (bench/, see BENCHMARK.json) is its own module
 # (`replace sccsim => ../`), so `go build ./...` and `go test ./...`

@@ -99,6 +99,21 @@ func TestDoWithConfig(t *testing.T) {
 	}
 }
 
+// TestDoRejectsMachinesBeyondSimulatorLimits: a design point the
+// simulator cannot run — 4 x 128 = 512 processors, past the scheduler's
+// 256, or 12 banks per SCC, not a power of two — is an error from Do
+// before any trace is generated, not a panic in an engine goroutine or
+// a failure mid-run.
+func TestDoRejectsMachinesBeyondSimulatorLimits(t *testing.T) {
+	for _, ppc := range []int{128, 3} {
+		_, err := sccsim.Do(context.Background(), sccsim.MP3D,
+			sccsim.WithScale(sccsim.QuickScale()), sccsim.WithPoint(ppc, 64<<10))
+		if err == nil {
+			t.Errorf("Do accepted %d processors per cluster", ppc)
+		}
+	}
+}
+
 // TestSweepCtxMatchesSweepWithProgress: a two-worker sweep with a
 // progress hook renders the same table as a one-worker sweep, with one
 // event per point.

@@ -17,16 +17,16 @@ import (
 	"sccsim/internal/sysmodel"
 )
 
-// line is one cache line's tag state.
-type line struct {
-	tag   uint32 // line address (addr / LineSize); tagInvalid when empty
-	lru   uint32 // higher = more recently used
-	dirty bool
-}
-
-// tagInvalid marks an empty way. Valid tags are line indices of 32-bit
-// addresses, so they are < 2^28 and can never collide with this value.
-const tagInvalid = ^uint32(0)
+// Each way's tag state is one word: the line index (addr >> lineShift)
+// with the dirty bit in bit 31, or tagInvalid when the way is empty.
+// Line indices of 32-bit addresses at the smallest 4-byte line are below
+// 2^30, so neither the dirty bit nor tagInvalid can alias a tag, and
+// w&^dirtyBit == tag is the whole hit test (an empty way's 0x7fffffff
+// matches no tag).
+const (
+	dirtyBit   = uint32(1) << 31
+	tagInvalid = ^uint32(0)
+)
 
 // Stats accumulates access counts per reference kind.
 type Stats struct {
@@ -91,7 +91,10 @@ func (s *Stats) Add(o *Stats) {
 
 // Cache is a set-associative cache tag store.
 type Cache struct {
-	sets      []line // len = nsets*assoc, laid out set-major
+	tags []uint32 // one word per way (see dirtyBit), set-major: len = nsets*assoc
+	// lru[i] is way i's last-use stamp (higher = more recent), parallel
+	// to tags; nil when direct-mapped, where replacement is forced.
+	lru       []uint32
 	nsets     uint32
 	assoc     uint32
 	setMask   uint32 // nsets-1 when nsets is a power of two
@@ -154,7 +157,7 @@ func NewWith(size, assoc, lineBytes int, repl string) (*Cache, error) {
 		shift++
 	}
 	c := &Cache{
-		sets:      make([]line, lines),
+		tags:      make([]uint32, lines),
 		nsets:     uint32(nsets),
 		assoc:     uint32(assoc),
 		setMask:   uint32(nsets - 1),
@@ -163,9 +166,10 @@ func NewWith(size, assoc, lineBytes int, repl string) (*Cache, error) {
 		random:    random,
 		rng:       rngSeed,
 	}
-	for i := range c.sets {
-		c.sets[i].tag = tagInvalid
+	if assoc > 1 {
+		c.lru = make([]uint32, lines)
 	}
+	c.Flush()
 	return c, nil
 }
 
@@ -207,7 +211,7 @@ func (c *Cache) Sets() int { return int(c.nsets) }
 func (c *Cache) Assoc() int { return int(c.assoc) }
 
 // SizeBytes returns the cache capacity in bytes.
-func (c *Cache) SizeBytes() int { return len(c.sets) << c.lineShift }
+func (c *Cache) SizeBytes() int { return len(c.tags) << c.lineShift }
 
 // LineBytes returns the cache's line size in bytes.
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }
@@ -244,19 +248,19 @@ func (c *Cache) Access(addr uint32, kind mem.Kind) Result {
 	c.stats.Accesses[kind]++
 
 	c.clock++
-	ways := c.sets[base : base+c.assoc]
+	ways := c.tags[base : base+c.assoc]
+	lru := c.lru[base : base+c.assoc]
 	victim := 0
 	victimLRU := ^uint32(0)
-	for i := range ways {
-		w := &ways[i]
-		if w.tag == tag {
-			w.lru = c.clock
+	for i, w := range ways {
+		if w&^dirtyBit == tag {
+			lru[i] = c.clock
 			if kind == mem.Write {
-				w.dirty = true
+				ways[i] = w | dirtyBit
 			}
 			return Result{Hit: true, Evicted: EvictedNone}
 		}
-		if w.tag == tagInvalid {
+		if w == tagInvalid {
 			// Prefer an empty way; LRU 0 guarantees selection unless an
 			// earlier empty way was already chosen.
 			if victimLRU != 0 {
@@ -264,8 +268,8 @@ func (c *Cache) Access(addr uint32, kind mem.Kind) Result {
 			}
 			continue
 		}
-		if w.lru < victimLRU {
-			victim, victimLRU = i, w.lru
+		if lru[i] < victimLRU {
+			victim, victimLRU = i, lru[i]
 		}
 	}
 
@@ -279,41 +283,30 @@ func (c *Cache) Access(addr uint32, kind mem.Kind) Result {
 	}
 
 	c.stats.Misses[kind]++
-	w := &ways[victim]
-	res := Result{Evicted: EvictedNone}
-	if w.tag != tagInvalid {
-		c.stats.Evictions++
-		res.Evicted = w.tag
-		res.EvictedDirty = w.dirty
-		if w.dirty {
-			c.stats.WriteBacks++
-		}
-	}
-	w.tag = tag
-	w.lru = c.clock
-	w.dirty = kind == mem.Write
+	res := c.fill(&ways[victim], tag, kind)
+	lru[victim] = c.clock
 	return res
 }
 
 // HitDM and MissDM are Access split in two for direct-mapped caches: one
 // candidate way, no victim search, and no LRU bookkeeping (replacement
-// is forced, so the clock and lru fields are meaningless and
-// deliberately left untouched). HitDM performs the access when it hits
-// and is small enough for the compiler to inline into the SCC's bank
-// loop — the overwhelmingly common hit then costs no call through the
-// cache layer. When HitDM returns false the caller MUST complete the
-// access with MissDM (the pair is one access: HitDM counts it, MissDM
-// adds only the miss-side statistics). Callers must ensure Assoc() == 1;
-// Access delegates automatically.
+// is forced, so a direct-mapped cache keeps no stamps at all). HitDM
+// performs the access when it hits and is small enough for the compiler
+// to inline into the simulator's replay loop — the overwhelmingly
+// common hit then costs no call through the cache layer. When HitDM
+// returns false the caller MUST complete the access with MissDM (the
+// pair is one access: HitDM counts it, MissDM adds only the miss-side
+// statistics). Callers must ensure Assoc() == 1; Access delegates
+// automatically.
 func (c *Cache) HitDM(addr uint32, kind mem.Kind) bool {
 	tag := addr >> c.lineShift
-	w := &c.sets[c.set(tag)]
+	w := &c.tags[c.set(tag)]
 	c.stats.Accesses[kind]++
-	if w.tag != tag {
+	if *w&^dirtyBit != tag {
 		return false
 	}
 	if kind == mem.Write {
-		w.dirty = true
+		*w |= dirtyBit
 	}
 	return true
 }
@@ -322,19 +315,26 @@ func (c *Cache) HitDM(addr uint32, kind mem.Kind) bool {
 // eviction accounting and line install. See HitDM for the contract.
 func (c *Cache) MissDM(addr uint32, kind mem.Kind) Result {
 	tag := addr >> c.lineShift
-	w := &c.sets[c.set(tag)]
 	c.stats.Misses[kind]++
+	return c.fill(&c.tags[c.set(tag)], tag, kind)
+}
+
+// fill installs tag in way w for a missing access of kind, accounting
+// the displaced line, if any, as an eviction.
+func (c *Cache) fill(w *uint32, tag uint32, kind mem.Kind) Result {
 	res := Result{Evicted: EvictedNone}
-	if w.tag != tagInvalid {
+	if old := *w; old != tagInvalid {
 		c.stats.Evictions++
-		res.Evicted = w.tag
-		res.EvictedDirty = w.dirty
-		if w.dirty {
+		res.Evicted = old &^ dirtyBit
+		res.EvictedDirty = old&dirtyBit != 0
+		if res.EvictedDirty {
 			c.stats.WriteBacks++
 		}
 	}
-	w.tag = tag
-	w.dirty = kind == mem.Write
+	*w = tag
+	if kind == mem.Write {
+		*w = tag | dirtyBit
+	}
 	return res
 }
 
@@ -347,10 +347,9 @@ func (c *Cache) MissDM(addr uint32, kind mem.Kind) Result {
 // ensure Assoc() == 1.
 func (c *Cache) FillDM(addr uint32) (displaced bool) {
 	tag := addr >> c.lineShift
-	w := &c.sets[c.set(tag)]
-	displaced = w.tag != tagInvalid && w.tag != tag
-	w.tag = tag
-	w.dirty = false
+	w := &c.tags[c.set(tag)]
+	displaced = *w != tagInvalid && *w&^dirtyBit != tag
+	*w = tag
 	return displaced
 }
 
@@ -360,52 +359,49 @@ func (c *Cache) FillDM(addr uint32) (displaced bool) {
 // restoration paths (the victim buffer swapping a dirty line back in)
 // that must not masquerade as program references.
 func (c *Cache) MarkDirty(addr uint32) bool {
-	tag := addr >> c.lineShift
-	base := c.set(tag) * c.assoc
-	ways := c.sets[base : base+c.assoc]
-	for i := range ways {
-		if ways[i].tag == tag {
-			ways[i].dirty = true
-			return true
-		}
+	if i, ok := c.find(addr); ok {
+		c.tags[i] |= dirtyBit
+		return true
 	}
 	return false
 }
 
-// Probe reports whether addr is present without updating LRU or stats.
-func (c *Cache) Probe(addr uint32) bool {
+// find returns the index in tags of the way holding addr's line.
+func (c *Cache) find(addr uint32) (int, bool) {
 	tag := addr >> c.lineShift
 	base := c.set(tag) * c.assoc
-	for _, w := range c.sets[base : base+c.assoc] {
-		if w.tag == tag {
-			return true
+	for i, w := range c.tags[base : base+c.assoc] {
+		if w&^dirtyBit == tag {
+			return int(base) + i, true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// Probe reports whether addr is present without updating LRU or stats.
+func (c *Cache) Probe(addr uint32) bool {
+	_, ok := c.find(addr)
+	return ok
 }
 
 // Invalidate removes the line containing addr if present, returning
 // whether it was present and whether it was dirty. Used by the
 // inter-cluster invalidation protocol.
 func (c *Cache) Invalidate(addr uint32) (present, dirty bool) {
-	tag := addr >> c.lineShift
-	base := c.set(tag) * c.assoc
-	ways := c.sets[base : base+c.assoc]
-	for i := range ways {
-		w := &ways[i]
-		if w.tag == tag {
-			c.stats.Invalidations++
-			if w.dirty {
-				c.stats.WriteBacks++
-			}
-			present, dirty = true, w.dirty
-			w.tag = tagInvalid
-			w.dirty = false
-			w.lru = 0
-			return present, dirty
-		}
+	i, ok := c.find(addr)
+	if !ok {
+		return false, false
 	}
-	return false, false
+	dirty = c.tags[i]&dirtyBit != 0
+	c.stats.Invalidations++
+	if dirty {
+		c.stats.WriteBacks++
+	}
+	c.tags[i] = tagInvalid
+	if c.lru != nil {
+		c.lru[i] = 0
+	}
+	return true, dirty
 }
 
 // VisitLines calls fn for every valid line currently resident, passing
@@ -414,9 +410,9 @@ func (c *Cache) Invalidate(addr uint32) (present, dirty bool) {
 // touched; the invariant checker uses this to audit residency against
 // the coherence presence table.
 func (c *Cache) VisitLines(fn func(lineIndex uint32, dirty bool)) {
-	for i := range c.sets {
-		if w := &c.sets[i]; w.tag != tagInvalid {
-			fn(w.tag, w.dirty)
+	for _, w := range c.tags {
+		if w != tagInvalid {
+			fn(w&^dirtyBit, w&dirtyBit != 0)
 		}
 	}
 }
@@ -424,16 +420,17 @@ func (c *Cache) VisitLines(fn func(lineIndex uint32, dirty bool)) {
 // Flush empties the cache without touching statistics. It is used between
 // multiprogramming scheduler epochs in ablation experiments.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = line{tag: tagInvalid}
+	for i := range c.tags {
+		c.tags[i] = tagInvalid
 	}
+	clear(c.lru)
 }
 
 // ValidLines returns the number of valid lines currently resident.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for i := range c.sets {
-		if c.sets[i].tag != tagInvalid {
+	for _, w := range c.tags {
+		if w != tagInvalid {
 			n++
 		}
 	}

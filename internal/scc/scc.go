@@ -249,8 +249,9 @@ func (s *SCC) DirectTags() *cache.Cache {
 // Access performs an access issued at cycle now, modelling bank
 // arbitration: if the bank is busy the access waits. The bank is then
 // occupied for sysmodel.BankAccessCycles. On a miss the caller is
-// responsible for bus/memory timing and for occupying the bank again
-// during the refill (see OccupyBank).
+// responsible for bus/memory timing; the refill does not occupy the bank
+// again (the SCC is non-blocking, and its one refill cycle is negligible
+// against the 100-cycle fetch — see the simulator's miss path).
 func (s *SCC) Access(now uint64, addr uint32, kind mem.Kind) Result {
 	bank := s.BankOf(addr)
 	start := s.BankStart(now, addr)
@@ -306,16 +307,6 @@ func (s *SCC) Access(now uint64, addr uint32, kind mem.Kind) Result {
 		res.EvictedDirty = false
 	}
 	return res
-}
-
-// OccupyBank marks addr's bank busy until cycle until, if that is later
-// than its current free time. The refill port uses this when a line
-// returns from the bus so processor accesses to that bank wait.
-func (s *SCC) OccupyBank(addr uint32, until uint64) {
-	b := &s.bank[s.BankOf(addr)]
-	if until > b.free {
-		b.free = until
-	}
 }
 
 // Probe reports whether addr is resident without side effects.

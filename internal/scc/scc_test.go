@@ -86,21 +86,6 @@ func TestBankFreesAfterAccess(t *testing.T) {
 	}
 }
 
-func TestOccupyBank(t *testing.T) {
-	s := MustNew(32*1024, 1, 8)
-	s.OccupyBank(0, 500)
-	r := s.Access(100, 0, mem.Read)
-	if r.Start != 500 {
-		t.Errorf("access to refilling bank started at %d, want 500", r.Start)
-	}
-	// OccupyBank never shortens an existing reservation.
-	s.OccupyBank(0, 400)
-	r = s.Access(501, 8*sysmodel.LineSize, mem.Read)
-	if r.Start != 501 {
-		t.Errorf("bank reservation shortened: start %d, want 501", r.Start)
-	}
-}
-
 func TestHitMissPlumbing(t *testing.T) {
 	s := MustNew(4096, 1, 4)
 	r := s.Access(0, 0x40, mem.Read)

@@ -87,6 +87,39 @@ func TestRequestValidation400s(t *testing.T) {
 	}
 }
 
+// TestPointBeyondSimulatorLimits400: a point whose machine the
+// simulator cannot run is refused at admission with a 400 naming the
+// limit, on either backend, and the server stays up. 4 x 128 = 512
+// processors once crashed the server from inside replay; 12 banks per
+// SCC failed mid-run as a 500.
+func TestPointBeyondSimulatorLimits400(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, c := range []struct{ body, want string }{
+		{`{"workload":"mp3d","scale":"quick","procs_per_cluster":128}`, "512 processors"},
+		{`{"workload":"mp3d","scale":"quick","procs_per_cluster":128,"backend":"analytic"}`, "512 processors"},
+		{`{"workload":"mp3d","scale":"quick","procs_per_cluster":3}`, "not a power of two"},
+		{`{"workload":"mp3d","scale":"quick","procs_per_cluster":64,"scc_bytes":1024}`, "fewer lines than"},
+	} {
+		var eb errorBody
+		if code := postJSON(t, ts.URL, "/v1/point", c.body, &eb); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.body, code)
+		} else if !strings.Contains(eb.Error, c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.body, eb.Error, c.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz status %d after refused points", resp.StatusCode)
+	}
+}
+
 // TestBackendEndToEnd: the backend field reaches the engine (the
 // analytic grid comes back populated and stamped), is echoed in sweep
 // and point responses (including the "exact" default the client never

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"sccsim"
+	"sccsim/internal/explorer"
 	"sccsim/internal/trace"
 )
 
@@ -86,12 +87,23 @@ func absentIfZero[T comparable](p *T) *T {
 // validate rejects what the facade would refuse at run time, so it is
 // a 400 instead of a failed job: an unknown backend, simulator tuning or
 // verification on the analytic backend, axes out of range or beyond
-// the analytic model, or a malformed search.
+// the analytic model, a point whose machine the simulator cannot run
+// (sysmodel.Config.Validate), or a malformed search.
 func (e experiment) validate() error {
 	if e.Search != nil {
 		return e.Search.Validate()
 	}
-	return e.spec(0).Validate()
+	if err := e.spec(0).Validate(); err != nil {
+		return err
+	}
+	if e.Kind == jobPoint {
+		var axes sccsim.Axes
+		if e.Axes != nil {
+			axes = *e.Axes
+		}
+		return explorer.PointConfig(e.Workload, e.PPC, e.SCCBytes, axes).Validate()
+	}
+	return nil
 }
 
 // key is the experiment's content key: the SHA-256 of its JSON, the

@@ -165,7 +165,7 @@ func RunHybrid(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result,
 			l1Stats[i] = cache.Stats{}
 		}
 	}
-	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, reset, access)
+	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, reset, access, nil)
 	s.finish(clock)
 	s.flushMetrics()
 	s.res.L1 = make([]*cache.Stats, procs)

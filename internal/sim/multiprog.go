@@ -87,14 +87,14 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 		queue = append(queue, i)
 	}
 
-	// The scheduler is keyed on each processor's clock; every push below
-	// re-registers the processor at its current clock, which is exactly
-	// what the old live-keyed heap observed (only a popped processor's
-	// clock ever changes while it is unscheduled).
-	h := newSched(nproc)
+	// The scheduler is keyed on each processor's clock: the winner runs
+	// one reference, then its leaf is set to its new clock, or emptied
+	// when it goes idle. Only the winner's clock and processors woken
+	// from idle ever change, and each is re-keyed as it does.
+	sched := newTourney(nproc)
 	for p := 0; p < nproc; p++ {
 		if current[p] >= 0 {
-			h.add(p, clock[p])
+			sched.set(p, schedKey(p, clock[p]))
 		}
 	}
 
@@ -123,19 +123,17 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			s.emitSwitch(victim, clock[victim])
 			clock[victim] += s.opts.SwitchPenalty
 			quantumEnd[victim] = clock[victim] + quantum
-			h.add(victim, clock[victim])
+			sched.set(victim, schedKey(victim, clock[victim]))
 		}
 	}
 
 	for {
-		p, _ := h.next()
-		if p < 0 {
+		k := sched.winner()
+		if k == noKey {
 			break
 		}
+		p := keyProc(k)
 		pid := current[p]
-		if pid < 0 {
-			continue
-		}
 		st := processes[pid].Refs
 
 		if pos[pid] >= len(st) {
@@ -148,11 +146,12 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 				s.emitSwitch(p, clock[p])
 				clock[p] += s.opts.SwitchPenalty
 				quantumEnd[p] = clock[p] + quantum
-				h.add(p, clock[p])
+				sched.set(p, schedKey(p, clock[p]))
 			} else {
 				current[p] = -1
 				idle[p] = true
 				idleSince[p] = clock[p]
+				sched.set(p, noKey)
 			}
 			continue
 		}
@@ -171,7 +170,7 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			}
 			quantumEnd[p] = clock[p] + quantum
 			wake(clock[p])
-			h.add(p, clock[p])
+			sched.set(p, schedKey(p, clock[p]))
 			continue
 		}
 		if clock[p] >= quantumEnd[p] {
@@ -187,14 +186,14 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			if retry {
 				// Spin iteration on a held lock: re-issue later.
 				clock[p] = t
-				h.add(p, t)
+				sched.set(p, schedKey(p, t))
 				continue
 			}
 			s.res.Refs++
 		}
 		pos[pid]++
 		clock[p] = t
-		h.add(p, t)
+		sched.set(p, schedKey(p, t))
 	}
 
 	// Close out idle accounting to the makespan.

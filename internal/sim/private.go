@@ -34,7 +34,8 @@ import (
 // bus is fast but a transfer still costs a handful of cycles.
 const IntraClusterLatency = 20
 
-// RunPrivate simulates the private-per-processor-cache organization.
+// RunPrivate simulates the private-per-processor-cache organization,
+// whatever cfg.Hierarchy says; cfg is validated as that hierarchy.
 func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error) {
 	procs := cfg.Procs()
 	if prog.Procs != procs {
@@ -45,16 +46,12 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	asPrivate := cfg
+	asPrivate.Hierarchy = sysmodel.HierarchyPrivate
+	if err := asPrivate.Validate(); err != nil {
 		return nil, err
 	}
-	if procs > 32 {
-		return nil, fmt.Errorf("sim: private-cache mode supports at most 32 caches, config has %d", procs)
-	}
 	perProc := cfg.SCCBytes / cfg.ProcsPerCluster
-	if perProc < cfg.Line()*cfg.Assoc {
-		return nil, fmt.Errorf("sim: %d B per private cache is too small", perProc)
-	}
 
 	caches := make([]*cache.Cache, procs)
 	invs := make([]snoop.Invalidator, procs)
@@ -174,7 +171,7 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 	// Private-cache mode traces barrier waits only; the per-reference
 	// event stream is a shared-SCC (Run/RunMultiprog) feature. Warmup
 	// resets are likewise a shared-SCC feature (warmupAt = 0).
-	clock := replay(comp.Streams, procs, res, opts.Tracer, 0, nil, access)
+	clock := replay(comp.Streams, procs, res, opts.Tracer, 0, nil, access, nil)
 	copy(res.ProcFinish, clock)
 	for _, t := range clock {
 		if t > res.Cycles {
@@ -182,10 +179,10 @@ func RunPrivate(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result
 		}
 	}
 	for p := 0; p < procs; p++ {
-		res.SCC[p] = caches[p].Stats()
+		res.SCC[p] = ptr(*caches[p].Stats())
 		res.SCCBank[p] = &scc.Stats{BankAccesses: []uint64{caches[p].Stats().TotalAccesses()}}
 	}
-	res.Snoop = bus.Stats()
+	res.Snoop = ptr(*bus.Stats())
 	if ck != nil {
 		err := ck.FinishRun(verify.Final{
 			Cycles:           res.Cycles,

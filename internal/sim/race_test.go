@@ -12,8 +12,8 @@ import (
 // TestRunSharedProgramConcurrent enforces the package's concurrency
 // contract: Run never mutates its trace.Program, so many goroutines may
 // replay one shared program at once and every run returns identical
-// results. Run it with -race (make test-race) to catch any write that
-// sneaks into the shared trace.
+// results. Run it with -race (make race-obs, part of make check) to
+// catch any write that sneaks into the shared trace.
 func TestRunSharedProgramConcurrent(t *testing.T) {
 	prog, err := barnes.Generate(barnes.Params{NBodies: 128, Steps: 1, Procs: 8, Seed: 1})
 	if err != nil {

@@ -333,6 +333,18 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 // clusterOf maps a processor index to its cluster.
 func (s *system) clusterOf(p int) int { return int(s.cluster[p]) }
 
+// directMapped reports whether every SCC takes the direct-mapped access
+// path (scc.DirectTags): the configuration, and nothing else, decides
+// whether replay performs the shared-SCC access in its own loop.
+func (s *system) directMapped() bool {
+	for _, tags := range s.fastTags {
+		if tags == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // warmupReset clears the statistics accumulated so far; replay invokes
 // it exactly once, immediately after the Options.WarmupRefs'th reference
 // completes (cold-start exclusion). Timing state is untouched.
@@ -405,8 +417,10 @@ func (s *system) memAccess(p int, now uint64, addr uint32, kind mem.Kind) uint64
 		// (direct-mapped, no victim buffer): bank arbitration and tag
 		// probe inline — an ordinary hit runs call-free instead of
 		// threading a Result struct through two layers. Semantically
-		// identical to the general path below; the differential test
-		// pins that.
+		// identical to the general path below; the oracle
+		// (internal/verify) pins both. Run's replay loop performs the
+		// same steps itself; this branch serves the multiprogramming
+		// scheduler, locks and the hybrid hierarchy's L1 misses.
 		t := sc.BankStart(now, addr)
 		if t != now {
 			s.bankStallAt(p, now, t-now, addr)
@@ -423,8 +437,7 @@ func (s *system) memAccess(p int, now uint64, addr uint32, kind mem.Kind) uint64
 			}
 			return t
 		}
-		cr := tags.MissDM(addr, kind)
-		return s.missFrom(p, c, t, addr, kind, cr.Evicted, cr.EvictedDirty)
+		return s.missDM(p, c, t, addr, kind)
 	}
 
 	ar := sc.Access(now, addr, kind)
@@ -464,6 +477,13 @@ func (s *system) emitHit(p int, t uint64, addr uint32, kind mem.Kind) {
 		k = EvWriteHit
 	}
 	s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(k), Addr: addr})
+}
+
+// missDM completes a direct-mapped access that cache.HitDM reported as
+// a miss, with bank service started at t.
+func (s *system) missDM(p, c int, t uint64, addr uint32, kind mem.Kind) uint64 {
+	cr := s.fastTags[c].MissDM(addr, kind)
+	return s.missFrom(p, c, t, addr, kind, cr.Evicted, cr.EvictedDirty)
 }
 
 // missFrom completes a miss whose bank service started at t: eviction
@@ -535,177 +555,108 @@ func (s *system) bufferWrite(p, c int, now, ready uint64) uint64 {
 	return now
 }
 
-// sched selects the processor with the earliest next-issue time,
-// tie-broken by lowest id — exactly the order the id-keyed binary heap it
-// replaced produced. It is a binary min-heap of single uint64 keys with
-// the issue time in the high bits and the processor id in the low
-// schedIDBits, so every comparison is one word compare on contiguous
-// memory (the old heap chased ids[i] -> time[id] through two slices per
-// comparison) and the id tie-break falls out of the packing for free.
-// The packing caps issue times at 2^56 cycles — about 2.5 billion years
-// of simulated time at the paper's clock — and processor counts at 256
-// (the machine model tops out at 32).
-type sched struct {
-	keys []uint64
-	// min mirrors keys[0] (schedEmpty when the heap is empty) so isMin —
-	// the replay loop's per-reference test — is a field load and one
-	// compare instead of a length check plus a bounds-checked index.
-	min uint64
-}
-
-const schedIDBits = 8
-
-// schedEmpty is min's value for an empty heap: larger than every real
-// packed key (a key only reaches 2^64-1 at the 2^56-cycle time cap, far
-// beyond any run), so isMin is unconditionally true, matching the "no
-// one else is scheduled" case.
-const schedEmpty = ^uint64(0)
-
-func newSched(procs int) *sched {
-	return &sched{keys: make([]uint64, 0, procs), min: schedEmpty}
-}
-
-// add schedules processor p to issue at time t.
-func (s *sched) add(p int, t uint64) {
-	k := t<<schedIDBits | uint64(p)
-	if k < s.min {
-		s.min = k
-	}
-	keys := append(s.keys, k)
-	i := len(keys) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if keys[parent] <= k {
-			break
-		}
-		keys[i] = keys[parent]
-		i = parent
-	}
-	keys[i] = k
-	s.keys = keys
-}
-
-// next removes and returns the processor with the earliest issue time and
-// that time; p is -1 when none are scheduled.
-func (s *sched) next() (p int, t uint64) {
-	keys := s.keys
-	if len(keys) == 0 {
-		return -1, 0
-	}
-	top := keys[0]
-	last := len(keys) - 1
-	k := keys[last]
-	keys = keys[:last]
-	s.keys = keys
-	if last > 0 {
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= last {
-				break
-			}
-			if r := l + 1; r < last && keys[r] < keys[l] {
-				l = r
-			}
-			if k <= keys[l] {
-				break
-			}
-			keys[i] = keys[l]
-			i = l
-		}
-		keys[i] = k
-	}
-	if last > 0 {
-		s.min = keys[0]
-	} else {
-		s.min = schedEmpty
-	}
-	return int(top & (1<<schedIDBits - 1)), top >> schedIDBits
-}
-
-// isMin reports whether processor p issuing at time t would be the next
-// processor the scheduler picks — i.e. whether p's packed key precedes
-// every scheduled key. Packed keys are unique (the id is in the low
-// bits), so strict < is exact, including the lowest-id tie-break.
-// replay uses this to keep running the earliest processor without a
-// push/pop round-trip per reference.
-func (s *sched) isMin(p int, t uint64) bool {
-	return t<<schedIDBits|uint64(p) < s.min
-}
-
-// replay drives barrier-delimited phase streams through an access
-// function in global issue order, handling barriers and accounting into
-// res. phases is the per-phase, per-processor stream table (a compiled
-// program's arena views, trace.Compiled.Streams). The access function performs one memory reference for a
-// processor at a time and returns when the processor may proceed.
+// replay drives barrier-delimited phase streams in global issue order,
+// handling barriers and accounting into res. phases is the per-phase,
+// per-processor stream table (a compiled program's arena views,
+// trace.Compiled.Streams). access performs one memory reference for a
+// processor at a time and returns when the processor may proceed and
+// whether the reference must be retried (a spin on a held lock). dm,
+// when non-nil, is a shared-SCC machine whose SCCs are all
+// direct-mapped with no victim buffer (system.directMapped): the loop
+// then performs plain reads and writes itself, and only lock, unlock
+// and the rare outcomes reach access or the system's slower paths.
 // warmupAt, when nonzero, invokes reset exactly once, immediately after
 // the warmupAt'th reference completes. A non-nil tracer receives a
 // barrier-wait event per processor per phase.
 func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
 	warmupAt uint64, reset func(),
-	access func(p int, now uint64, r mem.Ref) (uint64, bool)) []uint64 {
-
-	if procs == 1 {
-		return replay1(phases, res, warmupAt, reset, access)
-	}
+	access func(p int, now uint64, r mem.Ref) (uint64, bool), dm *system) []uint64 {
 
 	clock := make([]uint64, procs)
 	pos := make([]int, procs)
-	sc := newSched(procs)
+	sched := newTourney(procs)
 	var phaseStart uint64
 
 	for _, streams := range phases {
 		for p := 0; p < procs; p++ {
 			pos[p] = 0
 			if len(streams[p]) > 0 {
-				sc.add(p, clock[p]+uint64(streams[p][0].Gap))
+				sched.set(p, schedKey(p, clock[p]+uint64(streams[p][0].Gap)))
 			}
 		}
-		// Replay streams in global issue order: repeatedly advance the
-		// processor whose next reference is earliest. The inner loop is a
-		// run-ahead: after each reference, if the processor's next issue
-		// time still precedes every scheduled key it keeps executing
-		// without touching the heap — the order is identical to a full
-		// push/pop per reference (isMin is the heap's own comparison),
-		// but long stretches where one processor runs (the others parked
-		// 100 cycles ahead by misses, or finished) cost no heap traffic.
 		for {
-			p, t := sc.next()
-			if p < 0 {
+			k := sched.winner()
+			if k == noKey {
 				break
 			}
-			st := streams[p]
+			// Run ahead: the winner keeps issuing while its next key stays
+			// below bound, every other processor's earliest key — exactly
+			// the order of a scheduler consulted per reference, with the
+			// tree touched only when the winner changes or finishes.
+			p, t := keyProc(k), keyTime(k)
+			bound := sched.runnerUp(p)
+			st, i := streams[p], pos[p]
+			var c int
+			var sc *scc.SCC
+			var tags *cache.Cache
+			if dm != nil {
+				c = dm.clusterOf(p)
+				sc, tags = dm.sccs[c], dm.fastTags[c]
+			}
 			for {
-				r := st[pos[p]]
-				if r.Kind != mem.Idle {
-					t2, retry := access(p, t, r)
-					if retry {
-						// Spin iteration: re-issue the same reference later.
-						clock[p] = t2
-						if sc.isMin(p, t2) {
-							t = t2
+				if r := st[i]; r.Kind != mem.Idle {
+					if tags != nil && r.Kind <= mem.Write {
+						// The paper's SCC access, in line: bank arbitration,
+						// the tag probe and the private-line write-hit
+						// check. The same steps as memAccess's direct-mapped
+						// branch, written here because that function is over
+						// the inlining budget; the oracle pins both.
+						if dm.ck != nil {
+							dm.ck.OnAccess(c)
+						}
+						start := sc.BankStart(t, r.Addr)
+						if start != t {
+							dm.bankStallAt(p, t, start-t, r.Addr)
+						}
+						if tags.HitDM(r.Addr, r.Kind) {
+							if r.Kind == mem.Write && dm.bus.MaybeShared(r.Addr, c) {
+								dm.bus.WriteShared(start, c, r.Addr)
+							}
+							if tr != nil {
+								dm.emitHit(p, start, r.Addr, r.Kind)
+							}
+							t = start
+						} else {
+							t = dm.missDM(p, c, start, r.Addr, r.Kind)
+						}
+					} else {
+						var retry bool
+						if t, retry = access(p, t, r); retry {
+							// Spin iteration: re-issue the same reference later.
+							if k := schedKey(p, t); k >= bound {
+								pos[p] = i
+								sched.set(p, k)
+								break
+							}
 							continue
 						}
-						sc.add(p, t2)
-						break
 					}
-					t = t2
 					res.Refs++
-					if warmupAt != 0 && res.Refs == warmupAt {
+					if res.Refs == warmupAt {
 						reset()
 					}
 				}
-				pos[p]++
-				clock[p] = t
-				if pos[p] == len(st) {
+				if i++; i == len(st) {
+					clock[p] = t
+					sched.set(p, noKey)
 					break
 				}
-				nt := t + uint64(st[pos[p]].Gap)
-				if !sc.isMin(p, nt) {
-					sc.add(p, nt)
+				t += uint64(st[i].Gap)
+				if k := schedKey(p, t); k >= bound {
+					pos[p] = i
+					sched.set(p, k)
 					break
 				}
-				t = nt
 			}
 		}
 		// Barrier: everyone waits for the slowest processor.
@@ -727,39 +678,6 @@ func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
 		phaseStart = maxT
 	}
 	return clock
-}
-
-// replay1 is the single-processor fast path: stream order is issue
-// order, so no scheduler runs at all and barriers degenerate to phase
-// accounting. Lock references cannot spin with one processor (access
-// reports retry only when another processor holds the lock), but the
-// retry loop is kept so the two paths share one contract.
-func replay1(phases [][][]mem.Ref, res *Result, warmupAt uint64, reset func(),
-	access func(p int, now uint64, r mem.Ref) (uint64, bool)) []uint64 {
-
-	var now, phaseStart uint64
-	for _, streams := range phases {
-		for _, r := range streams[0] {
-			now += uint64(r.Gap)
-			if r.Kind == mem.Idle {
-				continue
-			}
-			for {
-				t, retry := access(0, now, r)
-				now = t
-				if !retry {
-					break
-				}
-			}
-			res.Refs++
-			if warmupAt != 0 && res.Refs == warmupAt {
-				reset()
-			}
-		}
-		res.PhaseCycles = append(res.PhaseCycles, now-phaseStart)
-		phaseStart = now
-	}
-	return []uint64{now}
 }
 
 // Run simulates a parallel program on the configured system. The program
@@ -791,7 +709,11 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 		return nil, err
 	}
 	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access)
+	var dm *system
+	if s.directMapped() {
+		dm = s
+	}
+	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access, dm)
 	s.finish(clock)
 	s.flushMetrics()
 	if s.ck != nil {
@@ -877,7 +799,9 @@ func (r *Result) VerifyStats() verify.RunStats {
 }
 
 // finish copies final per-processor state and system statistics into the
-// result.
+// result. The statistics are copied, not referenced, so a kept result
+// does not hold the machine — tag stores, bank state, presence table —
+// alive.
 func (s *system) finish(clock []uint64) {
 	copy(s.res.ProcFinish, clock)
 	for _, t := range clock {
@@ -886,8 +810,13 @@ func (s *system) finish(clock []uint64) {
 		}
 	}
 	for i, sc := range s.sccs {
-		s.res.SCC[i] = sc.CacheStats()
-		s.res.SCCBank[i] = sc.Stats()
+		s.res.SCC[i] = ptr(*sc.CacheStats())
+		bs := *sc.Stats()
+		bs.BankAccesses = append([]uint64(nil), bs.BankAccesses...)
+		s.res.SCCBank[i] = &bs
 	}
-	s.res.Snoop = s.bus.Stats()
+	s.res.Snoop = ptr(*s.bus.Stats())
 }
+
+// ptr returns a pointer to a copy of v.
+func ptr[T any](v T) *T { return &v }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -354,6 +355,52 @@ func TestResultAggregation(t *testing.T) {
 	if r.TotalReadStall() != 2*sysmodel.MemLatency {
 		t.Errorf("TotalReadStall = %d", r.TotalReadStall())
 	}
+}
+
+// TestResultsDoNotRetainMachine: a result copies its statistics out of
+// the machine, so a kept result does not keep the run's tag stores,
+// bank state and presence table alive. With 512 KB caches on every
+// hierarchy, eight kept results must retain under 64 KB apiece; when
+// results pointed into the machine each held over 1.5 MB of tags.
+func TestResultsDoNotRetainMachine(t *testing.T) {
+	streams := make([][]mem.Ref, 4)
+	for p := range streams {
+		for i := uint32(1); i <= 64; i++ {
+			streams[p] = append(streams[p], rd(i*sysmodel.LineSize, 1), wr(i*sysmodel.LineSize, 1))
+		}
+	}
+	p := prog(4, streams...)
+	for _, h := range []string{sysmodel.HierarchyShared, sysmodel.HierarchyPrivate, sysmodel.HierarchyHybrid} {
+		cfg := sysmodel.Axes{Hierarchy: h}.Apply(sysmodel.Default(1, 512<<10))
+		// The first run compiles the trace onto p; keep that out of the
+		// measurement.
+		if _, err := Run(cfg, Options{}, p); err != nil {
+			t.Fatal(err)
+		}
+		const kept = 8
+		before := heapAfterGC()
+		results := make([]*Result, kept)
+		for i := range results {
+			r, err := Run(cfg, Options{}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[i] = r
+		}
+		after := heapAfterGC()
+		runtime.KeepAlive(results)
+		if per := (after - before) / kept; per >= 64<<10 {
+			t.Errorf("%s: each kept result retains %d KB, want < 64 KB", h, per>>10)
+		}
+	}
+}
+
+// heapAfterGC returns the live heap in bytes after a full collection.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func TestWarmupResetsStatistics(t *testing.T) {

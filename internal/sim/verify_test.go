@@ -139,7 +139,7 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
-	clock := replay(comp.Streams, 2, s.res, s.tr, 0, s.warmupReset, s.access)
+	clock := replay(comp.Streams, 2, s.res, s.tr, 0, s.warmupReset, s.access, s)
 	s.finish(clock)
 
 	var addr uint32

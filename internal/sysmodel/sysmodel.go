@@ -37,6 +37,18 @@ const (
 	TimeQuantum = 5_000_000
 )
 
+// Simulator limits that Config.Validate enforces (the paper's machines
+// use at most 4 clusters of 8 processors).
+const (
+	// MaxProcs is the largest total processor count: the simulator's
+	// scheduler packs a processor id into 8 bits of its keys.
+	MaxProcs = 256
+	// MaxClusters is the largest cluster count: the coherence bus keeps
+	// one presence bit per cluster (per private cache, in the private
+	// hierarchy) in a 32-bit word.
+	MaxClusters = 32
+)
+
 // SCCSizes is the set of shared-cluster-cache sizes (bytes) swept in the
 // paper's design space, 4 KB through 512 KB in powers of two.
 var SCCSizes = []int{
@@ -193,6 +205,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sysmodel: Clusters = %d, want >= 1", c.Clusters)
 	case c.ProcsPerCluster < 1:
 		return fmt.Errorf("sysmodel: ProcsPerCluster = %d, want >= 1", c.ProcsPerCluster)
+	case c.Clusters > MaxClusters:
+		return fmt.Errorf("sysmodel: Clusters = %d, want <= %d", c.Clusters, MaxClusters)
+	case c.ProcsPerCluster > MaxProcs || c.Procs() > MaxProcs:
+		return fmt.Errorf("sysmodel: %d clusters x %d processors = %d processors, want <= %d",
+			c.Clusters, c.ProcsPerCluster, c.Clusters*c.ProcsPerCluster, MaxProcs)
 	case lb < 4 || lb > 1024 || lb&(lb-1) != 0:
 		return fmt.Errorf("sysmodel: LineBytes = %d, want a power of two in 4..1024", lb)
 	case c.SCCBytes < lb:
@@ -219,8 +236,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sysmodel: Hierarchy = %q, want %q, %q or %q",
 			c.Hierarchy, HierarchyShared, HierarchyPrivate, HierarchyHybrid)
 	}
+	if c.HierarchyKind() != HierarchyPrivate {
+		// The shared SCC (alone or behind hybrid L1s) interleaves lines
+		// over Banks() banks selected by a mask.
+		if b := c.Banks(); b&(b-1) != 0 {
+			return fmt.Errorf("sysmodel: %d banks per SCC (%d processors x %d) is not a power of two",
+				b, c.ProcsPerCluster, BanksPerProcessor)
+		}
+		if c.SCCBytes/lb < c.Banks() {
+			return fmt.Errorf("sysmodel: SCCBytes = %d has fewer lines than its %d banks", c.SCCBytes, c.Banks())
+		}
+	}
 	switch c.HierarchyKind() {
 	case HierarchyPrivate:
+		if c.Procs() > MaxClusters {
+			return fmt.Errorf("sysmodel: %d private caches, want <= %d on the coherence bus",
+				c.Procs(), MaxClusters)
+		}
 		if c.SCCBytes/c.ProcsPerCluster < lb*c.Assoc {
 			return fmt.Errorf("sysmodel: SCCBytes = %d too small to split into %d private caches",
 				c.SCCBytes, c.ProcsPerCluster)

@@ -58,6 +58,39 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateEnforcesSimulatorLimits pins the limits the simulator
+// cannot run past — 256 processors (the scheduler's 8-bit id), 32
+// clusters or private caches (the bus's 32-bit presence word), and a
+// power-of-two bank count no larger than the SCC's line count — and
+// that the largest machines within them stay valid.
+func TestValidateEnforcesSimulatorLimits(t *testing.T) {
+	bad := map[string]Config{
+		"512 processors":        Default(128, 64*1024),
+		"2^40 per cluster":      Default(1<<40, 64*1024),
+		"33 clusters":           {Clusters: 33, ProcsPerCluster: 1, SCCBytes: 4096, LoadLatency: 2, Assoc: 1},
+		"12 banks":              Default(3, 64*1024),
+		"12 banks hybrid":       Axes{Hierarchy: HierarchyHybrid}.Apply(Default(3, 64*1024)),
+		"more banks than lines": Default(64, 512),
+		"64 private caches":     Axes{Hierarchy: HierarchyPrivate}.Apply(Default(16, 64*1024)),
+	}
+	for name, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate(%+v) = nil, want error", name, c)
+		}
+	}
+	good := map[string]Config{
+		"256 processors":       {Clusters: 32, ProcsPerCluster: 8, SCCBytes: 4096, LoadLatency: 4, Assoc: 1},
+		"one 256-proc cluster": {Clusters: 1, ProcsPerCluster: 256, SCCBytes: 16 * 1024, LoadLatency: 4, Assoc: 1},
+		"3 private caches":     Axes{Hierarchy: HierarchyPrivate}.Apply(Config{Clusters: 1, ProcsPerCluster: 3, SCCBytes: 48 * 1024, LoadLatency: 4, Assoc: 1}),
+		"32 private caches":    Axes{Hierarchy: HierarchyPrivate}.Apply(Default(8, 64*1024)),
+	}
+	for name, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: Validate(%+v) = %v, want nil", name, c, err)
+		}
+	}
+}
+
 func TestValidateAcceptsWholeSweep(t *testing.T) {
 	for _, p := range ProcsPerClusterSweep {
 		for _, s := range SCCSizes {

@@ -303,7 +303,8 @@ func (c expCfg) engine() (explorer.EngineOptions, error) {
 // WithMetrics and WithLogger behave identically on both backends:
 // workload traces are generated once per (workload, processors, scale)
 // and cached, and the analytic backend shares one reuse-distance
-// profile per system shape.
+// profile per system shape. A configuration the simulator cannot run
+// (Config.Validate) fails before anything is generated or run.
 func Do(ctx context.Context, w Workload, opts ...Opt) (*Point, error) {
 	c, err := resolve(opts)
 	if err != nil {
@@ -315,6 +316,9 @@ func Do(ctx context.Context, w Workload, opts ...Opt) (*Point, error) {
 			return nil, fmt.Errorf("sccsim: WithConfig pins a parallel-workload system; the multiprogramming workload runs on one cluster — use WithPoint")
 		}
 		cfg = c.axes.Apply(*c.cfg)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sccsim: design point %s: %w", cfg, err)
 	}
 	if c.logger != nil {
 		c.logger.Debug("point start",
