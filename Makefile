@@ -93,15 +93,18 @@ verify-analytic:
 # percentages on a loaded machine.
 # A failed measurement is retried once: a transient load burst on a
 # shared machine can skew one whole sweep, and a real instrumentation
-# regression fails both attempts.
+# regression fails both attempts. The two manifests go to a fresh
+# directory under $TMPDIR (default /tmp), removed on exit, so
+# concurrent runs never read each other's files.
 OBS_THRESHOLD ?= 0.05
 obs-overhead:
 	@$(MAKE) --no-print-directory obs-overhead-run || { 		echo "obs-overhead: retrying once to rule out transient machine load"; 		$(MAKE) --no-print-directory obs-overhead-run; }
 
 obs-overhead-run:
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs off -manifest /tmp/sccsim_obs_off.json > /dev/null
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs on -manifest /tmp/sccsim_obs_on.json > /dev/null
-	$(GO) run ./cmd/benchcompare -threshold $(OBS_THRESHOLD) -severe-mult 10 /tmp/sccsim_obs_off.json /tmp/sccsim_obs_on.json
+	d=$$(mktemp -d "$${TMPDIR:-/tmp}/sccsim_obs.XXXXXX") && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs off -manifest "$$d/off.json" > /dev/null && \
+	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs on -manifest "$$d/on.json" > /dev/null && \
+	$(GO) run ./cmd/benchcompare -threshold $(OBS_THRESHOLD) -severe-mult 10 "$$d/off.json" "$$d/on.json"
 
 # Seed-plus-30s coverage-guided fuzz of the two properties most worth
 # hammering: the verified simulator against the oracle model

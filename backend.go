@@ -70,6 +70,16 @@ func (c *expCfg) validate() error {
 			return err
 		}
 	}
+	base := sysmodel.Default(1, 64*1024)
+	if c.cfg != nil {
+		base = *c.cfg
+	}
+	if c.sim.VictimEntries > 0 && c.axes.Apply(base).HierarchyKind() == sysmodel.HierarchyPrivate {
+		// A victim buffer sits beside an SCC; the private hierarchy has
+		// none, so the option would otherwise silently do nothing.
+		return fmt.Errorf("sccsim: victim_entries (Options.VictimEntries) needs the %q or %q hierarchy; %q has no SCC to attach a victim buffer to",
+			HierarchyShared, HierarchyHybrid, HierarchyPrivate)
+	}
 	if c.backend == BackendAnalytic {
 		if c.verify {
 			return fmt.Errorf("sccsim: WithVerify checks simulator coherence invariants and requires the exact backend")
@@ -83,10 +93,6 @@ func (c *expCfg) validate() error {
 		// Reject-or-model: associativity is modeled; the remaining axes
 		// are not, and fail here — the serve layer's 400 path — rather
 		// than mid-run.
-		base := sysmodel.Default(1, 64*1024)
-		if c.cfg != nil {
-			base = *c.cfg
-		}
 		if err := explorer.AnalyticSupports(c.axes.Apply(base)); err != nil {
 			return err
 		}

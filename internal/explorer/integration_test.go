@@ -110,7 +110,8 @@ func TestSharedBeatsPrivateOnParallelWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		priv, err := sim.RunPrivate(cfg, sim.Options{}, prog)
+		privCfg := sysmodel.Axes{Hierarchy: sysmodel.HierarchyPrivate}.Apply(cfg)
+		priv, err := sim.Run(privCfg, sim.Options{}, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package rdmodel
 
 import (
 	"fmt"
-	"math"
 
 	"sccsim/internal/sysmodel"
 )
@@ -29,7 +28,7 @@ type Curve struct {
 	baseReadMisses []float64
 	reads          []float64
 	// pmiss is the per-At scratch table: pmiss[d] = 1-(1-1/C)^d for the
-	// last queried line count, built with Predict's exact recurrence.
+	// last queried line count, filled by missProbs as Predict's is.
 	pmiss []float64
 }
 
@@ -77,29 +76,13 @@ func (c *Curve) At(sccBytes int) (CurvePoint, error) {
 	}
 	pt := CurvePoint{SCCBytes: sccBytes}
 
-	// Miss probabilities by reuse distance, Predict's assoc==1
-	// recurrence verbatim: the survival chance of a line across d
-	// intervening distinct lines is (1-1/C)^d under uniform index
-	// hashing. The same iterated product yields bit-identical floats,
-	// and the table is shared by every cluster (Predict recomputes the
-	// identical sequence per cluster).
-	surv := 1.0
-	decay := 1 - 1/float64(lines)
-	for d := 0; d < p.Cap; d++ {
-		c.pmiss[d] = 1 - surv
-		surv *= decay
-	}
-
+	// Predict's miss model and time model, with the miss-probability
+	// table built once per size and shared by every cluster.
+	missProbs(c.pmiss, lines, 1)
 	rates := make([]float64, len(p.Cluster))
 	var reads, misses float64
 	for i := range p.Cluster {
-		h := &p.Cluster[i]
-		m := c.baseReadMisses[i]
-		for d := 0; d < p.Cap; d++ {
-			if h.Read[d] != 0 {
-				m += c.pmiss[d] * float64(h.Read[d])
-			}
-		}
+		m := expectedMisses(c.baseReadMisses[i], p.Cluster[i].Read, c.pmiss)
 		if c.reads[i] > 0 {
 			rates[i] = m / c.reads[i]
 		}
@@ -109,21 +92,6 @@ func (c *Curve) At(sccBytes int) (CurvePoint, error) {
 	if reads > 0 {
 		pt.ReadMissRate = misses / reads
 	}
-
-	// Timing model copied from Predict: per phase, the slowest
-	// processor's stall-free issue cycles plus MemLatency per predicted
-	// read miss; the makespan is the sum over phases.
-	ppc := p.Procs / len(p.Cluster)
-	for i := range p.Issue {
-		var worst float64
-		for pr := 0; pr < p.Procs; pr++ {
-			est := float64(p.Issue[i][pr]) +
-				rates[pr/ppc]*float64(p.ReadRefs[i][pr])*float64(sysmodel.MemLatency)
-			if est > worst {
-				worst = est
-			}
-		}
-		pt.EstCycles += uint64(math.Round(worst))
-	}
+	pt.EstCycles = p.estimateCycles(rates, nil)
 	return pt, nil
 }

@@ -88,71 +88,95 @@ func (p *Profile) Predict(sccBytes, assoc int) (*Prediction, error) {
 		SCCBytes: sccBytes, Assoc: assoc,
 		Cluster: make([]CacheCounts, len(p.Cluster)),
 	}
+	pmiss := make([]float64, p.Cap)
+	missProbs(pmiss, lines, assoc)
+	rates := make([]float64, len(p.Cluster))
 	for i := range p.Cluster {
 		h := &p.Cluster[i]
 		c := CacheCounts{Reads: float64(h.Reads()), Writes: float64(h.Writes())}
-		c.ReadMisses = float64(h.ColdReads + h.FarReads)
-		c.WriteMisses = float64(h.ColdWrites + h.FarWrites)
-		if assoc == 1 {
-			surv := 1.0
-			decay := 1 - 1/float64(lines)
-			for d := 0; d < p.Cap; d++ {
-				pMiss := 1 - surv
-				if h.Read[d] != 0 {
-					c.ReadMisses += pMiss * float64(h.Read[d])
-				}
-				if h.Write[d] != 0 {
-					c.WriteMisses += pMiss * float64(h.Write[d])
-				}
-				surv *= decay
-			}
-		} else {
-			// A-way LRU: advance P(X_d = k) for k < assoc under one more
-			// Bernoulli(q) trial per distance step; the hit probability at
-			// distance d is the mass below assoc.
-			q := float64(assoc) / float64(lines)
-			pk := make([]float64, assoc)
-			pk[0] = 1
-			for d := 0; d < p.Cap; d++ {
-				var pHit float64
-				for k := 0; k < assoc; k++ {
-					pHit += pk[k]
-				}
-				pMiss := 1 - pHit
-				if h.Read[d] != 0 {
-					c.ReadMisses += pMiss * float64(h.Read[d])
-				}
-				if h.Write[d] != 0 {
-					c.WriteMisses += pMiss * float64(h.Write[d])
-				}
-				for k := assoc - 1; k > 0; k-- {
-					pk[k] = pk[k]*(1-q) + pk[k-1]*q
-				}
-				pk[0] *= 1 - q
-			}
-		}
+		c.ReadMisses = expectedMisses(float64(h.ColdReads+h.FarReads), h.Read, pmiss)
+		c.WriteMisses = expectedMisses(float64(h.ColdWrites+h.FarWrites), h.Write, pmiss)
 		pred.Cluster[i] = c
 		pred.Reads += c.Reads
 		pred.ReadMisses += c.ReadMisses
+		rates[i] = c.ReadMissRate()
 	}
 	if pred.Reads > 0 {
 		pred.ReadMissRate = pred.ReadMisses / pred.Reads
 	}
-
-	ppc := p.Procs / len(p.Cluster)
 	pred.EstPhaseCycles = make([]uint64, len(p.Issue))
+	pred.EstCycles = p.estimateCycles(rates, pred.EstPhaseCycles)
+	return pred, nil
+}
+
+// missProbs fills pmiss[d] with the probability that an access at
+// reuse distance d misses in a cache of the given lines and
+// associativity (see Predict for the model). The direct-mapped
+// recurrence is the survival chance (1-1/C)^d as an iterated product;
+// the A-way one advances P(X_d = k) for k < assoc under one more
+// Bernoulli(A/C) trial per distance step, the hit probability at
+// distance d being the mass below assoc. Every caller computes the same
+// floats in the same order, so their estimates agree bit for bit.
+func missProbs(pmiss []float64, lines, assoc int) {
+	if assoc == 1 {
+		surv := 1.0
+		decay := 1 - 1/float64(lines)
+		for d := range pmiss {
+			pmiss[d] = 1 - surv
+			surv *= decay
+		}
+		return
+	}
+	q := float64(assoc) / float64(lines)
+	pk := make([]float64, assoc)
+	pk[0] = 1
+	for d := range pmiss {
+		var pHit float64
+		for k := 0; k < assoc; k++ {
+			pHit += pk[k]
+		}
+		pmiss[d] = 1 - pHit
+		for k := assoc - 1; k > 0; k-- {
+			pk[k] = pk[k]*(1-q) + pk[k-1]*q
+		}
+		pk[0] *= 1 - q
+	}
+}
+
+// expectedMisses adds to base, the accesses that miss at every size,
+// the expected misses of the tracked distances: hist[d] accesses at
+// reuse distance d, each missing with probability pmiss[d].
+func expectedMisses(base float64, hist []uint64, pmiss []float64) float64 {
+	for d, n := range hist {
+		if n != 0 {
+			base += pmiss[d] * float64(n)
+		}
+	}
+	return base
+}
+
+// estimateCycles is the time model: per phase, the slowest processor's
+// stall-free issue cycles plus MemLatency per predicted read miss at
+// its cluster's read miss rate (rates[c]). It returns the makespan, the
+// sum over phases, and fills phases[i] with phase i's estimate when
+// phases is non-nil.
+func (p *Profile) estimateCycles(rates []float64, phases []uint64) uint64 {
+	ppc := p.Procs / len(p.Cluster)
+	var total uint64
 	for i := range p.Issue {
 		var worst float64
 		for pr := 0; pr < p.Procs; pr++ {
-			rate := pred.Cluster[pr/ppc].ReadMissRate()
 			est := float64(p.Issue[i][pr]) +
-				rate*float64(p.ReadRefs[i][pr])*float64(sysmodel.MemLatency)
+				rates[pr/ppc]*float64(p.ReadRefs[i][pr])*float64(sysmodel.MemLatency)
 			if est > worst {
 				worst = est
 			}
 		}
-		pred.EstPhaseCycles[i] = uint64(math.Round(worst))
-		pred.EstCycles += pred.EstPhaseCycles[i]
+		cycles := uint64(math.Round(worst))
+		if phases != nil {
+			phases[i] = cycles
+		}
+		total += cycles
 	}
-	return pred, nil
+	return total
 }

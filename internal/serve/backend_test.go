@@ -120,6 +120,35 @@ func TestPointBeyondSimulatorLimits400(t *testing.T) {
 	}
 }
 
+// TestVictimBufferOnPrivate400: a victim buffer attaches to an SCC, so
+// victim_entries on the private hierarchy is a 400 naming the field,
+// on a point and on a sweep, instead of a result that silently ignores
+// the option under its own content key. Shared and hybrid accept it.
+func TestVictimBufferOnPrivate400(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, c := range []struct{ route, body string }{
+		{"/v1/point", `{"workload":"mp3d","scale":"quick","axes":{"hierarchy":"private"},"sim":{"victim_entries":4}}`},
+		{"/v1/sweep", `{"workload":"mp3d","scale":"quick","axes":{"hierarchy":"private"},"sim":{"victim_entries":4}}`},
+	} {
+		var eb errorBody
+		if code := postJSON(t, ts.URL, c.route, c.body, &eb); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.route, c.body, code)
+		} else if !strings.Contains(eb.Error, "victim_entries") {
+			t.Errorf("%s: error %q does not name victim_entries", c.route, eb.Error)
+		}
+	}
+	for _, h := range []string{"shared", "hybrid"} {
+		body := `{"workload":"mp3d","scale_spec":{"mp3d_particles":200,"mp3d_steps":1,"seed":3},"axes":{"hierarchy":"` + h + `"},"sim":{"victim_entries":4}}`
+		var eb errorBody
+		if code := postJSON(t, ts.URL, "/v1/point", body, &eb); code != http.StatusOK {
+			t.Errorf("%s: status %d (%s), want 200", h, code, eb.Error)
+		}
+	}
+}
+
 // TestBackendEndToEnd: the backend field reaches the engine (the
 // analytic grid comes back populated and stamped), is echoed in sweep
 // and point responses (including the "exact" default the client never

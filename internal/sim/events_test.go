@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -167,6 +168,46 @@ func TestMetricsHistogramsPopulated(t *testing.T) {
 	}
 	if n := reg.Histogram("sim.read_miss_cycles", obs.CycleBuckets).Snapshot().Count; n == 0 {
 		t.Error("read-miss histogram is empty after a missing run")
+	}
+}
+
+// TestInstrumentationOnEveryHierarchy: on every hierarchy, a run with
+// a tracer and a metrics registry returns exactly the plain run's
+// result, records read-miss stalls in the histogram and as events, and
+// puts every bus event on a cluster bus track (a private cache's on its
+// cluster's).
+func TestInstrumentationOnEveryHierarchy(t *testing.T) {
+	ss := sharingProg().Phases[0].Streams
+	p := prog(4, ss[0], ss[1], ss[1], ss[0])
+	for _, h := range hierarchies {
+		cfg := sysmodel.Config{Clusters: 2, ProcsPerCluster: 2, SCCBytes: 4096, LoadLatency: 3, Assoc: 1, Hierarchy: h}
+		plain, err := Run(cfg, Options{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, rec := obs.NewRegistry(), &recorder{}
+		traced, err := Run(cfg, Options{Tracer: rec, Metrics: reg}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s: tracing and metrics changed the result", h)
+		}
+		if n := reg.Histogram("sim.read_miss_cycles", obs.CycleBuckets).Snapshot().Count; n == 0 {
+			t.Errorf("%s: read-miss histogram is empty", h)
+		}
+		if got, want := rec.byKind[EvReadMiss], traced.AggregateSCC().Misses[mem.Read]; got != want {
+			t.Errorf("%s: %d read-miss events, statistics say %d", h, got, want)
+		}
+		if got := rec.byKind[EvBusFetch]; got != traced.Snoop.Fetches {
+			t.Errorf("%s: %d bus-fetch events, snoop statistics say %d", h, got, traced.Snoop.Fetches)
+		}
+		for _, e := range rec.events {
+			if k := EventKind(e.Kind); k >= EvBusFetch && (e.Track < 4 || e.Track >= 6) {
+				t.Errorf("%s: %s event on track %d, want a cluster bus track 4..5", h, k, e.Track)
+				break
+			}
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func TestLockPrivateMode(t *testing.T) {
 		[]mem.Ref{lk(0x100, 0), {Kind: mem.Idle, Gap: 1500}, ulk(0x100, 0)},
 		[]mem.Ref{lk(0x100, 40), ulk(0x100, 0)},
 	)
-	r, err := RunPrivate(cfg, Options{}, p)
+	r, err := Run(private(cfg), Options{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

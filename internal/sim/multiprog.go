@@ -6,7 +6,6 @@ import (
 	"sccsim/internal/mem"
 	"sccsim/internal/obs"
 	"sccsim/internal/sysmodel"
-	"sccsim/internal/trace"
 )
 
 // Process is one independent sequential program in a multiprogramming
@@ -39,7 +38,7 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 		return nil, fmt.Errorf("sim: hierarchy %q is not supported for multiprogramming workloads; use the default shared hierarchy", h)
 	}
 	nproc := cfg.Procs()
-	s, err := newSystem(cfg, opts, nproc)
+	s, err := newSystem(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -208,14 +207,7 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			s.res.BarrierWait[p] += maxT - idleSince[p]
 		}
 	}
-	s.finish(clock)
-	s.flushMetrics()
-	if s.ck != nil {
-		if err := s.verifyFinish(expRefs); err != nil {
-			return nil, err
-		}
-	}
-	return s.res, nil
+	return s.finish(clock, expRefs)
 }
 
 // emitSwitch traces a context switch on processor p at time t.
@@ -233,18 +225,4 @@ func anyIdle(idle []bool) bool {
 		}
 	}
 	return false
-}
-
-// ProcessesFromProgram flattens a single-processor trace.Program into a
-// Process stream — a convenience for building multiprogramming workloads
-// out of the same generators the parallel runs use.
-func ProcessesFromProgram(p *trace.Program) (Process, error) {
-	if p.Procs != 1 {
-		return Process{}, fmt.Errorf("sim: program %q has %d processors, want 1", p.Name, p.Procs)
-	}
-	var refs []mem.Ref
-	for _, ph := range p.Phases {
-		refs = append(refs, ph.Streams[0]...)
-	}
-	return Process{Name: p.Name, Refs: refs}, nil
 }

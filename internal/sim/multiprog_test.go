@@ -6,7 +6,6 @@ import (
 	"sccsim/internal/mem"
 	"sccsim/internal/obs"
 	"sccsim/internal/sysmodel"
-	"sccsim/internal/trace"
 )
 
 // mkProcess builds a process looping over lines bytes of address space at
@@ -215,27 +214,6 @@ func TestMultiprogAllWorkCompletes(t *testing.T) {
 		if r.Refs != want {
 			t.Errorf("procs=%d: Refs = %d, want %d", procs, r.Refs, want)
 		}
-	}
-}
-
-func TestProcessesFromProgram(t *testing.T) {
-	p := &trace.Program{
-		Name: "x", Procs: 1,
-		Phases: []trace.Phase{
-			{Name: "a", Streams: [][]mem.Ref{{{Addr: 0x100, Kind: mem.Read}}}},
-			{Name: "b", Streams: [][]mem.Ref{{{Addr: 0x200, Kind: mem.Write}}}},
-		},
-	}
-	proc, err := ProcessesFromProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proc.Refs) != 2 || proc.Refs[1].Addr != 0x200 {
-		t.Errorf("flattened refs = %v", proc.Refs)
-	}
-	p.Procs = 2
-	if _, err := ProcessesFromProgram(p); err == nil {
-		t.Error("accepted a multi-processor program")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -8,17 +9,23 @@ import (
 	"sccsim/internal/trace"
 )
 
+// private returns cfg on the private hierarchy.
+func private(cfg sysmodel.Config) sysmodel.Config {
+	cfg.Hierarchy = sysmodel.HierarchyPrivate
+	return cfg
+}
+
 func TestRunPrivateRejectsBadInput(t *testing.T) {
 	cfg := sysmodel.Config{Clusters: 1, ProcsPerCluster: 2, SCCBytes: 8192, LoadLatency: 3, Assoc: 1}
-	if _, err := RunPrivate(cfg, Options{}, prog(1, nil)); err == nil {
+	if _, err := Run(private(cfg), Options{}, prog(1, nil)); err == nil {
 		t.Error("accepted mismatched processor count")
 	}
 	big := sysmodel.Config{Clusters: 16, ProcsPerCluster: 4, SCCBytes: 8192, LoadLatency: 4, Assoc: 1}
-	if _, err := RunPrivate(big, Options{}, prog(64)); err == nil {
+	if _, err := Run(private(big), Options{}, prog(64)); err == nil {
 		t.Error("accepted 64 caches (bitmask limit is 32)")
 	}
 	tiny := sysmodel.Config{Clusters: 1, ProcsPerCluster: 8, SCCBytes: 64, LoadLatency: 4, Assoc: 1}
-	if _, err := RunPrivate(tiny, Options{}, prog(8)); err == nil {
+	if _, err := Run(private(tiny), Options{}, prog(8)); err == nil {
 		t.Error("accepted an 8-byte private cache")
 	}
 }
@@ -31,7 +38,7 @@ func TestPrivateIntraClusterTransfer(t *testing.T) {
 		[]mem.Ref{rd(0x100, 0)},
 		[]mem.Ref{rd(0x100, 300)},
 	)
-	r, err := RunPrivate(cfg, Options{}, p)
+	r, err := Run(private(cfg), Options{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +59,7 @@ func TestPrivateInterClusterStillSlow(t *testing.T) {
 		[]mem.Ref{rd(0x100, 0)},
 		[]mem.Ref{rd(0x100, 300)},
 	)
-	r, err := RunPrivate(cfg, Options{}, p)
+	r, err := Run(private(cfg), Options{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +79,7 @@ func TestPrivateIntraClusterSharingInvalidates(t *testing.T) {
 			[]mem.Ref{wr(0x100, 300), wr(0x100, 600), wr(0x100, 600)},
 		)
 	}
-	priv, err := RunPrivate(cfg, Options{}, mk())
+	priv, err := Run(private(cfg), Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestPrivateNoBankConflicts(t *testing.T) {
 		s0 = append(s0, rd(0x100, 0))
 		s1 = append(s1, rd(0x100, 0))
 	}
-	r, err := RunPrivate(cfg, Options{}, prog(2, s0, s1))
+	r, err := Run(private(cfg), Options{}, prog(2, s0, s1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestPrivateSharedCapacityComparison(t *testing.T) {
 		}
 		return prog(4, s)
 	}
-	priv, err := RunPrivate(cfg, Options{}, mk())
+	priv, err := Run(private(cfg), Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +146,7 @@ func TestPrivateWriteBufferStalls(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s = append(s, wr(uint32(0x1000+i*sysmodel.LineSize), 0))
 	}
-	r, err := RunPrivate(cfg, Options{WriteBufferDepth: 1}, prog(1, s))
+	r, err := Run(private(cfg), Options{WriteBufferDepth: 1}, prog(1, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +174,75 @@ func TestPrivateDeterminism(t *testing.T) {
 		return &trace.Program{Name: "det", Procs: 4,
 			Phases: []trace.Phase{{Name: "x", Streams: streams}}}
 	}
-	a, err := RunPrivate(cfg, Options{}, mk())
+	a, err := Run(private(cfg), Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPrivate(cfg, Options{}, mk())
+	b, err := Run(private(cfg), Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Cycles != b.Cycles || a.Snoop.Invalidations != b.Snoop.Invalidations {
-		t.Error("RunPrivate not deterministic")
+		t.Error("private hierarchy not deterministic")
+	}
+}
+
+// TestWarmupOnEveryHierarchy: Options.WarmupRefs excludes the same
+// leading references from the statistics of every hierarchy, and
+// leaves timing alone. 8,000 reads cycle 8 KB of lines through 4 KB
+// caches; after a 1,000-reference warmup the first-level tag stores
+// (SCCs, private caches, or the hybrid L1s) account the other 7,000.
+func TestWarmupOnEveryHierarchy(t *testing.T) {
+	streams := make([][]mem.Ref, 4)
+	for p := range streams {
+		for i := uint32(0); i < 2000; i++ {
+			streams[p] = append(streams[p], rd(0x10000+(i%512)*sysmodel.LineSize, 1))
+		}
+	}
+	p := prog(4, streams...)
+	for _, h := range hierarchies {
+		cfg := sysmodel.Config{Clusters: 2, ProcsPerCluster: 2, SCCBytes: 4096, LoadLatency: 3, Assoc: 1, Hierarchy: h}
+		base, err := Run(cfg, Options{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Run(cfg, Options{WarmupRefs: 1000}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.WarmupExcluded != 1000 {
+			t.Errorf("%s: WarmupExcluded = %d, want 1000", h, warm.WarmupExcluded)
+		}
+		first := warm.SCC
+		if h == sysmodel.HierarchyHybrid {
+			first = warm.L1
+		}
+		var accesses uint64
+		for _, cs := range first {
+			accesses += cs.TotalAccesses()
+		}
+		if accesses != 7000 {
+			t.Errorf("%s: %d first-level accesses after warmup, want 7000", h, accesses)
+		}
+		if warm.Cycles != base.Cycles {
+			t.Errorf("%s: warmup changed timing: %d vs %d cycles", h, warm.Cycles, base.Cycles)
+		}
+	}
+}
+
+// TestPrivateRejectsVictimBuffer: a victim buffer attaches to an SCC,
+// which the private hierarchy does not have, so asking for one is an
+// error rather than a run that silently ignores it.
+func TestPrivateRejectsVictimBuffer(t *testing.T) {
+	_, err := Run(private(cfg2(4096)), Options{VictimEntries: 4}, sharingProg())
+	if err == nil || !strings.Contains(err.Error(), "VictimEntries") {
+		t.Fatalf("private run with a victim buffer: err = %v, want one naming VictimEntries", err)
+	}
+	for _, h := range []string{sysmodel.HierarchyShared, sysmodel.HierarchyHybrid} {
+		cfg := cfg2(4096)
+		cfg.Hierarchy = h
+		if _, err := Run(cfg, Options{VictimEntries: 4}, sharingProg()); err != nil {
+			t.Errorf("%s: %v", h, err)
+		}
 	}
 }

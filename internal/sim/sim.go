@@ -65,7 +65,8 @@ type Options struct {
 	MemBankOccupancy int
 	// VictimEntries, when positive, attaches a fully-associative victim
 	// buffer of that many lines to each SCC — an extension that recovers
-	// most of the direct-mapped conflict misses.
+	// most of the direct-mapped conflict misses. The private hierarchy
+	// has no SCC, so there it is an error.
 	VictimEntries int
 	// WarmupRefs, when positive, zeroes all statistics after that many
 	// references have executed, excluding cold-start effects from the
@@ -208,30 +209,39 @@ func (lt *lockTable) holder(addr uint32) (int, bool) {
 func (lt *lockTable) acquire(addr uint32, p int) { lt.held[addr] = p }
 func (lt *lockTable) release(addr uint32)        { delete(lt.held, addr) }
 
-// system is the assembled machine for one run.
+// system is the assembled machine for one run, whatever the hierarchy.
+// The snoopy bus connects one cache per bus index: cluster c's SCC in
+// the shared and hybrid hierarchies, processor c's private cache in the
+// private one. cluster[p] is processor p's bus index, so the miss,
+// write-buffer, verification and statistics paths index caches the same
+// way for every hierarchy (the oracle in internal/verify has the same
+// shape); only a plain reference's first level differs (access).
 type system struct {
 	cfg  sysmodel.Config
 	opts Options
+	// sccs[c] is cluster c's SCC; nil in the private hierarchy.
 	sccs []*scc.SCC
-	bus  *snoop.Bus
-	// wbPending[c] holds completion times of cluster c's in-flight
+	// private[p] is processor p's cache in the private hierarchy; nil
+	// otherwise.
+	private []*cache.Cache
+	// l1[p] is processor p's write-through L1 in the hybrid hierarchy
+	// and l1Stats[p] its statistics; both nil otherwise.
+	l1      []*cache.Cache
+	l1Stats []cache.Stats
+	bus     *snoop.Bus
+	// wbPending[c] holds completion times of bus index c's in-flight
 	// buffered writes, a FIFO ring (issue times are non-decreasing).
 	wbPending [][]uint64
 	wbHead    []int
 	locks     *lockTable
 	res       *Result
-	// cluster[p] is processor p's cluster, precomputed so the per-ref hot
-	// path indexes a table instead of dividing by ProcsPerCluster.
+	// cluster[p] is processor p's bus index, precomputed so the per-ref
+	// hot path indexes a table instead of dividing by ProcsPerCluster.
 	cluster []int32
-	// fastTags[c] is cluster c's tag store when its SCC qualifies for the
-	// fused direct-mapped access path (scc.DirectTags), nil otherwise.
+	// fastTags[c] is cluster c's tag store when its SCC qualifies for
+	// the fused direct-mapped access path (scc.DirectTags), nil
+	// otherwise; the private hierarchy has none.
 	fastTags []*cache.Cache
-
-	// onSCCEvict, when non-nil, observes every line evicted from a
-	// cluster's SCC before the bus is notified — the hybrid hierarchy's
-	// inclusion seam (back-invalidating the cluster's L1 copies). nil
-	// (the default) costs the hot path one branch per eviction.
-	onSCCEvict func(cluster int, lineIndex uint32)
 
 	// Instrumentation (all nil when disabled; every use is behind a
 	// nil check so the uninstrumented hot path pays only the branch).
@@ -242,46 +252,90 @@ type system struct {
 	ck           *verify.Checker
 }
 
-func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
+// newSystem builds the machine cfg describes: the shared hierarchy's
+// SCCs, the private hierarchy's per-processor caches, or the hybrid
+// hierarchy's SCCs behind per-processor L1s.
+func newSystem(cfg sysmodel.Config, opts Options) (*system, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &system{cfg: cfg, opts: opts}
-	invs := make([]snoop.Invalidator, cfg.Clusters)
-	s.sccs = make([]*scc.SCC, cfg.Clusters)
-	for i := range s.sccs {
-		sc, err := scc.NewWith(cfg.SCCBytes, cfg.Assoc, cfg.Banks(), cfg.Line(), cfg.ReplPolicy())
-		if err != nil {
-			return nil, err
+	hier := cfg.HierarchyKind()
+	if hier == sysmodel.HierarchyPrivate && opts.VictimEntries > 0 {
+		return nil, fmt.Errorf("sim: VictimEntries attaches a victim buffer to each SCC; the %q hierarchy has no SCC (use %q or %q)",
+			hier, sysmodel.HierarchyShared, sysmodel.HierarchyHybrid)
+	}
+	procs := cfg.Procs()
+	n := cfg.Clusters // caches on the bus
+	if hier == sysmodel.HierarchyPrivate {
+		n = procs
+	}
+	s := &system{cfg: cfg, opts: opts, locks: newLockTable(), cluster: make([]int32, procs)}
+	invs := make([]snoop.Invalidator, n)
+	cls := make([]verify.Cluster, n)
+	var groups []int // private hierarchy: groups[c] is cache c's cluster
+	if hier == sysmodel.HierarchyPrivate {
+		perProc := cfg.SCCBytes / cfg.ProcsPerCluster
+		s.private = make([]*cache.Cache, n)
+		groups = make([]int, n)
+		for p := range s.private {
+			c, err := cache.NewWith(perProc, cfg.Assoc, cfg.Line(), cfg.ReplPolicy())
+			if err != nil {
+				return nil, fmt.Errorf("sim: private cache: %w", err)
+			}
+			s.private[p] = c
+			invs[p] = c
+			cls[p] = c
+			s.cluster[p] = int32(p)
+			groups[p] = p / cfg.ProcsPerCluster
 		}
-		if opts.VictimEntries > 0 {
-			sc.EnableVictimBuffer(opts.VictimEntries)
+	} else {
+		s.sccs = make([]*scc.SCC, n)
+		s.fastTags = make([]*cache.Cache, n)
+		for i := range s.sccs {
+			sc, err := scc.NewWith(cfg.SCCBytes, cfg.Assoc, cfg.Banks(), cfg.Line(), cfg.ReplPolicy())
+			if err != nil {
+				return nil, err
+			}
+			if opts.VictimEntries > 0 {
+				sc.EnableVictimBuffer(opts.VictimEntries)
+			}
+			s.sccs[i] = sc
+			s.fastTags[i] = sc.DirectTags()
+			invs[i] = sc
+			cls[i] = sc
 		}
-		s.sccs[i] = sc
-		invs[i] = sc
+		for p := range s.cluster {
+			s.cluster[p] = int32(p / cfg.ProcsPerCluster)
+		}
+	}
+	if hier == sysmodel.HierarchyHybrid {
+		s.l1 = make([]*cache.Cache, procs)
+		s.l1Stats = make([]cache.Stats, procs)
+		for p := range s.l1 {
+			c, err := cache.NewWith(cfg.L1Size(), 1, cfg.Line(), sysmodel.ReplLRU)
+			if err != nil {
+				return nil, fmt.Errorf("sim: hybrid L1: %w", err)
+			}
+			s.l1[p] = c
+		}
+		for c := range invs {
+			invs[c] = &hybridInv{s: s, c: c}
+		}
 	}
 	s.bus = snoop.New(invs)
 	s.bus.SetLineBytes(cfg.Line())
 	s.bus.Occupancy = opts.BusOccupancy
 	s.bus.MemBanks = opts.MemBanks
 	s.bus.MemBankOccupancy = opts.MemBankOccupancy
-	s.wbPending = make([][]uint64, cfg.Clusters)
-	s.wbHead = make([]int, cfg.Clusters)
-	s.locks = newLockTable()
-	s.cluster = make([]int32, procs)
-	for p := 0; p < procs; p++ {
-		s.cluster[p] = int32(p / cfg.ProcsPerCluster)
+	if groups != nil {
+		// A miss that finds its line in a same-cluster cache crosses the
+		// fast intra-cluster bus.
+		s.bus.GroupOf, s.bus.IntraLatency = groups, IntraClusterLatency
 	}
-	s.fastTags = make([]*cache.Cache, cfg.Clusters)
-	for i, sc := range s.sccs {
-		s.fastTags[i] = sc.DirectTags()
-	}
+	s.wbPending = make([][]uint64, n)
+	s.wbHead = make([]int, n)
 
 	if opts.Verify != nil {
-		cls := make([]verify.Cluster, len(s.sccs))
-		for i, sc := range s.sccs {
-			cls[i] = sc
-		}
 		s.ck = verify.NewChecker(opts.Verify, s.bus, cls, opts.VictimEntries > 0)
 		s.ck.SetLineBytes(cfg.Line())
 		s.bus.Verifier = s.ck
@@ -290,9 +344,10 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 	s.tr = opts.Tracer
 	if s.tr != nil {
 		// Bus transactions land on the requesting cluster's bus track,
-		// laid out after the processor tracks.
+		// laid out after the processor tracks; a private cache's land on
+		// its cluster's.
 		tr := s.tr
-		s.bus.Hook = func(kind snoop.TxnKind, start, dur uint64, cluster int, addr uint32) {
+		s.bus.Hook = func(kind snoop.TxnKind, start, dur uint64, c int, addr uint32) {
 			var k EventKind
 			switch kind {
 			case snoop.TxnFetch:
@@ -302,15 +357,18 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 			default:
 				k = EvBusWriteBack
 			}
-			tr.Emit(obs.Event{TS: start, Dur: dur, Track: busTrack(procs, cluster),
+			if groups != nil {
+				c = groups[c]
+			}
+			tr.Emit(obs.Event{TS: start, Dur: dur, Track: busTrack(procs, c),
 				Kind: uint8(k), Addr: addr})
 		}
 	}
 	if m := opts.Metrics; m != nil {
 		// Local staging buffers: per-event observations stay plain
 		// arithmetic in this run's goroutine, merged into the shared
-		// registry once at the end of the run (see flushMetrics), so
-		// parallel sweep workers never contend on the histogram atomics.
+		// registry once at the end of the run (see finish), so parallel
+		// sweep workers never contend on the histogram atomics.
 		s.histBankWait = m.Histogram("sim.bank_wait_cycles", obs.CycleBuckets).Local()
 		s.histReadMiss = m.Histogram("sim.read_miss_cycles", obs.CycleBuckets).Local()
 		s.histWBStall = m.Histogram("sim.wb_stall_cycles", obs.CycleBuckets).Local()
@@ -324,19 +382,23 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 		BankStall:   make([]uint64, procs),
 		BarrierWait: make([]uint64, procs),
 		LockStall:   make([]uint64, procs),
-		SCC:         make([]*cache.Stats, cfg.Clusters),
-		SCCBank:     make([]*scc.Stats, cfg.Clusters),
+		SCC:         make([]*cache.Stats, n),
+		SCCBank:     make([]*scc.Stats, n),
 	}
 	return s, nil
 }
 
-// clusterOf maps a processor index to its cluster.
+// clusterOf maps a processor index to its bus index.
 func (s *system) clusterOf(p int) int { return int(s.cluster[p]) }
 
-// directMapped reports whether every SCC takes the direct-mapped access
-// path (scc.DirectTags): the configuration, and nothing else, decides
-// whether replay performs the shared-SCC access in its own loop.
+// directMapped reports whether replay performs plain references' SCC
+// accesses in its own loop: the shared hierarchy with every SCC on the
+// direct-mapped access path (scc.DirectTags). The configuration, and
+// nothing else, decides it.
 func (s *system) directMapped() bool {
+	if s.private != nil || s.l1 != nil {
+		return false
+	}
 	for _, tags := range s.fastTags {
 		if tags == nil {
 			return false
@@ -353,6 +415,10 @@ func (s *system) warmupReset() {
 		*sc.CacheStats() = cache.Stats{}
 		sc.ResetStats()
 	}
+	for _, c := range s.private {
+		*c.Stats() = cache.Stats{}
+	}
+	clear(s.l1Stats)
 	*s.bus.Stats() = snoop.Stats{}
 	for p := range s.res.ReadStall {
 		s.res.ReadStall[p] = 0
@@ -374,8 +440,10 @@ func (s *system) access(p int, now uint64, r mem.Ref) (uint64, bool) {
 	switch r.Kind {
 	case mem.Lock:
 		// Test-and-test-and-set: spin reading the cached lock word until
-		// it is free, then claim it with an atomic write.
-		t := s.memAccess(p, now, r.Addr, mem.Read)
+		// it is free, then claim it with an atomic write. Both are plain
+		// references, so behind an L1 the spins hit the L1 copy until the
+		// holder's release write invalidates it.
+		t, _ := s.access(p, now, mem.Ref{Addr: r.Addr, Kind: mem.Read})
 		if holder, held := s.locks.holder(r.Addr); held && holder != p {
 			s.res.LockSpins++
 			s.res.LockStall[p] += SpinInterval
@@ -385,22 +453,28 @@ func (s *system) access(p int, now uint64, r mem.Ref) (uint64, bool) {
 			}
 			return t + SpinInterval, true
 		}
-		t = s.memAccess(p, t, r.Addr, mem.Write)
+		t, _ = s.access(p, t, mem.Ref{Addr: r.Addr, Kind: mem.Write})
 		s.locks.acquire(r.Addr, p)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(EvLockAcquire), Addr: r.Addr})
 		}
 		return t, false
 	case mem.Unlock:
-		t := s.memAccess(p, now, r.Addr, mem.Write)
+		t, _ := s.access(p, now, mem.Ref{Addr: r.Addr, Kind: mem.Write})
 		s.locks.release(r.Addr)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(EvLockRelease), Addr: r.Addr})
 		}
 		return t, false
-	default:
-		return s.memAccess(p, now, r.Addr, r.Kind), false
 	}
+	// A plain load or store enters the hierarchy at its first level.
+	switch {
+	case s.l1 != nil:
+		return s.l1Access(p, now, r.Addr, r.Kind), false
+	case s.private != nil:
+		return s.privateAccess(p, now, r.Addr, r.Kind), false
+	}
+	return s.memAccess(p, now, r.Addr, r.Kind), false
 }
 
 // memAccess performs a plain load or store through the cluster's SCC.
@@ -492,8 +566,11 @@ func (s *system) missFrom(p, c int, t uint64, addr uint32, kind mem.Kind,
 	evicted uint32, evictedDirty bool) uint64 {
 
 	if evicted != cache.EvictedNone {
-		if s.onSCCEvict != nil {
-			s.onSCCEvict(c, evicted)
+		if s.l1 != nil {
+			// Inclusion: the line leaves the cluster's L1s before the bus
+			// learns of it, so a bus-level probe never finds an L1-only
+			// copy.
+			s.invalidateL1s(c, evicted<<s.cfg.LineShift(), -1)
 		}
 		s.bus.Evicted(t, c, evicted, evictedDirty)
 	}
@@ -555,23 +632,18 @@ func (s *system) bufferWrite(p, c int, now, ready uint64) uint64 {
 	return now
 }
 
-// replay drives barrier-delimited phase streams in global issue order,
-// handling barriers and accounting into res. phases is the per-phase,
-// per-processor stream table (a compiled program's arena views,
-// trace.Compiled.Streams). access performs one memory reference for a
-// processor at a time and returns when the processor may proceed and
-// whether the reference must be retried (a spin on a held lock). dm,
-// when non-nil, is a shared-SCC machine whose SCCs are all
-// direct-mapped with no victim buffer (system.directMapped): the loop
-// then performs plain reads and writes itself, and only lock, unlock
-// and the rare outcomes reach access or the system's slower paths.
-// warmupAt, when nonzero, invokes reset exactly once, immediately after
-// the warmupAt'th reference completes. A non-nil tracer receives a
-// barrier-wait event per processor per phase.
-func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
-	warmupAt uint64, reset func(),
-	access func(p int, now uint64, r mem.Ref) (uint64, bool), dm *system) []uint64 {
-
+// replay drives barrier-delimited phase streams on s in global issue
+// order, handling barriers and accounting into s.res. phases is the
+// per-phase, per-processor stream table (a compiled program's arena
+// views, trace.Compiled.Streams). When s is direct-mapped
+// (system.directMapped) the loop performs plain reads and writes
+// itself, and only lock, unlock and the rare outcomes reach s.access or
+// the system's slower paths. s.warmupReset runs exactly once,
+// immediately after the Options.WarmupRefs'th reference completes. A
+// tracer receives a barrier-wait event per processor per phase.
+func replay(s *system, phases [][][]mem.Ref) []uint64 {
+	procs := len(s.cluster)
+	res, tr, warmupAt, dm := s.res, s.tr, s.opts.WarmupRefs, s.directMapped()
 	clock := make([]uint64, procs)
 	pos := make([]int, procs)
 	sched := newTourney(procs)
@@ -599,9 +671,9 @@ func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
 			var c int
 			var sc *scc.SCC
 			var tags *cache.Cache
-			if dm != nil {
-				c = dm.clusterOf(p)
-				sc, tags = dm.sccs[c], dm.fastTags[c]
+			if dm {
+				c = s.clusterOf(p)
+				sc, tags = s.sccs[c], s.fastTags[c]
 			}
 			for {
 				if r := st[i]; r.Kind != mem.Idle {
@@ -611,27 +683,27 @@ func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
 						// check. The same steps as memAccess's direct-mapped
 						// branch, written here because that function is over
 						// the inlining budget; the oracle pins both.
-						if dm.ck != nil {
-							dm.ck.OnAccess(c)
+						if s.ck != nil {
+							s.ck.OnAccess(c)
 						}
 						start := sc.BankStart(t, r.Addr)
 						if start != t {
-							dm.bankStallAt(p, t, start-t, r.Addr)
+							s.bankStallAt(p, t, start-t, r.Addr)
 						}
 						if tags.HitDM(r.Addr, r.Kind) {
-							if r.Kind == mem.Write && dm.bus.MaybeShared(r.Addr, c) {
-								dm.bus.WriteShared(start, c, r.Addr)
+							if r.Kind == mem.Write && s.bus.MaybeShared(r.Addr, c) {
+								s.bus.WriteShared(start, c, r.Addr)
 							}
 							if tr != nil {
-								dm.emitHit(p, start, r.Addr, r.Kind)
+								s.emitHit(p, start, r.Addr, r.Kind)
 							}
 							t = start
 						} else {
-							t = dm.missDM(p, c, start, r.Addr, r.Kind)
+							t = s.missDM(p, c, start, r.Addr, r.Kind)
 						}
 					} else {
 						var retry bool
-						if t, retry = access(p, t, r); retry {
+						if t, retry = s.access(p, t, r); retry {
 							// Spin iteration: re-issue the same reference later.
 							if k := schedKey(p, t); k >= bound {
 								pos[p] = i
@@ -643,7 +715,7 @@ func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
 					}
 					res.Refs++
 					if res.Refs == warmupAt {
-						reset()
+						s.warmupReset()
 					}
 				}
 				if i++; i == len(st) {
@@ -680,23 +752,15 @@ func replay(phases [][][]mem.Ref, procs int, res *Result, tr Tracer,
 	return clock
 }
 
-// Run simulates a parallel program on the configured system. The program
-// must have exactly cfg.Procs() streams per phase. Run never mutates
-// prog, so concurrent Runs may share one Program (see the package
-// comment's concurrency contract); the compiled form a Run memoizes on
-// the program (trace.Compile) is itself immutable and shared the same
-// way.
+// Run simulates a parallel program on the configured system: the
+// hierarchy axis selects the paper's shared SCC, per-processor private
+// caches, or the two-level hybrid. The program must have exactly
+// cfg.Procs() streams per phase. Run never mutates prog, so concurrent
+// Runs may share one Program (see the package comment's concurrency
+// contract); the compiled form a Run memoizes on the program
+// (trace.Compile) is itself immutable and shared the same way.
 func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error) {
-	// The hierarchy axis selects the machine: the paper's shared SCC
-	// (below), per-processor private caches, or the two-level hybrid.
-	switch cfg.HierarchyKind() {
-	case sysmodel.HierarchyPrivate:
-		return RunPrivate(cfg, opts, prog)
-	case sysmodel.HierarchyHybrid:
-		return RunHybrid(cfg, opts, prog)
-	}
-	procs := cfg.Procs()
-	if prog.Procs != procs {
+	if procs := cfg.Procs(); prog.Procs != procs {
 		return nil, fmt.Errorf("sim: program %q generated for %d processors, config has %d",
 			prog.Name, prog.Procs, procs)
 	}
@@ -704,32 +768,12 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSystem(cfg, opts, procs)
+	s, err := newSystem(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	var dm *system
-	if s.directMapped() {
-		dm = s
-	}
-	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access, dm)
-	s.finish(clock)
-	s.flushMetrics()
-	if s.ck != nil {
-		if err := s.verifyFinish(comp.Refs()); err != nil {
-			return nil, err
-		}
-	}
-	return s.res, nil
-}
-
-// flushMetrics merges the run's staged histogram batches into the
-// shared registry.
-func (s *system) flushMetrics() {
-	s.histBankWait.Flush()
-	s.histReadMiss.Flush()
-	s.histWBStall.Flush()
+	return s.finish(replay(s, comp.Streams), comp.Refs())
 }
 
 // reserveLines converts a maximum line index measured at the paper's
@@ -744,23 +788,6 @@ func reserveLines(maxLine16 uint32, lineBytes int) uint32 {
 		n = snoop.MaxFlatLines
 	}
 	return uint32(n)
-}
-
-// verifyFinish runs the checker's end-of-run audit against the
-// finished result; expectedRefs of 0 skips the trace-conservation check.
-func (s *system) verifyFinish(expectedRefs uint64) error {
-	err := s.ck.FinishRun(verify.Final{
-		Cycles:           s.res.Cycles,
-		Refs:             s.res.Refs,
-		ExpectedRefs:     expectedRefs,
-		Cache:            s.res.SCC,
-		Bank:             s.res.SCCBank,
-		BankAccessCycles: sysmodel.BankAccessCycles,
-	})
-	if err != nil {
-		return fmt.Errorf("sim: verification failed: %w", err)
-	}
-	return nil
 }
 
 // VerifyStats projects the result onto the surface the oracle simulator
@@ -798,11 +825,13 @@ func (r *Result) VerifyStats() verify.RunStats {
 	return rs
 }
 
-// finish copies final per-processor state and system statistics into the
-// result. The statistics are copied, not referenced, so a kept result
-// does not hold the machine — tag stores, bank state, presence table —
-// alive.
-func (s *system) finish(clock []uint64) {
+// finish closes the run: it copies final per-processor state and the
+// machine's statistics into the result, merges the staged histograms
+// into the shared registry, and runs the checker's end-of-run audit
+// (expectedRefs of 0 skips its trace-conservation check). The
+// statistics are copied, not referenced, so a kept result does not hold
+// the machine — tag stores, bank state, presence table — alive.
+func (s *system) finish(clock []uint64, expectedRefs uint64) (*Result, error) {
 	copy(s.res.ProcFinish, clock)
 	for _, t := range clock {
 		if t > s.res.Cycles {
@@ -815,7 +844,39 @@ func (s *system) finish(clock []uint64) {
 		bs.BankAccesses = append([]uint64(nil), bs.BankAccesses...)
 		s.res.SCCBank[i] = &bs
 	}
+	for p, c := range s.private {
+		// A private cache has no banks; one pseudo-bank carries its
+		// access count.
+		s.res.SCC[p] = ptr(*c.Stats())
+		s.res.SCCBank[p] = &scc.Stats{BankAccesses: []uint64{c.Stats().TotalAccesses()}}
+	}
+	for p := range s.l1Stats {
+		s.res.L1 = append(s.res.L1, &s.l1Stats[p])
+	}
 	s.res.Snoop = ptr(*s.bus.Stats())
+
+	s.histBankWait.Flush()
+	s.histReadMiss.Flush()
+	s.histWBStall.Flush()
+
+	if s.ck == nil {
+		return s.res, nil
+	}
+	f := verify.Final{
+		Cycles:           s.res.Cycles,
+		Refs:             s.res.Refs,
+		ExpectedRefs:     expectedRefs,
+		Cache:            s.res.SCC,
+		BankAccessCycles: sysmodel.BankAccessCycles,
+	}
+	if s.sccs != nil {
+		// Only SCCs have banks for the bank-occupancy law to audit.
+		f.Bank = s.res.SCCBank
+	}
+	if err := s.ck.FinishRun(f); err != nil {
+		return nil, fmt.Errorf("sim: verification failed: %w", err)
+	}
+	return s.res, nil
 }
 
 // ptr returns a pointer to a copy of v.

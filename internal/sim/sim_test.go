@@ -17,6 +17,9 @@ func cfg1(sccBytes int) sysmodel.Config {
 	}
 }
 
+// hierarchies lists every value of the hierarchy axis.
+var hierarchies = []string{sysmodel.HierarchyShared, sysmodel.HierarchyPrivate, sysmodel.HierarchyHybrid}
+
 // prog builds a single-phase program from per-processor streams.
 func prog(procs int, streams ...[]mem.Ref) *trace.Program {
 	for len(streams) < procs {
@@ -370,7 +373,7 @@ func TestResultsDoNotRetainMachine(t *testing.T) {
 		}
 	}
 	p := prog(4, streams...)
-	for _, h := range []string{sysmodel.HierarchyShared, sysmodel.HierarchyPrivate, sysmodel.HierarchyHybrid} {
+	for _, h := range hierarchies {
 		cfg := sysmodel.Axes{Hierarchy: h}.Apply(sysmodel.Default(1, 512<<10))
 		// The first run compiles the trace onto p; keep that out of the
 		// measurement.

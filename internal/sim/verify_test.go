@@ -108,13 +108,12 @@ func TestVerifyTraceConcatenation(t *testing.T) {
 // caches and a clean run is unchanged by it.
 func TestRunPrivateVerifyTransparent(t *testing.T) {
 	p := sharingProg()
-	cfg := cfg2(4096)
-	cfg.Hierarchy = sysmodel.HierarchyPrivate
-	plain, err := RunPrivate(cfg, Options{}, p)
+	cfg := private(cfg2(4096))
+	plain, err := Run(cfg, Options{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := RunPrivate(cfg, Options{Verify: &verify.Options{}}, p)
+	checked, err := Run(cfg, Options{Verify: &verify.Options{}}, p)
 	if err != nil {
 		t.Fatalf("verified private run failed on clean traffic: %v", err)
 	}
@@ -134,13 +133,12 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newSystem(cfg2(4096), opts, 2)
+	s, err := newSystem(cfg2(4096), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
-	clock := replay(comp.Streams, 2, s.res, s.tr, 0, s.warmupReset, s.access, s)
-	s.finish(clock)
+	clock := replay(s, comp.Streams)
 
 	var addr uint32
 	found := false
@@ -155,7 +153,7 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	}
 	s.bus.SetPresence(addr, 0)
 
-	err = s.verifyFinish(comp.Refs())
+	_, err = s.finish(clock, comp.Refs())
 	if err == nil {
 		t.Fatal("audit missed the corrupted presence table")
 	}
@@ -165,9 +163,9 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	}
 }
 
-// fuzzConfig maps arbitrary fuzz bytes onto a valid machine within the
-// oracle's modelled envelope.
-func fuzzConfig(clustersB, ppcB, sizeB, assocB uint8) sysmodel.Config {
+// fuzzConfig maps arbitrary fuzz bytes onto a machine within the
+// oracle's modelled envelope, on any of the three hierarchies.
+func fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB uint8) sysmodel.Config {
 	ppc := []int{1, 2, 4, 8}[int(ppcB)%4]
 	return sysmodel.Config{
 		Clusters:        int(clustersB)%4 + 1,
@@ -177,6 +175,7 @@ func fuzzConfig(clustersB, ppcB, sizeB, assocB uint8) sysmodel.Config {
 		SCCBytes:    sysmodel.LineSize * (32 << (int(sizeB) % 4)),
 		LoadLatency: sysmodel.ImpliedLoadLatency(ppc),
 		Assoc:       1 << (int(assocB) % 2),
+		Hierarchy:   hierarchies[int(hierB)%len(hierarchies)],
 	}
 }
 
@@ -214,11 +213,18 @@ func fuzzProgram(procs int, stream []byte) *trace.Program {
 // (identical reruns), and the naive map-based model (exact statistics
 // match).
 func FuzzSimConfig(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint8(2), uint8(0), int8(0), []byte("sccsim"))
-	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int8(-1), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
-	f.Add(uint8(3), uint8(3), uint8(3), uint8(0), int8(1), []byte{0xc0, 0xc0, 0x41, 0x02})
-	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB uint8, wbDepth int8, stream []byte) {
-		cfg := fuzzConfig(clustersB, ppcB, sizeB, assocB)
+	// Each seed runs on every hierarchy (hierB 0, 1, 2).
+	for h := range hierarchies {
+		hb := uint8(h)
+		f.Add(uint8(0), uint8(1), uint8(2), uint8(0), hb, int8(0), []byte("sccsim"))
+		f.Add(uint8(1), uint8(2), uint8(0), uint8(1), hb, int8(-1), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
+		f.Add(uint8(3), uint8(3), uint8(3), uint8(0), hb, int8(1), []byte{0xc0, 0xc0, 0x41, 0x02})
+	}
+	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB, hierB uint8, wbDepth int8, stream []byte) {
+		cfg := fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB)
+		if cfg.Validate() != nil {
+			t.Skip("configuration outside the simulator's envelope")
+		}
 		p := fuzzProgram(cfg.Procs(), stream)
 		opts := Options{WriteBufferDepth: int(wbDepth), Verify: &verify.Options{}}
 

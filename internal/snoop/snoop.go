@@ -166,15 +166,6 @@ func (b *Bus) SetLineBytes(lineBytes int) {
 	}
 }
 
-// Clusters returns the number of clusters on the bus.
-func (b *Bus) Clusters() int { return len(b.sccs) }
-
-// SetInvalidator replaces cluster i's invalidator. The hybrid hierarchy
-// uses this to wrap the SCC so an inter-cluster invalidation also kills
-// the cluster's L1 copies (multi-level inclusion). Call before
-// simulation starts.
-func (b *Bus) SetInvalidator(i int, inv Invalidator) { b.sccs[i] = inv }
-
 // MaxFlatLines bounds the direct-indexed presence table at 1<<22 lines
 // (a 16 MiB table covering 128 MiB of address space). Footprints beyond
 // that keep the paged representation.

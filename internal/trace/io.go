@@ -41,7 +41,7 @@ func (p *Program) EncodeTo(w io.Writer) error {
 	writeStr(p.Name)
 	writeU32(uint32(p.Procs))
 	writeU32(uint32(len(p.Phases)))
-	buf := make([]byte, 8)
+	buf := make([]byte, refBytes)
 	for _, ph := range p.Phases {
 		writeStr(ph.Name)
 		for _, st := range ph.Streams {
@@ -115,7 +115,7 @@ func ReadProgram(r io.Reader) (*Program, error) {
 	}
 
 	p := &Program{Name: name, Procs: int(procs)}
-	buf := make([]byte, 8)
+	buf := make([]byte, readChunkRefs*refBytes)
 	for i := uint32(0); i < nPhases; i++ {
 		phName, err := readStr()
 		if err != nil {
@@ -130,16 +130,9 @@ func ReadProgram(r io.Reader) (*Program, error) {
 			if n > 1<<28 {
 				return nil, fmt.Errorf("trace: unreasonable stream length %d", n)
 			}
-			st := make([]mem.Ref, n)
-			for j := uint32(0); j < n; j++ {
-				if _, err := io.ReadFull(br, buf); err != nil {
-					return nil, err
-				}
-				st[j] = mem.Ref{
-					Addr: binary.LittleEndian.Uint32(buf[0:4]),
-					Gap:  binary.LittleEndian.Uint16(buf[4:6]),
-					Kind: mem.Kind(buf[6]),
-				}
+			st, err := readStream(br, int(n), buf)
+			if err != nil {
+				return nil, fmt.Errorf("trace: phase %d processor %d: %w", i, pr, err)
 			}
 			ph.Streams[pr] = st
 		}
@@ -149,4 +142,41 @@ func ReadProgram(r io.Reader) (*Program, error) {
 		return nil, fmt.Errorf("trace: deserialized program invalid: %w", err)
 	}
 	return p, nil
+}
+
+// refBytes is the encoded size of one reference; readChunkRefs bounds
+// how many references readStream decodes per read.
+const (
+	refBytes      = 8
+	readChunkRefs = 1 << 13
+)
+
+// readStream decodes a stream whose header claims n references, one
+// read per chunk of up to readChunkRefs through buf. The length field
+// is untrusted, so the stream grows with what was actually read —
+// doubling, capped at n — rather than being allocated up front: a short
+// file claiming 2^28 references fails having allocated a chunk, not
+// 2 GB.
+func readStream(r io.Reader, n int, buf []byte) ([]mem.Ref, error) {
+	st := make([]mem.Ref, 0, min(n, readChunkRefs))
+	for len(st) < n {
+		k := min(n-len(st), readChunkRefs)
+		b := buf[:k*refBytes]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("reading %d references: %w", n, err)
+		}
+		if len(st)+k > cap(st) {
+			grown := make([]mem.Ref, len(st), min(n, max(2*cap(st), len(st)+k)))
+			copy(grown, st)
+			st = grown
+		}
+		for j := 0; j < len(b); j += refBytes {
+			st = append(st, mem.Ref{
+				Addr: binary.LittleEndian.Uint32(b[j:]),
+				Gap:  binary.LittleEndian.Uint16(b[j+4:]),
+				Kind: mem.Kind(b[j+6]),
+			})
+		}
+	}
+	return st, nil
 }

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,6 +89,36 @@ func TestIORejectsTruncatedBody(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-3]
 	if _, err := ReadProgram(bytes.NewReader(cut)); err == nil {
 		t.Error("accepted truncated body")
+	}
+}
+
+// TestIOAllocatesWhatItReads: a stream's length field is untrusted, so
+// a 30-byte file claiming 2^28 references (2 GB decoded) must fail on
+// its short read, naming where, having allocated in proportion to the
+// bytes it read rather than to the claim.
+func TestIOAllocatesWhatItReads(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString(traceMagic)
+	// version, name length, processors, phases, phase-name length, refs
+	for _, v := range []uint32{traceVersion, 0, 1, 1, 0, 1 << 28} {
+		binary.Write(&b, binary.LittleEndian, v) //nolint:errcheck
+	}
+	b.Write([]byte{0x10, 0})
+	if b.Len() != 30 {
+		t.Fatalf("crafted file is %d bytes, want 30", b.Len())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadProgram(&b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a stream shorter than its length field")
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "phase 0 processor 0") {
+		t.Errorf("error %q: want a short read naming phase 0 processor 0", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading 30 bytes allocated %d KB, want < 1 MB", alloc>>10)
 	}
 }
 
