@@ -113,10 +113,15 @@ obs-overhead-run:
 # input, request bodies (FuzzResolveRequest: no panic, and an accepted
 # body's experiment re-encodes to the same content key). Each target
 # runs alone (go test allows one -fuzz pattern per invocation).
+# -fuzzminimizetime 2s caps how long the fuzzer minimizes each new
+# interesting input: at the default 60s it stops executing while it
+# minimizes, and FuzzSimConfig sat idle for most of its 30s. A failing
+# input still fails the run and is written to testdata; only its
+# minimization is capped.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSimConfig$$' -fuzztime 30s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 30s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 15s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSimConfig$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/serve
 
 # Machine-readable sweep benchmark: quick-scale Barnes-Hut sweeps on
 # both backends, merged into one run manifest (timings, utilization,

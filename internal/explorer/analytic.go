@@ -15,7 +15,6 @@ package explorer
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"sccsim/internal/cache"
 	"sccsim/internal/mem"
@@ -59,101 +58,23 @@ func ParseBackend(name string) (Backend, error) {
 	return "", fmt.Errorf("unknown backend %q (want one of %v)", name, AllBackends)
 }
 
-// ---- Profile cache ----
+// ---- Profile memo ----
 //
 // A reuse-distance profile is immutable once built and depends only on
 // the trace content and the system shape, so — exactly like traces —
 // one profile backs every design point and every concurrent worker that
 // shares its key. Building a profile is the analytic backend's only
-// expensive step; the cache makes a full grid pay for it once per
+// expensive step; the memo makes a full grid pay for it once per
 // distinct processor count.
 
-type profileKey struct {
-	w        Workload
-	procs    int
-	clusters int
-	scale    Scale
+// traceShape keys a profile: its trace's store key and the system
+// shape it was measured for.
+type traceShape struct {
+	trace           string
+	procs, clusters int
 }
 
-type scheduledProfileKey struct {
-	refs  int
-	seed  int64
-	slots int
-}
-
-type profileEntry struct {
-	once sync.Once
-	prof *rdmodel.Profile
-	err  error
-}
-
-var profileCache = struct {
-	sync.Mutex
-	parallel  map[profileKey]*profileEntry
-	scheduled map[scheduledProfileKey]*profileEntry
-}{
-	parallel:  make(map[profileKey]*profileEntry),
-	scheduled: make(map[scheduledProfileKey]*profileEntry),
-}
-
-// maxCachedProfiles bounds the profile cache the same way
-// maxCachedTraces bounds the trace cache.
-const maxCachedProfiles = 32
-
-func resetProfileCache() {
-	profileCache.Lock()
-	defer profileCache.Unlock()
-	profileCache.parallel = make(map[profileKey]*profileEntry)
-	profileCache.scheduled = make(map[scheduledProfileKey]*profileEntry)
-}
-
-// cachedParallelProfile returns the shared profile for a (workload,
-// procs, clusters, scale) key, building it from prog on first use.
-func cachedParallelProfile(w Workload, clusters int, s Scale, prog *trace.Program) (*rdmodel.Profile, error) {
-	comp, err := trace.Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	profileCache.Lock()
-	if len(profileCache.parallel) >= maxCachedProfiles {
-		profileCache.parallel = make(map[profileKey]*profileEntry)
-	}
-	key := profileKey{w, comp.Procs, clusters, s}
-	e, ok := profileCache.parallel[key]
-	if !ok {
-		e = &profileEntry{}
-		profileCache.parallel[key] = e
-	}
-	profileCache.Unlock()
-	e.once.Do(func() {
-		e.prof, e.err = rdmodel.BuildProfile(comp, clusters, rdmodel.DefaultCap())
-	})
-	return e.prof, e.err
-}
-
-// cachedScheduledProfile returns the shared multiprogramming profile
-// for a (refs, seed, slots) key.
-func cachedScheduledProfile(refs int, seed int64, slots int, quantum uint64, pset []sim.Process) (*rdmodel.Profile, error) {
-	profileCache.Lock()
-	if len(profileCache.scheduled) >= maxCachedProfiles {
-		profileCache.scheduled = make(map[scheduledProfileKey]*profileEntry)
-	}
-	key := scheduledProfileKey{refs, seed, slots}
-	e, ok := profileCache.scheduled[key]
-	if !ok {
-		e = &profileEntry{}
-		profileCache.scheduled[key] = e
-	}
-	profileCache.Unlock()
-	e.once.Do(func() {
-		streams := make([][]mem.Ref, len(pset))
-		for i := range pset {
-			streams[i] = pset[i].Refs
-		}
-		e.prof, e.err = rdmodel.BuildScheduledProfile("multiprog", streams, slots, quantum, rdmodel.DefaultCap())
-	})
-	return e.prof, e.err
-}
+var profiles memo[traceShape, *rdmodel.Profile]
 
 // analyticResult shapes a prediction as a *sim.Result so grids, tables,
 // manifests and the serve layer handle both backends uniformly. Only
@@ -231,24 +152,28 @@ func AnalyticSupports(cfg sysmodel.Config) error {
 // profileFor resolves the shared reuse-distance profile for a
 // configuration's system shape: (workload, processors, clusters) for a
 // parallel workload, (trace, scheduling slots) for multiprogramming.
-// The trace comes through the same caches and store as the exact
+// The trace comes through the same memo and store as the exact
 // backend's, and tc records how it resolved.
 func profileFor(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc trace.Store) (*rdmodel.Profile, error) {
-	if w == Multiprog {
-		refs := multiprogRefs(s)
-		pset, src, err := cachedMultiprogProcesses(refs, s.Seed, dc)
-		if err != nil {
-			return nil, err
-		}
-		tc.record(src)
-		return cachedScheduledProfile(refs, s.Seed, cfg.Procs(), multiprog.Quantum(refs), pset)
-	}
-	prog, src, err := cachedParallelProgram(w, cfg.Procs(), s, dc)
+	prog, key, err := traceFor(w, cfg.Procs(), s, tc, dc)
 	if err != nil {
 		return nil, err
 	}
-	tc.record(src)
-	return cachedParallelProfile(w, cfg.Clusters, s, prog)
+	return profiles.get(traceShape{key, cfg.Procs(), cfg.Clusters}, func() (*rdmodel.Profile, error) {
+		if w == Multiprog {
+			streams := make([][]mem.Ref, len(prog.Phases))
+			for i, ph := range prog.Phases {
+				streams[i] = ph.Streams[0]
+			}
+			return rdmodel.BuildScheduledProfile("multiprog", streams, cfg.Procs(),
+				multiprog.Quantum(multiprogRefs(s)), rdmodel.DefaultCap())
+		}
+		comp, err := trace.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
+		return rdmodel.BuildProfile(comp, cfg.Clusters, rdmodel.DefaultCap())
+	})
 }
 
 // analyticPoint predicts one configuration from its shared profile.

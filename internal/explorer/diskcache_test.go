@@ -1,6 +1,7 @@
 // In-package tests for the persistent trace cache: the warm-run
 // guarantee (a second sweep against the same cache directory generates
-// nothing) and the multiprog process-set <-> program container mapping.
+// nothing), the multiprog process-set <-> program container mapping,
+// and stored entries of the wrong shape.
 package explorer
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"sccsim/internal/mem"
 	"sccsim/internal/sim"
+	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
 )
 
@@ -90,27 +92,29 @@ func TestCachedParallelProgramSources(t *testing.T) {
 	ResetTraceCache()
 	t.Cleanup(ResetTraceCache)
 	s := QuickScale()
+	lookup := func() (*trace.Program, *traceCounters) {
+		t.Helper()
+		tc := &traceCounters{}
+		p, _, err := traceFor(MP3D, 4, s, tc, dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, tc
+	}
 
-	p1, src, err := cachedParallelProgram(MP3D, 4, s, dc)
-	if err != nil {
-		t.Fatal(err)
+	p1, tc := lookup()
+	if tc.generated.Load() != 1 {
+		t.Fatal("first lookup did not generate")
 	}
-	if src != traceGenerated {
-		t.Fatalf("first lookup src = %d, want traceGenerated", src)
-	}
-	p2, src, err := cachedParallelProgram(MP3D, 4, s, dc)
-	if err != nil || src != traceShared || p2 != p1 {
-		t.Fatalf("repeat lookup: src=%d err=%v shared=%v, want traceShared of same program",
-			src, err, p2 == p1)
+	p2, tc := lookup()
+	if tc.hits.Load() != 1 || p2 != p1 {
+		t.Fatalf("repeat lookup: hit=%v shared=%v, want a hit on the same program", tc.hits.Load() == 1, p2 == p1)
 	}
 
 	ResetTraceCache()
-	p3, src, err := cachedParallelProgram(MP3D, 4, s, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != traceFromDisk {
-		t.Fatalf("post-reset lookup src = %d, want traceFromDisk", src)
+	p3, tc := lookup()
+	if tc.diskHits.Load() != 1 {
+		t.Fatal("post-reset lookup did not load from disk")
 	}
 	if p3.Name != p1.Name || p3.Procs != p1.Procs || !reflect.DeepEqual(p3.Phases, p1.Phases) {
 		t.Fatal("disk-loaded program differs from generated program")
@@ -131,10 +135,7 @@ func TestMultiprogProgramContainerRoundTrip(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("container program invalid: %v", err)
 	}
-	back, err := programToProcesses(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := programToProcesses(p)
 	if len(back) != len(pset) {
 		t.Fatalf("got %d processes, want %d", len(back), len(pset))
 	}
@@ -143,7 +144,55 @@ func TestMultiprogProgramContainerRoundTrip(t *testing.T) {
 			t.Errorf("process %d changed in round trip", i)
 		}
 	}
-	if _, err := programToProcesses(&trace.Program{Name: "x", Procs: 2}); err == nil {
-		t.Fatal("multi-processor program accepted as a multiprog container")
+}
+
+// fixedStore is a trace.Store that answers every key with one program.
+type fixedStore struct{ prog *trace.Program }
+
+func (f fixedStore) Load(string) (*trace.Program, error) { return f.prog, nil }
+func (f fixedStore) Store(string, *trace.Program) error  { return nil }
+
+// TestStoredTraceOfWrongShapeIsMiss: a stored program whose processor
+// count is not its key's — an 8-processor MP3D program under the
+// 16-processor key, or as the single-processor multiprog container — is
+// a corrupt entry, so a miss. The trace is generated, and exact and
+// analytic points come out exactly as they do without a store.
+func TestStoredTraceOfWrongShapeIsMiss(t *testing.T) {
+	ResetTraceCache()
+	t.Cleanup(ResetTraceCache)
+	s := QuickScale()
+	wrong, err := GenerateParallel(MP3D, 8, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, w := range []Workload{MP3D, Multiprog} {
+		cfg := PointConfig(w, 4, sysmodel.SCCSizes[0], sysmodel.Axes{})
+		run := func(b Backend, dc trace.Store) (*Point, SweepReport) {
+			t.Helper()
+			var rep SweepReport
+			pts, err := RunConfigs(ctx, w, []sysmodel.Config{cfg}, s, sim.Options{},
+				EngineOptions{Backend: b, TraceCache: dc, Report: func(r SweepReport) { rep = r }})
+			if err != nil {
+				t.Fatalf("%s %s: %v", w, b, err)
+			}
+			return pts[0], rep
+		}
+		ResetTraceCache()
+		want := map[Backend]*Point{}
+		for _, b := range AllBackends {
+			want[b], _ = run(b, nil)
+		}
+		ResetTraceCache()
+		for i, b := range AllBackends {
+			got, rep := run(b, fixedStore{wrong})
+			if i == 0 && (rep.TraceGenerated != 1 || rep.TraceDiskHits != 0) {
+				t.Errorf("%s: %d generated, %d from the store; want the wrong-shape entry to be a miss",
+					w, rep.TraceGenerated, rep.TraceDiskHits)
+			}
+			if !reflect.DeepEqual(got, want[b]) {
+				t.Errorf("%s %s: point over a wrong-shape stored trace differs from the generated trace's", w, b)
+			}
+		}
 	}
 }

@@ -359,60 +359,70 @@ func runPoints(ctx context.Context, w Workload, jobs []pointJob, eng EngineOptio
 	return results, nil
 }
 
-// ---- Trace cache ----
+// ---- Trace and profile memos ----
 //
 // Traces are immutable once generated (see trace.Program) and the
 // simulator never mutates them (see sim.Run), so one generated program
 // can back every design point — and every concurrent worker — that
-// shares its (workload, procs, scale) key. The cache also persists
+// shares its store key; the reuse-distance profiles derived from a
+// trace are immutable the same way (see analytic.go). The memos persist
 // across engine calls, so e.g. the cost/performance entries reuse the
 // programs a full sweep already generated.
 
-type parallelKey struct {
-	w     Workload
-	procs int
-	scale Scale
+// maxMemoEntries bounds each memo: a new key arriving at a full memo
+// resets it wholesale (values already handed out stay valid — they are
+// just pointers the callers hold).
+const maxMemoEntries = 32
+
+// memo resolves each key once: concurrent requesters of a key block on
+// the first resolution instead of duplicating it, and later ones share
+// its value or its error.
+type memo[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*memoEntry[V]
 }
 
-type multiprogKey struct {
-	refs int
-	seed int64
-}
-
-// cacheEntry resolves once; concurrent requesters block on the first
-// resolution instead of duplicating it. src records how the resolving
-// call got the trace (disk or generator) for the sweep counters.
-type cacheEntry struct {
+type memoEntry[V any] struct {
 	once sync.Once
-	prog *trace.Program
-	pset []sim.Process
-	src  traceSource
+	val  V
 	err  error
 }
 
-var traceCache = struct {
-	sync.Mutex
-	parallel  map[parallelKey]*cacheEntry
-	multiprog map[multiprogKey]*cacheEntry
-}{
-	parallel:  make(map[parallelKey]*cacheEntry),
-	multiprog: make(map[multiprogKey]*cacheEntry),
+// get returns key's value, calling resolve to produce it unless an
+// earlier call has: resolve runs at most once per key while the entry
+// lasts.
+func (m *memo[K, V]) get(key K, resolve func() (V, error)) (V, error) {
+	m.mu.Lock()
+	e, ok := m.entries[key]
+	if !ok {
+		if m.entries == nil || len(m.entries) >= maxMemoEntries {
+			m.entries = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = resolve() })
+	return e.val, e.err
 }
 
-// maxCachedTraces bounds the cache; when exceeded the cache is reset
-// wholesale (entries already handed out stay valid — they are just
-// pointers the callers hold).
-const maxCachedTraces = 32
+func (m *memo[K, V]) reset() {
+	m.mu.Lock()
+	m.entries = nil
+	m.mu.Unlock()
+}
+
+// traces holds every resolved trace under its store key; a
+// multiprogramming set is held in its store container
+// (processesToProgram).
+var traces memo[string, *trace.Program]
 
 // ResetTraceCache drops every cached trace program and every cached
 // reuse-distance profile (profiles are derived from traces and sized
 // like them). Useful to release memory after paper-scale sweeps.
 func ResetTraceCache() {
-	traceCache.Lock()
-	traceCache.parallel = make(map[parallelKey]*cacheEntry)
-	traceCache.multiprog = make(map[multiprogKey]*cacheEntry)
-	traceCache.Unlock()
-	resetProfileCache()
+	traces.reset()
+	profiles.reset()
 }
 
 // parallelDiskKey is the persistent-cache key for a parallel workload
@@ -445,88 +455,61 @@ func processesToProgram(pset []sim.Process) *trace.Program {
 	return p
 }
 
-// programToProcesses inverts processesToProgram.
-func programToProcesses(p *trace.Program) ([]sim.Process, error) {
-	if p.Procs != 1 {
-		return nil, fmt.Errorf("explorer: cached multiprog trace has %d procs, want 1", p.Procs)
-	}
+// programToProcesses inverts processesToProgram for a single-processor
+// program. The processes share the program's streams.
+func programToProcesses(p *trace.Program) []sim.Process {
 	pset := make([]sim.Process, len(p.Phases))
 	for i, ph := range p.Phases {
 		pset[i] = sim.Process{Name: ph.Name, Refs: ph.Streams[0]}
 	}
-	return pset, nil
+	return pset
 }
 
-// cachedParallelProgram returns the shared program for a (workload,
-// procs, scale) key. src reports how the lookup resolved: traceShared
-// when the program already existed in memory (or another requester is
-// resolving it), traceFromDisk when this call loaded it from dc, and
-// traceGenerated when this call ran the generator — each distinct key
-// resolves exactly once per cache lifetime. dc may be nil (no
-// persistent cache).
-func cachedParallelProgram(w Workload, procs int, s Scale, dc trace.Store) (prog *trace.Program, src traceSource, err error) {
-	traceCache.Lock()
-	if len(traceCache.parallel) >= maxCachedTraces {
-		traceCache.parallel = make(map[parallelKey]*cacheEntry)
+// traceFor resolves the trace workload w replays on procs processors
+// and returns it with its store key: a parallel workload's program for
+// that processor count, or for Multiprog the process set in its
+// single-processor container, whatever procs is. Each key resolves
+// once per memo lifetime, from dc when dc holds a program of the key's
+// shape, else from the generator, whose output is then offered to dc.
+// A stored program of another shape is a corrupt entry, so a miss. dc
+// may be nil (no persistent store). tc records how the lookup resolved:
+// traceShared when the memo already had (or was resolving) the trace,
+// traceFromDisk or traceGenerated when this call resolved it.
+func traceFor(w Workload, procs int, s Scale, tc *traceCounters, dc trace.Store) (*trace.Program, string, error) {
+	key, shape := parallelDiskKey(w, procs, s), procs
+	generate := func() (*trace.Program, error) { return GenerateParallel(w, procs, s) }
+	if w == Multiprog {
+		refs := multiprogRefs(s)
+		key, shape = multiprogDiskKey(refs, s.Seed), 1
+		generate = func() (*trace.Program, error) {
+			pset, err := multiprog.Generate(multiprog.Params{RefsPerApp: refs, Seed: s.Seed})
+			if err != nil {
+				return nil, err
+			}
+			return processesToProgram(pset), nil
+		}
 	}
-	key := parallelKey{w, procs, s}
-	e, ok := traceCache.parallel[key]
-	if !ok {
-		e = &cacheEntry{}
-		traceCache.parallel[key] = e
-	}
-	traceCache.Unlock()
-	e.once.Do(func() {
+	src := traceShared
+	prog, err := traces.get(key, func() (*trace.Program, error) {
 		if dc != nil {
-			if p, _ := dc.Load(parallelDiskKey(w, procs, s)); p != nil {
-				e.prog, e.src = p, traceFromDisk
-				return
+			if p, _ := dc.Load(key); p != nil && p.Procs == shape {
+				src = traceFromDisk
+				return p, nil
 			}
 		}
-		e.src = traceGenerated
-		e.prog, e.err = GenerateParallel(w, procs, s)
-		if e.err == nil && dc != nil {
+		src = traceGenerated
+		p, err := generate()
+		if err == nil && dc != nil {
 			// Best-effort: a failed store only costs a later regeneration.
-			_ = dc.Store(parallelDiskKey(w, procs, s), e.prog)
+			_ = dc.Store(key, p)
 		}
+		return p, err
 	})
-	if ok {
-		return e.prog, traceShared, e.err
+	if err != nil {
+		return nil, "", err
 	}
-	return e.prog, e.src, e.err
-}
-
-func cachedMultiprogProcesses(refs int, seed int64, dc trace.Store) (pset []sim.Process, src traceSource, err error) {
-	traceCache.Lock()
-	if len(traceCache.multiprog) >= maxCachedTraces {
-		traceCache.multiprog = make(map[multiprogKey]*cacheEntry)
-	}
-	key := multiprogKey{refs, seed}
-	e, ok := traceCache.multiprog[key]
-	if !ok {
-		e = &cacheEntry{}
-		traceCache.multiprog[key] = e
-	}
-	traceCache.Unlock()
-	e.once.Do(func() {
-		if dc != nil {
-			if p, _ := dc.Load(multiprogDiskKey(refs, seed)); p != nil {
-				if ps, cerr := programToProcesses(p); cerr == nil {
-					e.pset, e.src = ps, traceFromDisk
-					return
-				}
-			}
-		}
-		e.src = traceGenerated
-		e.pset, e.err = multiprog.Generate(multiprog.Params{RefsPerApp: refs, Seed: seed})
-		if e.err == nil && dc != nil {
-			_ = dc.Store(multiprogDiskKey(refs, seed), processesToProgram(e.pset))
-		}
-	})
-	if ok {
-		return e.pset, traceShared, e.err
-	}
-	return e.pset, e.src, e.err
+	tc.record(src)
+	return prog, key, nil
 }
 
 // multiprogRefs applies the default per-app reference budget.
@@ -621,22 +604,14 @@ func exactPoint(w Workload, cfg sysmodel.Config, s Scale, opts sim.Options, tr s
 	if tr != nil {
 		opts.Tracer = tr
 	}
+	prog, _, err := traceFor(w, cfg.Procs(), s, tc, dc)
+	if err != nil {
+		return nil, err
+	}
 	var res *sim.Result
-	var err error
 	if w == Multiprog {
-		refs := multiprogRefs(s)
-		pset, src, perr := cachedMultiprogProcesses(refs, s.Seed, dc)
-		if perr != nil {
-			return nil, perr
-		}
-		tc.record(src)
-		res, err = sim.RunMultiprog(cfg, opts, pset, multiprog.Quantum(refs))
+		res, err = sim.RunMultiprog(cfg, opts, programToProcesses(prog), multiprog.Quantum(multiprogRefs(s)))
 	} else {
-		prog, src, perr := cachedParallelProgram(w, cfg.Procs(), s, dc)
-		if perr != nil {
-			return nil, perr
-		}
-		tc.record(src)
 		res, err = sim.Run(cfg, opts, prog)
 	}
 	if err != nil {

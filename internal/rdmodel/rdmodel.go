@@ -1,9 +1,9 @@
 // Package rdmodel is the analytic reuse-distance cache model behind the
 // facade's "analytic" backend: one pass over a workload's compiled
-// reference trace produces per-cluster (and per-processor)
-// reuse-distance histograms, from which the predicted SCC miss ratio —
-// and a derived execution-time estimate — of *every* cache size on the
-// paper's grid follows in microseconds (see Predict). The approach is
+// reference trace produces per-cluster reuse-distance histograms, from
+// which the predicted SCC miss ratio — and a derived execution-time
+// estimate — of *every* cache size on the paper's grid follows in
+// microseconds (see Predict). The approach is
 // the shared-cache reuse-distance model of Barai, Chapman et al.
 // ("Modeling Shared Cache Performance of OpenMP Programs using Reuse
 // Distance"): the processors of a cluster share one SCC, so the model
@@ -117,14 +117,10 @@ type Profile struct {
 	// Cluster[i] is cluster i's histogram over its merged stream — the
 	// shared-SCC view the miss prediction uses.
 	Cluster []Hist
-	// PerProc[p] is processor p's (or, for scheduled profiles, process
-	// p's) private-stream histogram — the per-processor locality view,
-	// exposed for diagnostics and model studies.
-	PerProc []Hist
 	// PhaseNames, Issue and ReadRefs feed the execution-time estimate:
 	// Issue[i][p] is processor p's stall-free issue cycles in phase i
 	// (compute gaps plus one cycle per cache access), ReadRefs[i][p] its
-	// read-kind accesses there.
+	// read-kind accesses there. Both are taken from the cluster merge.
 	PhaseNames []string
 	Issue      [][]uint64
 	ReadRefs   [][]uint64
@@ -156,12 +152,13 @@ func accessesOf(k mem.Kind) (reads, writes int) {
 // order — the stall-free approximation of the simulator's replay
 // interleaving. capLines caps tracked distances (see DefaultCap).
 //
-// Every histogram comes from its own pass of one tracker, reset in
-// between. A processor's PerProc histogram, Issue and ReadRefs depend
-// only on its own stream. A cluster's histogram is the merge of only
-// its processors: a processor's clock never decreases, so the global
-// (clock, id) order restricted to one cluster is that cluster's own
-// (clock, id) merge.
+// Each cluster's histogram comes from its own pass of one tracker,
+// reset in between, over the merge of only its processors: a
+// processor's clock never decreases, so the global (clock, id) order
+// restricted to one cluster is that cluster's own (clock, id) merge.
+// The merge feeds every reference of every stream exactly once, so each
+// processor's final clock and read count in a phase, its Issue and
+// ReadRefs, are those of its own stream.
 func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 	if clusters < 1 || c.Procs%clusters != 0 {
 		return nil, fmt.Errorf("rdmodel: %d processors not divisible into %d clusters", c.Procs, clusters)
@@ -171,7 +168,6 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 		Name: c.Name, Procs: c.Procs, Clusters: clusters, Cap: capLines,
 		Refs:       c.Refs(),
 		Cluster:    make([]Hist, clusters),
-		PerProc:    make([]Hist, c.Procs),
 		PhaseNames: append([]string(nil), c.PhaseNames...),
 		Issue:      make([][]uint64, len(c.Streams)),
 		ReadRefs:   make([][]uint64, len(c.Streams)),
@@ -183,25 +179,17 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 	streams, lines := denseStreams(c.Streams, c.MaxLineIndex())
 	tk := newTracker(capLines, lines)
 
-	for pr := range p.PerProc {
-		p.PerProc[pr] = newHist(capLines)
-		tk.reset()
-		for phase := range streams {
-			// Phase barriers align the processors, so each phase starts
-			// every clock at zero.
-			_, p.Issue[phase][pr], p.ReadRefs[phase][pr] =
-				tk.feed(&p.PerProc[pr], streams[phase][pr], 0, 0, math.MaxUint64)
-		}
-	}
-
 	pos := make([]int, ppc)
 	clk := make([]uint64, ppc)
 	done := make([]bool, ppc)
 	for cl := range p.Cluster {
 		p.Cluster[cl] = newHist(capLines)
 		tk.reset()
-		for _, phase := range streams {
-			own := phase[cl*ppc : (cl+1)*ppc]
+		for phase, procs := range streams {
+			// Phase barriers align the processors, so each phase starts
+			// every clock at zero.
+			own := procs[cl*ppc : (cl+1)*ppc]
+			issue, reads := p.Issue[phase][cl*ppc:], p.ReadRefs[phase][cl*ppc:]
 			for q := range own {
 				pos[q], clk[q], done[q] = 0, 0, len(own[q]) == 0
 			}
@@ -209,13 +197,16 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 				// The unfinished processor with the smallest clock (ties
 				// to the lowest id), mirroring the replay scheduler's
 				// order, issues until it passes the runner-up.
-				pr, limit := nextUp(clk, done)
-				if pr < 0 {
+				q, limit := nextUp(clk, done)
+				if q < 0 {
 					break
 				}
-				pos[pr], clk[pr], _ = tk.feed(&p.Cluster[cl], own[pr], pos[pr], clk[pr], limit)
-				done[pr] = pos[pr] == len(own[pr])
+				var n uint64
+				pos[q], clk[q], n = tk.feed(&p.Cluster[cl], own[q], pos[q], clk[q], limit)
+				reads[q] += n
+				done[q] = pos[q] == len(own[q])
 			}
+			copy(issue, clk)
 		}
 	}
 	return p, nil
@@ -227,8 +218,7 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 // order, a global FIFO ready queue, preemption every quantum issue
 // cycles, idle slots picking up preempted processes immediately)
 // running in stall-free issue time, and the single shared SCC sees the
-// merged stream. PerProc holds one histogram per *process* — the
-// private locality view is per program, not per time-sliced processor.
+// merged stream. Issue and ReadRefs are per scheduling slot.
 func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantum uint64, capLines int) (*Profile, error) {
 	if slots < 1 || len(processes) == 0 || quantum == 0 {
 		return nil, fmt.Errorf("rdmodel: bad schedule shape (%d slots, %d processes, quantum %d)",
@@ -237,7 +227,6 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 	p := &Profile{
 		Name: name, Procs: slots, Clusters: 1, Cap: capLines,
 		Cluster:    []Hist{newHist(capLines)},
-		PerProc:    make([]Hist, len(processes)),
 		PhaseNames: []string{"scheduled"},
 		Issue:      [][]uint64{make([]uint64, slots)},
 		ReadRefs:   [][]uint64{make([]uint64, slots)},
@@ -333,15 +322,6 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		p.ReadRefs[0][s] += reads
 	}
 	copy(p.Issue[0], clk)
-
-	// A process's accesses reach the shared cache in its own stream
-	// order whatever the schedule, so its histogram is a pass over that
-	// stream alone.
-	for pid, st := range processes {
-		p.PerProc[pid] = newHist(capLines)
-		tk.reset()
-		tk.feed(&p.PerProc[pid], st, 0, 0, math.MaxUint64)
-	}
 	return p, nil
 }
 

@@ -293,8 +293,8 @@ func TestPredictRejectsBadAssoc(t *testing.T) {
 	}
 }
 
-// TestBuildProfileShape: totals, cold counts and per-cluster splits
-// must be self-consistent.
+// TestBuildProfileShape: totals, read counts and cold counts must be
+// self-consistent with the trace.
 func TestBuildProfileShape(t *testing.T) {
 	prog := syntheticProgram(t, 4, 5_000, 1024)
 	comp, err := trace.Compile(prog)
@@ -308,30 +308,34 @@ func TestBuildProfileShape(t *testing.T) {
 	if prof.Refs != comp.Refs() {
 		t.Errorf("profile Refs %d != trace refs %d", prof.Refs, comp.Refs())
 	}
-	if len(prof.Cluster) != 2 || len(prof.PerProc) != 4 {
-		t.Fatalf("profile shape: %d clusters, %d procs", len(prof.Cluster), len(prof.PerProc))
+	if len(prof.Cluster) != 2 || len(prof.Issue) != 1 || len(prof.Issue[0]) != 4 || len(prof.ReadRefs[0]) != 4 {
+		t.Fatalf("profile shape: %d clusters, issue %d×%d", len(prof.Cluster), len(prof.Issue), len(prof.Issue[0]))
 	}
-	var clTotal, prTotal uint64
-	for i := range prof.Cluster {
-		clTotal += prof.Cluster[i].Reads() + prof.Cluster[i].Writes()
-	}
-	for i := range prof.PerProc {
-		prTotal += prof.PerProc[i].Reads() + prof.PerProc[i].Writes()
-	}
-	if clTotal != prTotal {
-		t.Errorf("cluster access total %d != per-proc total %d", clTotal, prTotal)
-	}
-	// One cluster merging both processors' streams sees at least as many
-	// non-cold long distances; basic monotonicity: merged cold count is
-	// the distinct-footprint count per cluster, <= sum of per-proc colds.
+	// Each cluster sees every access of its processors' streams, and
+	// its cold count is their distinct footprint.
 	for cl := 0; cl < 2; cl++ {
-		merged := prof.Cluster[cl].ColdReads + prof.Cluster[cl].ColdWrites
-		var split uint64
+		var accesses, reads, readRefs uint64
+		lines := map[uint32]bool{}
 		for pr := cl * 2; pr < cl*2+2; pr++ {
-			split += prof.PerProc[pr].ColdReads + prof.PerProc[pr].ColdWrites
+			for _, r := range comp.Streams[0][pr] {
+				rd, wr := accessesOf(r.Kind)
+				accesses += uint64(rd + wr)
+				reads += uint64(rd)
+				if rd+wr > 0 {
+					lines[sysmodel.LineIndex(r.Addr)] = true
+				}
+			}
+			readRefs += prof.ReadRefs[0][pr]
 		}
-		if merged > split {
-			t.Errorf("cluster %d: merged cold %d > per-proc cold sum %d", cl, merged, split)
+		h := &prof.Cluster[cl]
+		if got := h.Reads() + h.Writes(); got != accesses {
+			t.Errorf("cluster %d: %d accesses, want %d", cl, got, accesses)
+		}
+		if h.Reads() != reads || readRefs != reads {
+			t.Errorf("cluster %d: %d reads in the histogram, %d in ReadRefs, want %d", cl, h.Reads(), readRefs, reads)
+		}
+		if cold := h.ColdReads + h.ColdWrites; cold != uint64(len(lines)) {
+			t.Errorf("cluster %d: %d cold accesses, want the %d distinct lines", cl, cold, len(lines))
 		}
 	}
 	// BuildProfile must reject a non-divisible shape.
@@ -367,15 +371,19 @@ func TestBuildScheduledProfile(t *testing.T) {
 	if got := prof.Cluster[0].Reads() + prof.Cluster[0].Writes(); got != wantRefs {
 		t.Errorf("shared histogram holds %d accesses, want %d", got, wantRefs)
 	}
-	// Per-process cold counts equal each process's distinct footprint
-	// (disjoint address spaces: the shared cache sees the same lines).
-	var perProcCold, sharedCold uint64
-	for i := range prof.PerProc {
-		perProcCold += prof.PerProc[i].ColdReads
+	// The shared cache's cold count is the processes' distinct
+	// footprint, and every read is issued by some slot.
+	lines := map[uint32]bool{}
+	for _, st := range processes {
+		for _, r := range st {
+			lines[sysmodel.LineIndex(r.Addr)] = true
+		}
 	}
-	sharedCold = prof.Cluster[0].ColdReads
-	if perProcCold != sharedCold {
-		t.Errorf("disjoint processes: shared cold %d != per-process cold sum %d", sharedCold, perProcCold)
+	if cold := prof.Cluster[0].ColdReads; cold != uint64(len(lines)) {
+		t.Errorf("shared cold %d != distinct footprint %d", cold, len(lines))
+	}
+	if got := prof.ReadRefs[0][0] + prof.ReadRefs[0][1]; got != wantRefs {
+		t.Errorf("slots issued %d reads, want %d", got, wantRefs)
 	}
 	prof2, err := BuildScheduledProfile("mp", processes, 2, 1_000, DefaultCap())
 	if err != nil {
@@ -423,14 +431,14 @@ func TestPredictMonotonicInSize(t *testing.T) {
 
 // naiveBuildProfile is the reference for BuildProfile: one global
 // min-clock scan over every processor (ties to the lowest id) feeding
-// one capped naive stack per cluster and one per processor.
+// one capped naive stack per cluster, counting each processor's issue
+// cycles and reads as it goes.
 func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
 	ppc := c.Procs / clusters
 	p := &Profile{
 		Name: c.Name, Procs: c.Procs, Clusters: clusters, Cap: capLines,
 		Refs:       c.Refs(),
 		Cluster:    make([]Hist, clusters),
-		PerProc:    make([]Hist, c.Procs),
 		PhaseNames: append([]string(nil), c.PhaseNames...),
 		Issue:      make([][]uint64, len(c.Streams)),
 		ReadRefs:   make([][]uint64, len(c.Streams)),
@@ -439,11 +447,6 @@ func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
 	for i := range clStack {
 		clStack[i] = newCappedStack(capLines)
 		p.Cluster[i] = newHist(capLines)
-	}
-	prStack := make([]*cappedStack, c.Procs)
-	for i := range prStack {
-		prStack[i] = newCappedStack(capLines)
-		p.PerProc[i] = newHist(capLines)
 	}
 	for phase, streams := range c.Streams {
 		p.Issue[phase] = make([]uint64, c.Procs)
@@ -471,7 +474,6 @@ func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
 			cl := pr / ppc
 			for i := 0; i < reads+writes; i++ {
 				p.Cluster[cl].add(clStack[cl].access(line), i >= reads)
-				p.PerProc[pr].add(prStack[pr].access(line), i >= reads)
 			}
 			clk[pr] += uint64(reads + writes)
 			p.ReadRefs[phase][pr] += uint64(reads)
@@ -479,19 +481,6 @@ func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
 		copy(p.Issue[phase], clk)
 	}
 	return p
-}
-
-// naiveStreamHist is the reference for one stream's private histogram.
-func naiveStreamHist(st []mem.Ref, capLines int) Hist {
-	h := newHist(capLines)
-	s := newCappedStack(capLines)
-	for _, r := range st {
-		reads, writes := accessesOf(r.Kind)
-		for i := 0; i < reads+writes; i++ {
-			h.add(s.access(sysmodel.LineIndex(r.Addr)), i >= reads)
-		}
-	}
-	return h
 }
 
 // mixedStream is a deterministic stream over lines [base, base+universe)
@@ -546,8 +535,8 @@ func mixedProgram(seed int64, procs, phases, refs, maxGap int, base uint32, univ
 	return p
 }
 
-// TestBuildProfileMatchesNaive: the per-processor passes and
-// per-cluster merges must produce exactly the profile of the global
+// TestBuildProfileMatchesNaive: the per-cluster merges must produce
+// exactly the profile — histograms, issue cycles and reads — of the global
 // min-clock scan over naive stacks — with clocks that tie at every
 // step (maxGap 0), Idle refs, critical sections, empty streams,
 // several phases, 1, 2 and 4 clusters, caps small enough to compact
@@ -584,13 +573,14 @@ func TestBuildProfileMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestScheduledPerProcMatchesNaive: each process's histogram in a
-// scheduled profile is the naive stack over that process's own stream,
-// whether there are fewer slots than processes (time slicing) or more
-// (idle slots), and when the lines need renaming.
-func TestScheduledPerProcMatchesNaive(t *testing.T) {
-	for _, base := range []uint32{1, maxDirectLines + 777} {
-		rng := rand.New(rand.NewSource(int64(base)))
+// TestScheduledProfileRenamingIsExact: the scheduled builder renames
+// lines past maxDirectLines to dense ids, a bijection on lines, so a
+// profile over streams shifted there is identical to the profile over
+// the same streams at base 1 — whether there are fewer slots than
+// processes (time slicing) or more (idle slots).
+func TestScheduledProfileRenamingIsExact(t *testing.T) {
+	streamsAt := func(base uint32) [][]mem.Ref {
+		rng := rand.New(rand.NewSource(5))
 		var processes [][]mem.Ref
 		for pid := 0; pid < 5; pid++ {
 			var st []mem.Ref
@@ -599,18 +589,21 @@ func TestScheduledPerProcMatchesNaive(t *testing.T) {
 			}
 			processes = append(processes, st)
 		}
-		for _, slots := range []int{2, 8} {
-			for _, capLines := range []int{8, 64} {
-				prof, err := BuildScheduledProfile("mp", processes, slots, 500, capLines)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for pid, st := range processes {
-					if want := naiveStreamHist(st, capLines); !reflect.DeepEqual(prof.PerProc[pid], want) {
-						t.Errorf("base %d, %d slots, cap %d: process %d histogram differs from the naive stack over its stream",
-							base, slots, capLines, pid)
-					}
-				}
+		return processes
+	}
+	low, high := streamsAt(1), streamsAt(maxDirectLines+777)
+	for _, slots := range []int{2, 8} {
+		for _, capLines := range []int{8, 64} {
+			want, err := BuildScheduledProfile("mp", low, slots, 500, capLines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildScheduledProfile("mp", high, slots, 500, capLines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Cluster[0].Reads() == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%d slots, cap %d: profile over renamed lines differs from the profile at base 1", slots, capLines)
 			}
 		}
 	}

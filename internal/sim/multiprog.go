@@ -189,6 +189,9 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 				continue
 			}
 			s.res.Refs++
+			if s.res.Refs == s.opts.WarmupRefs {
+				s.warmupReset()
+			}
 		}
 		pos[pid]++
 		clock[p] = t

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"sccsim/internal/mem"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
+	"sccsim/internal/verify"
 )
 
 // private returns cfg on the private hierarchy.
@@ -227,6 +229,48 @@ func TestWarmupOnEveryHierarchy(t *testing.T) {
 		if warm.Cycles != base.Cycles {
 			t.Errorf("%s: warmup changed timing: %d vs %d cycles", h, warm.Cycles, base.Cycles)
 		}
+	}
+}
+
+// TestWarmupOnMultiprog: the multiprogramming scheduler honours
+// Options.WarmupRefs as Run does. Three processes of 2,000 reads each
+// time-slice on two processors; after a 1,000-reference warmup the SCC
+// accounts the other 5,000 reads, the context switches made during the
+// warmup are excluded, and timing is unchanged. A verified run takes
+// the checker through the same reset and reports the same result.
+func TestWarmupOnMultiprog(t *testing.T) {
+	ps := []Process{
+		mkProcess("a", 0x10000, 500, 4, 1),
+		mkProcess("b", 0x20000, 500, 4, 1),
+		mkProcess("c", 0x30000, 500, 4, 1),
+	}
+	cfg := mpCfg(2, 4096)
+	base, err := RunMultiprog(cfg, Options{}, ps, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := RunMultiprog(cfg, Options{WarmupRefs: 1000}, ps, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.WarmupExcluded != 1000 {
+		t.Errorf("WarmupExcluded = %d, want 1000", warm.WarmupExcluded)
+	}
+	if agg := warm.AggregateSCC(); agg.TotalAccesses() != 5000 {
+		t.Errorf("%d SCC accesses after warmup, want 5000", agg.TotalAccesses())
+	}
+	if warm.Switches == 0 || warm.Switches >= base.Switches {
+		t.Errorf("Switches = %d after warmup, want fewer than the whole run's %d but some", warm.Switches, base.Switches)
+	}
+	if warm.Cycles != base.Cycles {
+		t.Errorf("warmup changed timing: %d vs %d cycles", warm.Cycles, base.Cycles)
+	}
+	checked, err := RunMultiprog(cfg, Options{WarmupRefs: 1000, Verify: &verify.Options{}}, ps, 2000)
+	if err != nil {
+		t.Fatalf("verified multiprog run with warmup: %v", err)
+	}
+	if !reflect.DeepEqual(checked, warm) {
+		t.Error("enabling Options.Verify changed the warmed-up multiprog result")
 	}
 }
 

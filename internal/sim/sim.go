@@ -72,7 +72,9 @@ type Options struct {
 	// references have executed, excluding cold-start effects from the
 	// reported numbers (a methodology option; the paper measures whole
 	// runs, which is the default here too). Timing is unaffected — only
-	// the counters reset.
+	// the counters reset: cache, bank and bus statistics, stall cycles,
+	// and the event counts LockSpins and Switches. It applies to Run and
+	// RunMultiprog alike.
 	WarmupRefs uint64
 	// Tracer, when non-nil, receives a timeline event for every memory
 	// reference, stall, bus transaction, lock operation and scheduling
@@ -407,9 +409,10 @@ func (s *system) directMapped() bool {
 	return true
 }
 
-// warmupReset clears the statistics accumulated so far; replay invokes
-// it exactly once, immediately after the Options.WarmupRefs'th reference
-// completes (cold-start exclusion). Timing state is untouched.
+// warmupReset clears the statistics accumulated so far; replay and
+// RunMultiprog invoke it exactly once, immediately after the
+// Options.WarmupRefs'th reference completes (cold-start exclusion).
+// Timing state is untouched.
 func (s *system) warmupReset() {
 	for _, sc := range s.sccs {
 		*sc.CacheStats() = cache.Stats{}
@@ -427,6 +430,7 @@ func (s *system) warmupReset() {
 		s.res.LockStall[p] = 0
 	}
 	s.res.LockSpins = 0
+	s.res.Switches = 0
 	s.res.WarmupExcluded = s.res.Refs
 	if s.ck != nil {
 		s.ck.OnWarmupReset()
@@ -634,8 +638,8 @@ func (s *system) bufferWrite(p, c int, now, ready uint64) uint64 {
 
 // replay drives barrier-delimited phase streams on s in global issue
 // order, handling barriers and accounting into s.res. phases is the
-// per-phase, per-processor stream table (a compiled program's arena
-// views, trace.Compiled.Streams). When s is direct-mapped
+// per-phase, per-processor stream table (trace.Compiled.Streams, the
+// program's own stream slices). When s is direct-mapped
 // (system.directMapped) the loop performs plain reads and writes
 // itself, and only lock, unlock and the rare outcomes reach s.access or
 // the system's slower paths. s.warmupReset runs exactly once,

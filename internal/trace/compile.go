@@ -5,13 +5,12 @@ import (
 	"sccsim/internal/sysmodel"
 )
 
-// Compiled is the packed, immutable execution form of a Program: every
-// reference stream copied into one contiguous arena, with per-phase /
-// per-processor views into it and the footprint metadata the simulator
-// needs to size its coherence state up front. Compiling costs one linear
-// pass and one allocation; replaying a compiled program walks a single
-// cache-friendly slice instead of chasing per-stream allocations, and
-// the precomputed totals let Program.Refs and the presence-table sizing
+// Compiled is the validated, measured execution form of a Program: its
+// header, its phase names, its streams, and the footprint metadata the
+// simulator needs to size its coherence state up front. It holds no
+// copy of the trace. Streams are the program's own slices, so a trace
+// is in memory once however many forms of it are in use, and the
+// precomputed totals let Program.Refs and the presence-table sizing
 // skip their own passes over the trace.
 //
 // A Compiled is as immutable as the Program it came from: the simulator
@@ -21,18 +20,12 @@ type Compiled struct {
 	// Name and Procs mirror the source program's header.
 	Name  string
 	Procs int
-	// Arena holds every ref of every stream, laid out phase-major then
-	// processor-major — the order replay consumes them in.
-	Arena []mem.Ref
 	// PhaseNames[i] is phase i's name.
 	PhaseNames []string
-	// Streams[i][p] is phase i / processor p's stream as a subslice of
-	// Arena. It is shaped exactly like Program.Phases[i].Streams, so
-	// consumers switch between the two forms without code changes.
+	// Streams[i][p] is phase i / processor p's stream: the program's own
+	// slice Program.Phases[i].Streams[p], capped at its length so an
+	// (impossible) append by a consumer cannot write into the program.
 	Streams [][][]mem.Ref
-	// StreamRefs[i][p] counts the memory references (excluding Idle) in
-	// phase i / processor p's stream.
-	StreamRefs [][]uint64
 
 	refs    uint64
 	maxLine uint32
@@ -47,10 +40,12 @@ func (c *Compiled) Refs() uint64 { return c.refs }
 // bus's direct-indexed presence table (see snoop.Bus.ReserveLines).
 func (c *Compiled) MaxLineIndex() uint32 { return c.maxLine }
 
-// Compile validates and packs the program. The result is memoized on the
-// Program (safely for concurrent callers), so every design point of a
-// sweep that shares one cached trace also shares one compiled form and
-// pays for validation and packing exactly once.
+// Compile validates and measures the program: one pass counts its
+// references and finds its largest line, and nothing is allocated per
+// reference. The result is memoized on the Program (safely for
+// concurrent callers), so every design point of a sweep that shares one
+// cached trace also shares one compiled form and pays for validation
+// exactly once.
 func Compile(p *Program) (*Compiled, error) {
 	if c := p.compiled.Load(); c != nil {
 		return c, nil
@@ -58,46 +53,27 @@ func Compile(p *Program) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, ph := range p.Phases {
-		for _, st := range ph.Streams {
-			total += len(st)
-		}
-	}
 	c := &Compiled{
 		Name:       p.Name,
 		Procs:      p.Procs,
-		Arena:      make([]mem.Ref, 0, total),
 		PhaseNames: make([]string, len(p.Phases)),
 		Streams:    make([][][]mem.Ref, len(p.Phases)),
-		StreamRefs: make([][]uint64, len(p.Phases)),
 	}
 	for i, ph := range p.Phases {
 		c.PhaseNames[i] = ph.Name
 		c.Streams[i] = make([][]mem.Ref, len(ph.Streams))
-		c.StreamRefs[i] = make([]uint64, len(ph.Streams))
 		for pr, st := range ph.Streams {
-			start := len(c.Arena)
-			c.Arena = append(c.Arena, st...)
-			// Full-capacity subslice so an (impossible) append by a
-			// consumer cannot bleed into the next stream.
-			c.Streams[i][pr] = c.Arena[start:len(c.Arena):len(c.Arena)]
-			var n uint64
+			c.Streams[i][pr] = st[:len(st):len(st)]
 			for _, r := range st {
-				if r.Kind == mem.Idle {
-					continue
-				}
-				n++
-				if li := sysmodel.LineIndex(r.Addr); li > c.maxLine {
-					c.maxLine = li
+				if r.Kind != mem.Idle {
+					c.refs++
+					c.maxLine = max(c.maxLine, sysmodel.LineIndex(r.Addr))
 				}
 			}
-			c.StreamRefs[i][pr] = n
-			c.refs += n
 		}
 	}
 	// First compile wins; concurrent compilers of the same program
-	// produce identical packings, so either result is fine to share.
+	// produce identical results, so either is fine to share.
 	if !p.compiled.CompareAndSwap(nil, c) {
 		return p.compiled.Load(), nil
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -46,12 +47,7 @@ func TestCompileLayoutAndMetadata(t *testing.T) {
 	if c.Name != p.Name || c.Procs != p.Procs {
 		t.Fatalf("header mismatch: %q/%d vs %q/%d", c.Name, c.Procs, p.Name, p.Procs)
 	}
-	if got, want := len(c.Arena), 3+1+0+3; got != want {
-		t.Fatalf("arena has %d refs, want %d", got, want)
-	}
-	// Streams must mirror the program's slices value-for-value and be
-	// views into the arena, laid out phase-major then processor-major.
-	off := 0
+	// Streams must mirror the program's slices value-for-value.
 	for i, ph := range p.Phases {
 		if c.PhaseNames[i] != ph.Name {
 			t.Errorf("phase %d name %q, want %q", i, c.PhaseNames[i], ph.Name)
@@ -61,10 +57,6 @@ func TestCompileLayoutAndMetadata(t *testing.T) {
 			if !reflect.DeepEqual(append([]mem.Ref{}, got...), append([]mem.Ref{}, st...)) {
 				t.Errorf("phase %d proc %d stream differs from source", i, pr)
 			}
-			if len(got) > 0 && &got[0] != &c.Arena[off] {
-				t.Errorf("phase %d proc %d stream is not an arena view at offset %d", i, pr, off)
-			}
-			off += len(st)
 		}
 	}
 	// Footprint metadata: 6 non-idle refs, max line from 0x9000.
@@ -74,11 +66,46 @@ func TestCompileLayoutAndMetadata(t *testing.T) {
 	if want := sysmodel.LineIndex(0x9000); c.MaxLineIndex() != want {
 		t.Errorf("MaxLineIndex() = %d, want %d", c.MaxLineIndex(), want)
 	}
-	if got := c.StreamRefs[0][0]; got != 2 {
-		t.Errorf("StreamRefs[0][0] = %d, want 2 (idle excluded)", got)
+}
+
+// TestCompileSharesProgramStreams: a compiled program holds no copy of
+// the trace. Each stream is the program's own backing array, capped at
+// its length, and compiling a program of a million references
+// allocates only its per-phase tables.
+func TestCompileSharesProgramStreams(t *testing.T) {
+	const procs, phases, refs = 4, 2, 1 << 17
+	p := &Program{Name: "big", Procs: procs}
+	for i := 0; i < phases; i++ {
+		ph := Phase{Name: "phase"}
+		for pr := 0; pr < procs; pr++ {
+			st := make([]mem.Ref, refs, refs+8)
+			for j := range st {
+				st[j] = mem.Ref{Addr: uint32(pr<<20 | j<<4 | 1), Kind: mem.Read, Gap: 1}
+			}
+			ph.Streams = append(ph.Streams, st)
+		}
+		p.Phases = append(p.Phases, ph)
 	}
-	if got := c.StreamRefs[1][1]; got != 3 {
-		t.Errorf("StreamRefs[1][1] = %d, want 3", got)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Compile(p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Refs() != procs*phases*refs {
+		t.Fatalf("Refs() = %d, want %d", c.Refs(), procs*phases*refs)
+	}
+	for i, ph := range p.Phases {
+		for pr, st := range ph.Streams {
+			got := c.Streams[i][pr]
+			if &got[0] != &st[0] || len(got) != len(st) || cap(got) != len(st) {
+				t.Errorf("phase %d proc %d: stream is not the program's slice capped at its length", i, pr)
+			}
+		}
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("Compile allocated %d bytes for %d refs, want under 64 KB", alloc, c.Refs())
 	}
 }
 

@@ -44,7 +44,7 @@ type Program struct {
 	// Phases in execution order.
 	Phases []Phase
 
-	// compiled memoizes the packed form built by Compile. Only Compile
+	// compiled memoizes the form built by Compile. Only Compile
 	// writes it (and only after successful validation); read-only
 	// operations like Validate and Refs never populate it, so they remain
 	// side-effect free. Programs must be shared by pointer — the atomic

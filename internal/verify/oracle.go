@@ -1,14 +1,14 @@
 // The oracle simulator: a deliberately naive reimplementation of the
 // documented simulation model, used to cross-check the optimized
-// simulator's results. Where internal/sim compiles traces into arenas,
-// keeps a flat presence array, runs the direct-mapped bank/tag path
-// inside its replay loop and schedules processors through a tournament
-// tree, the oracle uses maps for everything (sets, presence, bank
-// timing, locks), walks the Program's own stream slices, and picks the
-// next processor with a linear scan. The two implementations share no
-// simulation code — only the small statistics structs they both
-// report — so a bug in one is overwhelmingly unlikely to be reproduced
-// by the other.
+// simulator's results. Where internal/sim replays compiled traces,
+// keeps a flat presence array sized from their footprint, runs the
+// direct-mapped bank/tag path inside its replay loop and schedules
+// processors through a tournament tree, the oracle uses maps for
+// everything (sets, presence, bank timing, locks), walks the Program's
+// phases without compiling it, and picks the next processor with a
+// linear scan. The two implementations share no simulation code — only
+// the small statistics structs they both report — so a bug in one is
+// overwhelmingly unlikely to be reproduced by the other.
 //
 // Model scope (the paper's baseline model, which the whole design-space
 // grid runs under): fixed 100-cycle memory, zero bus occupancy, flat
