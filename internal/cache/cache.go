@@ -235,6 +235,8 @@ const EvictedNone = ^uint32(0)
 
 // Access performs a read or write of addr, filling on miss
 // (write-allocate) and returning the outcome. Writes mark the line dirty.
+// It is the probe/miss pair of the cache's associativity (HitDM/MissDM
+// or HitAssoc/MissAssoc) as one call.
 func (c *Cache) Access(addr uint32, kind mem.Kind) Result {
 	if c.assoc == 1 {
 		if c.HitDM(addr, kind) {
@@ -242,24 +244,47 @@ func (c *Cache) Access(addr uint32, kind mem.Kind) Result {
 		}
 		return c.MissDM(addr, kind)
 	}
-	tag := addr >> c.lineShift
-	set := c.set(tag)
-	base := set * c.assoc
-	c.stats.Accesses[kind]++
+	if c.HitAssoc(addr, kind) {
+		return Result{Hit: true, Evicted: EvictedNone}
+	}
+	return c.MissAssoc(addr, kind)
+}
 
+// HitAssoc and MissAssoc are Access split in two for set-associative
+// caches (Assoc() > 1), with the same contract as HitDM/MissDM: HitAssoc
+// counts the access, advances the LRU clock and, on a hit, stamps the way
+// and marks a write dirty; when it returns false the caller MUST complete
+// the access with MissAssoc, which picks the victim — an empty way first,
+// else the least recently used or, under random replacement, a drawn way
+// — and fills it with the clock HitAssoc advanced.
+func (c *Cache) HitAssoc(addr uint32, kind mem.Kind) bool {
+	tag := addr >> c.lineShift
+	base := c.set(tag) * c.assoc
+	c.stats.Accesses[kind]++
 	c.clock++
+	ways := c.tags[base : base+c.assoc]
+	for i, w := range ways {
+		if w&^dirtyBit == tag {
+			c.lru[base+uint32(i)] = c.clock
+			if kind == mem.Write {
+				ways[i] = w | dirtyBit
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// MissAssoc completes a set-associative access HitAssoc reported as a
+// miss. See HitAssoc for the contract.
+func (c *Cache) MissAssoc(addr uint32, kind mem.Kind) Result {
+	tag := addr >> c.lineShift
+	base := c.set(tag) * c.assoc
 	ways := c.tags[base : base+c.assoc]
 	lru := c.lru[base : base+c.assoc]
 	victim := 0
 	victimLRU := ^uint32(0)
 	for i, w := range ways {
-		if w&^dirtyBit == tag {
-			lru[i] = c.clock
-			if kind == mem.Write {
-				ways[i] = w | dirtyBit
-			}
-			return Result{Hit: true, Evicted: EvictedNone}
-		}
 		if w == tagInvalid {
 			// Prefer an empty way; LRU 0 guarantees selection unless an
 			// earlier empty way was already chosen.
@@ -351,6 +376,14 @@ func (c *Cache) FillDM(addr uint32) (displaced bool) {
 	displaced = *w != tagInvalid && *w&^dirtyBit != tag
 	*w = tag
 	return displaced
+}
+
+// ProbeDM is Probe for a direct-mapped cache: one tag-word compare,
+// small enough to inline where Probe's set scan is a call. Callers must
+// ensure Assoc() == 1.
+func (c *Cache) ProbeDM(addr uint32) bool {
+	tag := addr >> c.lineShift
+	return c.tags[c.set(tag)]&^dirtyBit == tag
 }
 
 // MarkDirty sets the dirty bit of the line containing addr if it is

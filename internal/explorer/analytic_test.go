@@ -124,6 +124,30 @@ func TestSweepAnalyticMultiprog(t *testing.T) {
 	}
 }
 
+// TestAnalyticMultiprogNeedsOneCluster: the scheduled profile has one
+// cluster, so an analytic multiprogramming point on more than one is
+// refused before any work instead of panicking in an engine worker; the
+// exact backend still runs it.
+func TestAnalyticMultiprogNeedsOneCluster(t *testing.T) {
+	cfg := sysmodel.Default(2, 16384)
+	if cfg.Clusters < 2 {
+		t.Fatalf("default config has %d clusters, want several", cfg.Clusters)
+	}
+	s := QuickScale()
+	_, err := RunConfigs(context.Background(), Multiprog, []sysmodel.Config{cfg}, s, sim.Options{},
+		EngineOptions{Backend: BackendAnalytic})
+	if err == nil || !strings.Contains(err.Error(), "one cluster") {
+		t.Fatalf("analytic multiprog on %d clusters: err = %v, want the one-cluster rule", cfg.Clusters, err)
+	}
+	pts, err := RunConfigs(context.Background(), Multiprog, []sysmodel.Config{cfg}, s, sim.Options{}, EngineOptions{})
+	if err != nil {
+		t.Fatalf("exact multiprog on %d clusters: %v", cfg.Clusters, err)
+	}
+	if pts[0].Result.Refs == 0 {
+		t.Fatal("exact multiprog point ran no references")
+	}
+}
+
 // TestRunPointAnalytic: single points agree with the corresponding
 // sweep cell (shared profile, same prediction).
 func TestRunPointAnalytic(t *testing.T) {

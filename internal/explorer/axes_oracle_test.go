@@ -78,8 +78,11 @@ func (a axisSample) String() string {
 }
 
 // axisSamples covers every hierarchy, both replacement policies,
-// non-default line sizes and associativities, in combination.
+// non-default line sizes and associativities, in combination, plus the
+// paper's line size at 4-way LRU (the set-associative SCC the widened
+// benchmark grid runs).
 var axisSamples = []axisSample{
+	{hierarchy: sysmodel.HierarchyShared, lineBytes: 16, assoc: 4, repl: sysmodel.ReplLRU},
 	{hierarchy: sysmodel.HierarchyShared, lineBytes: 32, assoc: 2, repl: sysmodel.ReplLRU},
 	{hierarchy: sysmodel.HierarchyShared, lineBytes: 64, assoc: 4, repl: sysmodel.ReplRandom},
 	{hierarchy: sysmodel.HierarchyShared, lineBytes: 16, assoc: 8, repl: sysmodel.ReplRandom},
@@ -127,10 +130,8 @@ func TestOracleMatchesSimulatorAxisSamples(t *testing.T) {
 	}
 }
 
-// TestOracleMatchesSimulatorAxisSamplesMultiprog sweeps the shared-only
-// axis samples for the multiprogramming workload (line size,
-// associativity and replacement apply there; the private and hybrid
-// hierarchies do not).
+// TestOracleMatchesSimulatorAxisSamplesMultiprog sweeps the axis
+// samples, every hierarchy included, for the multiprogramming workload.
 func TestOracleMatchesSimulatorAxisSamplesMultiprog(t *testing.T) {
 	s := explorer.QuickScale()
 	refs := s.MultiprogRefs
@@ -144,13 +145,11 @@ func TestOracleMatchesSimulatorAxisSamplesMultiprog(t *testing.T) {
 		oprocs[i] = verify.Process{Name: p.Name, Refs: p.Refs}
 	}
 	for _, a := range axisSamples {
-		if a.hierarchy != sysmodel.HierarchyShared {
-			continue
-		}
 		cfg := sysmodel.Config{
 			Clusters: 1, ProcsPerCluster: 4, SCCBytes: sysmodel.SCCSizes[0],
 			LoadLatency: sysmodel.ImpliedLoadLatency(4),
 			LineBytes:   a.lineBytes, Assoc: a.assoc, Repl: a.repl,
+			Hierarchy: a.hierarchy, L1Bytes: a.l1Bytes,
 		}
 		res, err := sim.RunMultiprog(cfg, sim.Options{Verify: &verify.Options{}}, procs, quantum)
 		if err != nil {

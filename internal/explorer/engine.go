@@ -588,6 +588,12 @@ func newJob(w Workload, cfg sysmodel.Config, s Scale, opts sim.Options, eng Engi
 		if err := AnalyticSupports(cfg); err != nil {
 			return pointJob{}, err
 		}
+		if w == Multiprog && cfg.Clusters != 1 {
+			// The scheduled profile models the processes sharing one SCC;
+			// it has no second cluster to predict.
+			return pointJob{}, fmt.Errorf("explorer: analytic backend models %s on one cluster only (got clusters=%d); use the exact backend",
+				w, cfg.Clusters)
+		}
 		return pointJob{cfg: cfg, run: func(context.Context, sim.Tracer) (*Point, error) {
 			return analyticPoint(w, cfg, s, tc, eng.TraceCache)
 		}}, nil

@@ -28,7 +28,6 @@ import (
 // SCC is one cluster's shared cache.
 type SCC struct {
 	tags     *cache.Cache
-	dm       bool // tags are direct-mapped: take the inlinable fast path
 	banks    int
 	bankMask uint32
 	// bank[b] is bank b's timing and access count, fused into one struct
@@ -133,7 +132,6 @@ func NewWith(size, assoc, banks, lineBytes int, repl string) (*SCC, error) {
 	}
 	return &SCC{
 		tags:      tags,
-		dm:        assoc == 1, // replacement is forced when direct-mapped, so repl never disables the fast path
 		banks:     banks,
 		bankMask:  uint32(banks - 1),
 		bank:      make([]bankState, banks),
@@ -219,7 +217,7 @@ func (r Result) Wait(now uint64) uint64 { return r.Start - now }
 // the bank is occupied for sysmodel.BankAccessCycles. Returns the cycle
 // at which the bank begins servicing the access. This is Access's
 // arbitration step, exported and kept inline-small so the simulator's
-// fused direct-mapped path (see DirectTags) can run it without a call.
+// fused access path (see BareTags) can run it without a call.
 func (s *SCC) BankStart(now uint64, addr uint32) uint64 {
 	b := &s.bank[(addr>>s.lineShift)&s.bankMask]
 	b.count++
@@ -234,13 +232,14 @@ func (s *SCC) BankStart(now uint64, addr uint32) uint64 {
 	return start
 }
 
-// DirectTags returns the tag store when the SCC is direct-mapped with no
-// victim buffer — the configuration whose access path the simulator
-// fuses inline (BankStart for timing plus cache.HitDM/MissDM for the tag
-// probe reproduce Access exactly) — and nil otherwise. Accessing the
-// returned cache outside that pairing bypasses bank accounting.
-func (s *SCC) DirectTags() *cache.Cache {
-	if s.dm && s.victim == nil {
+// BareTags returns the tag store when the SCC has no victim buffer —
+// the configuration whose access path the simulator fuses inline
+// (BankStart for timing plus the tag store's probe/miss pair,
+// cache.HitDM/MissDM or HitAssoc/MissAssoc by associativity, reproduce
+// Access exactly) — and nil otherwise. Accessing the returned cache
+// outside that pairing bypasses bank accounting.
+func (s *SCC) BareTags() *cache.Cache {
+	if s.victim == nil {
 		return s.tags
 	}
 	return nil
@@ -256,18 +255,7 @@ func (s *SCC) Access(now uint64, addr uint32, kind mem.Kind) Result {
 	bank := s.BankOf(addr)
 	start := s.BankStart(now, addr)
 
-	var cr cache.Result
-	if s.dm {
-		// Direct-mapped tag probe, inlined here: the common hit costs no
-		// call through the cache layer.
-		if s.tags.HitDM(addr, kind) {
-			cr = cache.Result{Hit: true, Evicted: cache.EvictedNone}
-		} else {
-			cr = s.tags.MissDM(addr, kind)
-		}
-	} else {
-		cr = s.tags.Access(addr, kind)
-	}
+	cr := s.tags.Access(addr, kind)
 	res := Result{
 		Hit:          cr.Hit,
 		Bank:         bank,

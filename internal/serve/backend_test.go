@@ -149,6 +149,32 @@ func TestVictimBufferOnPrivate400(t *testing.T) {
 	}
 }
 
+// TestMultiprogOnEveryHierarchy: the multiprogramming workload runs on
+// the private and hybrid hierarchies on the exact backend, as a point
+// and as a sweep, and the analytic backend refuses both hierarchies
+// with a 400 before any work.
+func TestMultiprogOnEveryHierarchy(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, h := range []string{"private", "hybrid"} {
+		for _, route := range []string{"/v1/point", "/v1/sweep"} {
+			body := `{"workload":"multiprog","scale_spec":{"multiprog_refs":6000,"seed":41},"axes":{"hierarchy":"` + h + `"}`
+			var eb errorBody
+			if code := postJSON(t, ts.URL, route, body+`}`, &eb); code != http.StatusOK {
+				t.Errorf("%s %s: status %d (%s), want 200", route, h, code, eb.Error)
+			}
+			eb = errorBody{}
+			if code := postJSON(t, ts.URL, route, body+`,"backend":"analytic"}`, &eb); code != http.StatusBadRequest {
+				t.Errorf("%s %s analytic: status %d, want 400", route, h, code)
+			} else if !strings.Contains(eb.Error, "hierarchy") {
+				t.Errorf("%s %s analytic: error %q does not name the hierarchy", route, h, eb.Error)
+			}
+		}
+	}
+}
+
 // TestBackendEndToEnd: the backend field reaches the engine (the
 // analytic grid comes back populated and stamped), is echoed in sweep
 // and point responses (including the "exact" default the client never

@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 
+	"sccsim/internal/cache"
 	"sccsim/internal/mem"
 	"sccsim/internal/obs"
+	"sccsim/internal/scc"
 	"sccsim/internal/sysmodel"
 )
 
@@ -33,9 +35,6 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 	}
 	if quantum == 0 {
 		return nil, fmt.Errorf("sim: zero scheduler quantum")
-	}
-	if h := cfg.HierarchyKind(); h != sysmodel.HierarchyShared {
-		return nil, fmt.Errorf("sim: hierarchy %q is not supported for multiprogramming workloads; use the default shared hierarchy", h)
 	}
 	nproc := cfg.Procs()
 	s, err := newSystem(cfg, opts)
@@ -86,11 +85,13 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 		queue = append(queue, i)
 	}
 
-	// The scheduler is keyed on each processor's clock: the winner runs
-	// one reference, then its leaf is set to its new clock, or emptied
-	// when it goes idle. Only the winner's clock and processors woken
-	// from idle ever change, and each is re-keyed as it does.
+	// The scheduler is keyed on each processor's clock, before the gap of
+	// its next reference: the winner issues a stretch of references
+	// (below), then its leaf is set to its new clock, or emptied when it
+	// goes idle. Only the winner's clock and processors woken from idle
+	// ever change, and each is re-keyed as it does.
 	sched := newTourney(nproc)
+	res, tr, warmupAt, dm := s.res, s.tr, s.opts.WarmupRefs, s.directMapped()
 	for p := 0; p < nproc; p++ {
 		if current[p] >= 0 {
 			sched.set(p, schedKey(p, clock[p]))
@@ -177,24 +178,64 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			quantumEnd[p] = clock[p] + quantum
 		}
 
-		r := st[pos[pid]]
-		t := clock[p] + uint64(r.Gap)
-		if r.Kind != mem.Idle {
-			var retry bool
-			t, retry = s.access(p, t, r)
-			if retry {
-				// Spin iteration on a held lock: re-issue later.
-				clock[p] = t
-				sched.set(p, schedKey(p, t))
-				continue
+		// Run ahead: the winner keeps issuing while its key stays below
+		// bound, every other processor's key, its clock below the quantum
+		// end and its stream unfinished; a spin iteration also ends the
+		// stretch. The checks above then run exactly where a scheduler
+		// consulted per reference would run them, and the tree is touched
+		// once per stretch. Only the winner's state changes inside it.
+		bound := sched.runnerUp(p)
+		i, t, qEnd := pos[pid], clock[p], quantumEnd[p]
+		var c int
+		var sc *scc.SCC
+		var tags *cache.Cache
+		if dm {
+			c = s.clusterOf(p)
+			sc, tags = s.sccs[c], s.fastTags[c]
+		}
+		for {
+			r := st[i]
+			t += uint64(r.Gap)
+			if r.Kind != mem.Idle {
+				if tags != nil && r.Kind <= mem.Write {
+					// The paper's SCC access, in line: the steps of replay's
+					// in-loop access (see there).
+					if s.ck != nil {
+						s.ck.OnAccess(c)
+					}
+					start := sc.BankStart(t, r.Addr)
+					if start != t {
+						s.bankStallAt(p, t, start-t, r.Addr)
+					}
+					if tags.HitDM(r.Addr, r.Kind) {
+						if r.Kind == mem.Write && s.bus.MaybeShared(r.Addr, c) {
+							s.bus.WriteShared(start, c, r.Addr)
+						}
+						if tr != nil {
+							s.emitHit(p, start, r.Addr, r.Kind)
+						}
+						t = start
+					} else {
+						t = s.missDM(p, c, start, r.Addr, r.Kind)
+					}
+				} else {
+					var retry bool
+					if t, retry = s.access(p, t, r); retry {
+						// Spin iteration on a held lock: re-issue the same
+						// reference, gap included, once p wins again.
+						break
+					}
+				}
+				res.Refs++
+				if res.Refs == warmupAt {
+					s.warmupReset()
+				}
 			}
-			s.res.Refs++
-			if s.res.Refs == s.opts.WarmupRefs {
-				s.warmupReset()
+			if i++; i == len(st) || t >= qEnd || schedKey(p, t) >= bound {
+				break
 			}
 		}
-		pos[pid]++
-		clock[p] = t
+		pos[pid], clock[p] = i, t
 		sched.set(p, schedKey(p, t))
 	}
 

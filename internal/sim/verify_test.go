@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -164,7 +165,9 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 }
 
 // fuzzConfig maps arbitrary fuzz bytes onto a machine within the
-// oracle's modelled envelope, on any of the three hierarchies.
+// oracle's modelled envelope, on any of the three hierarchies, at
+// associativity 1, 2 or 4 (assocB%3) with LRU or random replacement
+// ((assocB/3)%2).
 func fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB uint8) sysmodel.Config {
 	ppc := []int{1, 2, 4, 8}[int(ppcB)%4]
 	return sysmodel.Config{
@@ -174,9 +177,32 @@ func fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB uint8) sysmodel.Config {
 		// (8 procs * 4 banks), still a power-of-two set count.
 		SCCBytes:    sysmodel.LineSize * (32 << (int(sizeB) % 4)),
 		LoadLatency: sysmodel.ImpliedLoadLatency(ppc),
-		Assoc:       1 << (int(assocB) % 2),
+		Assoc:       []int{1, 2, 4}[int(assocB)%3],
+		Repl:        []string{sysmodel.ReplLRU, sysmodel.ReplRandom}[int(assocB)/3%2],
 		Hierarchy:   hierarchies[int(hierB)%len(hierarchies)],
 	}
+}
+
+// fuzzQuantum maps a fuzz byte onto a scheduler quantum of 16 to 4096
+// cycles: short enough that preemptions land inside run-ahead stretches
+// and critical sections, and that a process spinning on a lock whose
+// holder was preempted is itself preempted within a few hundred spins.
+func fuzzQuantum(b uint8) uint64 { return 16 << (int(b) % 9) }
+
+// fuzzProcesses turns the fuzz stream into a multiprogramming workload:
+// fuzzProgram's per-processor streams for one processor more than the
+// machine has, each stream one process, so the ready queue is never
+// empty while every process runs and quantum expiries preempt.
+func fuzzProcesses(procs int, stream []byte) ([]Process, []verify.Process) {
+	p := fuzzProgram(procs+1, stream)
+	processes := make([]Process, p.Procs)
+	oprocs := make([]verify.Process, p.Procs)
+	for i, refs := range p.Phases[0].Streams {
+		name := fmt.Sprintf("fuzz%d", i)
+		processes[i] = Process{Name: name, Refs: refs}
+		oprocs[i] = verify.Process{Name: name, Refs: refs}
+	}
+	return processes, oprocs
 }
 
 // fuzzProgram deals the fuzz stream round-robin onto the processors,
@@ -211,16 +237,27 @@ func fuzzProgram(procs int, stream []byte) *trace.Program {
 // configurations and programs and holds it to three oracles at once:
 // the invariant checker (any violation fails the run), determinism
 // (identical reruns), and the naive map-based model (exact statistics
-// match).
+// match). The same stream then runs again as a multiprogramming
+// workload (fuzzProcesses) under a fuzzed quantum, held to the same
+// three.
 func FuzzSimConfig(f *testing.F) {
 	// Each seed runs on every hierarchy (hierB 0, 1, 2).
 	for h := range hierarchies {
 		hb := uint8(h)
-		f.Add(uint8(0), uint8(1), uint8(2), uint8(0), hb, int8(0), []byte("sccsim"))
-		f.Add(uint8(1), uint8(2), uint8(0), uint8(1), hb, int8(-1), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
-		f.Add(uint8(3), uint8(3), uint8(3), uint8(0), hb, int8(1), []byte{0xc0, 0xc0, 0x41, 0x02})
+		f.Add(uint8(0), uint8(1), uint8(2), uint8(0), hb, int8(0), uint8(4), []byte("sccsim"))
+		f.Add(uint8(1), uint8(2), uint8(0), uint8(1), hb, int8(-1), uint8(8), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
+		f.Add(uint8(3), uint8(3), uint8(3), uint8(0), hb, int8(1), uint8(2), []byte{0xc0, 0xc0, 0x41, 0x02})
+		// Set-associative LRU and random tags.
+		f.Add(uint8(1), uint8(1), uint8(1), uint8(2), hb, int8(2), uint8(3), []byte("set-associative tags, lru"))
+		f.Add(uint8(0), uint8(2), uint8(0), uint8(5), hb, int8(0), uint8(1), []byte{0x3f, 0x7f, 0x1f, 0x5f, 0x0f, 0x4f, 0x2f, 0x6f, 0x37})
+		// Locks held across a preemption: with a 16-cycle quantum the
+		// lock word's read miss alone outlasts the quantum, so processes
+		// are preempted holding a lock that a process on another
+		// processor then spins on.
+		f.Add(uint8(0), uint8(1), uint8(0), uint8(0), hb, int8(0), uint8(0), []byte{0xc0, 0xc0, 0xc0, 0xc0, 0xc0, 0xc0, 0x01, 0xc0, 0xd1, 0xc0})
+		f.Add(uint8(1), uint8(1), uint8(2), uint8(1), hb, int8(1), uint8(0), []byte{0xc1, 0xc1, 0xc1, 0xc1, 0x42, 0xc1, 0x03, 0xc1})
 	}
-	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB, hierB uint8, wbDepth int8, stream []byte) {
+	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB, hierB uint8, wbDepth int8, quantumB uint8, stream []byte) {
 		cfg := fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB)
 		if cfg.Validate() != nil {
 			t.Skip("configuration outside the simulator's envelope")
@@ -247,6 +284,28 @@ func FuzzSimConfig(f *testing.F) {
 		rs := res.VerifyStats()
 		if diffs := verify.DiffRunStats(oracle, &rs); len(diffs) > 0 {
 			t.Fatalf("oracle divergence on %v: %s", cfg, strings.Join(diffs, "; "))
+		}
+
+		processes, oprocs := fuzzProcesses(cfg.Procs(), stream)
+		quantum := fuzzQuantum(quantumB)
+		mres, err := RunMultiprog(cfg, opts, processes, quantum)
+		if err != nil {
+			t.Fatalf("verified multiprog run failed on %v (quantum %d): %v", cfg, quantum, err)
+		}
+		again, err = RunMultiprog(cfg, opts, processes, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mres, again) {
+			t.Fatalf("non-deterministic multiprog result on %v (quantum %d)", cfg, quantum)
+		}
+		oracle, err = verify.RunOracleMultiprog(cfg, oprocs, quantum, verify.OracleOptions{WriteBufferDepth: int(wbDepth)})
+		if err != nil {
+			t.Fatalf("multiprog oracle failed on %v (quantum %d): %v", cfg, quantum, err)
+		}
+		rs = mres.VerifyStats()
+		if diffs := verify.DiffRunStats(oracle, &rs); len(diffs) > 0 {
+			t.Fatalf("multiprog oracle divergence on %v (quantum %d): %s", cfg, quantum, strings.Join(diffs, "; "))
 		}
 	})
 }
