@@ -15,7 +15,8 @@ import (
 // backends for all four workloads, the widened exact grids (private
 // and hybrid hierarchies, 4-way LRU tags), batches of off-grid points
 // and an explicit configuration on both backends, the Section 4
-// cost/performance entries, and adaptive searches. Any change to a run
+// cost/performance entries, adaptive searches, and exact sweeps under
+// the simulator options the oracle does not model. Any change to a run
 // path that moves a single byte of any result fails here. Update a
 // digest only for an intended model change, and say so in the change
 // description.
@@ -75,6 +76,28 @@ func TestResultDigests(t *testing.T) {
 			return sccsim.SearchCtx(ctx, w, sccsim.SearchSpec{Seed: 1}, s)
 		}})
 	}
+	// The simulator options the oracle does not model (internal/verify
+	// covers the paper's baseline only): the victim buffer on each path
+	// it takes, bus occupancy, banked memory and statistics warmup.
+	victim := sccsim.Options{VictimEntries: 4}
+	for name, a := range map[string]struct {
+		w    sccsim.Workload
+		axes sccsim.Axes
+		opts sccsim.Options
+	}{
+		"victim4/mp3d":            {sccsim.MP3D, sccsim.Axes{}, victim},
+		"victim4/cholesky/assoc2": {sccsim.Cholesky, sccsim.Axes{Assoc: 2, Repl: sccsim.ReplLRU}, victim},
+		"victim4/mp3d/hybrid":     {sccsim.MP3D, sccsim.Axes{Hierarchy: sccsim.HierarchyHybrid}, victim},
+		"victim4/multiprog":       {sccsim.Multiprog, sccsim.Axes{}, victim},
+		"busocc4/mp3d":            {sccsim.MP3D, sccsim.Axes{}, sccsim.Options{BusOccupancy: 4}},
+		"membanks4/barnes-hut":    {sccsim.BarnesHut, sccsim.Axes{}, sccsim.Options{MemBanks: 4, MemBankOccupancy: 20}},
+		"warmup/mp3d":             {sccsim.MP3D, sccsim.Axes{}, sccsim.Options{WarmupRefs: 20000}},
+		"warmup/multiprog":        {sccsim.Multiprog, sccsim.Axes{}, sccsim.Options{WarmupRefs: 100000}},
+	} {
+		runs = append(runs, run{"ablation/" + name, func() (any, error) {
+			return sccsim.SweepCtx(ctx, a.w, s, sccsim.WithAxes(a.axes), sccsim.WithSimOptions(a.opts))
+		}})
+	}
 
 	want := map[string]string{
 		"sweep/barnes-hut/exact":     "fd6a73ae0d7e8244a6369f90ef5428dcddf225514d47753093f0f27c29fe9376",
@@ -98,6 +121,15 @@ func TestResultDigests(t *testing.T) {
 		"costperf/multiprog":         "592984e9925f0f8869a3dfd7ad28ddfabd59ad51632342e05f03981f6634ca09",
 		"search/mp3d":                "1e576a8bdbe1a19d3c670c8622115e6ebad8cfa7c0b250b01a1aac7c2500183c",
 		"search/multiprog":           "e6f12ec14ec2c84f2ba28953c92ca00b243b61a15040f7351d08c6114c1590c6",
+
+		"ablation/victim4/mp3d":            "222da9df648a1a5656b4fe21ee29e4adf6fcebc2198e52278ce3cc395e2d5bad",
+		"ablation/victim4/cholesky/assoc2": "a1cf6de69a22fe80f766aee8386732a251ae01c64d27997ac1bdc0e178aea884",
+		"ablation/victim4/mp3d/hybrid":     "d52c005245b26d8e9fd6c477c4870a837a656ae59deb994b654fd1caf3c0c1e4",
+		"ablation/victim4/multiprog":       "87dbafd09ea8a7de619ed03e4d57ffcd5e7d39adb7225877ad7246c47cd9c00d",
+		"ablation/busocc4/mp3d":            "4d86f6df1a7d9fe93379d1964e9f18e6f6ba53047bce7b6f99abfff43e9b6fd4",
+		"ablation/membanks4/barnes-hut":    "a51b1a9c051c6b5b4e392386e8730b34d01dad6db56506e58b8f563fdb165355",
+		"ablation/warmup/mp3d":             "82f891048c82c28c885d9780982b1fc9546a7ccb130613482a133167919453d5",
+		"ablation/warmup/multiprog":        "451db1d1f9cc7495a52346f02bb7b89faa87c9da4997e3eeb0a8e5bcc772c1fb",
 	}
 	for _, r := range runs {
 		res, err := r.fn()
