@@ -2,12 +2,13 @@
 // remote executor (worker nodes reached over the service's HTTP/JSON
 // protocol), falls back to local simulation when a worker fails, and
 // merges the results into a grid byte-identical to the single-node
-// engine's. The merge is not a blind append: every remote result is
-// validated against the configuration it was asked for, and Sweep
-// merges through an Assembler that rejects unknown slots, duplicates,
-// and configuration mismatches, so a confused or malicious worker can
-// fail a point but never corrupt a grid (FuzzShardMerge hammers exactly
-// this property).
+// engine's. The merge is not a blind append: a worker's bytes become a
+// point only through DecodePointEnvelope, every remote point is
+// validated against the configuration it was asked for (checkPoint, in
+// offerRemote) before the engine accepts it, and Sweep lays out the
+// engine's in-order points against the plan it built itself, so a
+// confused or malicious worker can fail a point but never corrupt a
+// grid (FuzzShardMerge hammers exactly this boundary).
 
 package explorer
 
@@ -40,54 +41,6 @@ func GridSpecs() []PointSpec {
 	return specs
 }
 
-// Assembler accumulates per-point partial results into a design-space
-// grid. It is the coordinator's merge point: Put validates each partial
-// result against the shard plan — the slot must exist, be empty, and
-// the point's configuration must match it exactly — so malformed,
-// duplicated or misdirected results are rejected as errors instead of
-// corrupting the grid. Not safe for concurrent use; Sweep calls it from
-// one goroutine.
-type Assembler struct {
-	w      Workload
-	axes   sysmodel.Axes
-	specs  []PointSpec
-	index  map[PointSpec]int
-	points []*Point
-	filled int
-}
-
-// NewAssembler builds an assembler over the full design-space grid for
-// one workload, validating every partial result against the sweep's
-// architecture axes (the zero value is the paper's default machine).
-func NewAssembler(w Workload, axes sysmodel.Axes) *Assembler {
-	specs := GridSpecs()
-	idx := make(map[PointSpec]int, len(specs))
-	for i, sp := range specs {
-		idx[sp] = i
-	}
-	return &Assembler{
-		w: w, axes: axes, specs: specs, index: idx,
-		points: make([]*Point, len(specs)),
-	}
-}
-
-// Specs returns the shard plan: every grid point in job order.
-func (a *Assembler) Specs() []PointSpec {
-	return append([]PointSpec(nil), a.specs...)
-}
-
-// Check validates a partial result against its slot without merging it:
-// nil or incomplete points, unknown slots, and configuration mismatches
-// are errors. Every remote result passes the same configuration check
-// (checkPoint) before the engine accepts it, so a bad worker response
-// triggers local fallback rather than a failed sweep.
-func (a *Assembler) Check(spec PointSpec, pt *Point) error {
-	if _, ok := a.index[spec]; !ok {
-		return fmt.Errorf("explorer: point %dP/%dB is not in the sweep grid", spec.PPC, spec.SCCBytes)
-	}
-	return checkPoint(PointConfig(a.w, spec.PPC, spec.SCCBytes, a.axes), pt)
-}
-
 // checkPoint validates a point produced elsewhere against the
 // configuration it was asked for.
 func checkPoint(want sysmodel.Config, pt *Point) error {
@@ -99,31 +52,6 @@ func checkPoint(want sysmodel.Config, pt *Point) error {
 			want.ProcsPerCluster, want.SCCBytes, pt.Config, want)
 	}
 	return nil
-}
-
-// Put merges one partial result into its slot. Everything Check rejects
-// is rejected here too, plus duplicates: a slot accepts exactly one
-// result, so replayed or double-delivered partials fail loudly.
-func (a *Assembler) Put(spec PointSpec, pt *Point) error {
-	if err := a.Check(spec, pt); err != nil {
-		return err
-	}
-	i := a.index[spec]
-	if a.points[i] != nil {
-		return fmt.Errorf("explorer: duplicate partial result for %dP/%dB", spec.PPC, spec.SCCBytes)
-	}
-	a.points[i] = pt
-	a.filled++
-	return nil
-}
-
-// Grid returns the merged grid, failing if any slot is still empty — a
-// partial merge is never presented as a complete sweep.
-func (a *Assembler) Grid() (*Grid, error) {
-	if a.filled != len(a.specs) {
-		return nil, fmt.Errorf("explorer: merged grid is incomplete: %d of %d points", a.filled, len(a.specs))
-	}
-	return assembleGrid(a.w, a.points), nil
 }
 
 // pointEnvelope mirrors the fields of the service's point response that

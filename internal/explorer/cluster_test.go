@@ -24,9 +24,8 @@ func runPoint(ctx context.Context, w Workload, spec PointSpec, s Scale) (*Point,
 
 func TestGridSpecsCoverTheGrid(t *testing.T) {
 	specs := GridSpecs()
-	asm := NewAssembler(BarnesHut, sysmodel.Axes{})
-	if len(specs) == 0 {
-		t.Fatal("empty shard plan")
+	if want := len(sysmodel.SCCSizes) * len(sysmodel.ProcsPerClusterSweep); len(specs) != want {
+		t.Fatalf("shard plan has %d specs, want %d", len(specs), want)
 	}
 	seen := make(map[PointSpec]bool, len(specs))
 	for _, sp := range specs {
@@ -35,44 +34,33 @@ func TestGridSpecsCoverTheGrid(t *testing.T) {
 		}
 		seen[sp] = true
 	}
-	if got := asm.Specs(); len(got) != len(specs) {
-		t.Fatalf("assembler plan has %d specs, GridSpecs %d", len(got), len(specs))
-	}
 }
 
-func TestAssemblerRejectsBadPartials(t *testing.T) {
-	asm := NewAssembler(BarnesHut, sysmodel.Axes{})
-	spec := asm.Specs()[0]
-	good := &Point{Config: PointConfig(BarnesHut, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), Result: &sim.Result{Cycles: 1}}
+// TestCheckPointRejectsBadPartials: the configuration check offerRemote
+// applies to every remote point before the engine accepts it.
+func TestCheckPointRejectsBadPartials(t *testing.T) {
+	spec := GridSpecs()[0]
+	want := PointConfig(BarnesHut, spec.PPC, spec.SCCBytes, sysmodel.Axes{})
+	good := &Point{Config: want, Result: &sim.Result{Cycles: 1}}
 
-	if err := asm.Put(spec, nil); err == nil {
+	if err := checkPoint(want, nil); err == nil {
 		t.Error("nil point accepted")
 	}
-	if err := asm.Put(spec, &Point{Config: good.Config}); err == nil {
+	if err := checkPoint(want, &Point{Config: want}); err == nil {
 		t.Error("point without result accepted")
-	}
-	if err := asm.Put(PointSpec{PPC: 3, SCCBytes: 12345}, good); err == nil {
-		t.Error("out-of-grid spec accepted")
 	}
 	wrong := *good
 	wrong.Config.SCCBytes *= 2
-	if err := asm.Put(spec, &wrong); err == nil {
+	if err := checkPoint(want, &wrong); err == nil {
 		t.Error("config-mismatched point accepted")
 	}
 	mp := *good
 	mp.Config.Clusters = 1 // a multiprog-shaped config in a parallel sweep
-	if err := asm.Put(spec, &mp); err == nil {
+	if err := checkPoint(want, &mp); err == nil {
 		t.Error("cluster-count-mismatched point accepted")
 	}
-
-	if err := asm.Put(spec, good); err != nil {
+	if err := checkPoint(want, good); err != nil {
 		t.Fatalf("valid point rejected: %v", err)
-	}
-	if err := asm.Put(spec, good); err == nil {
-		t.Error("duplicate partial accepted")
-	}
-	if _, err := asm.Grid(); err == nil {
-		t.Error("incomplete merge produced a grid")
 	}
 }
 
@@ -228,24 +216,22 @@ func TestSweepClusterCancellationPropagates(t *testing.T) {
 	}
 }
 
-// FuzzShardMerge hammers the two distrust boundaries of the distributed
-// sweep with hostile bytes: the worker point envelope (malformed,
-// truncated, wrong-status, resultless payloads must be rejected, never
-// panic) and the partial-grid merge (whatever decodes must still pass
-// slot, duplicate and configuration validation before it can land in a
-// grid — and a grid must never assemble from fewer points than the
-// plan).
+// FuzzShardMerge hammers the distributed sweep's trust boundary with
+// hostile worker bytes. DecodePointEnvelope must reject malformed,
+// truncated, wrong-status and resultless envelopes without a point and
+// never panic; a decoded point then passes through offerRemote, whose
+// checkPoint must accept it exactly when it carries the configuration
+// it was asked for — anything else falls back to the local run.
 func FuzzShardMerge(f *testing.F) {
 	spec := GridSpecs()[0]
 	pt := &Point{Config: PointConfig(BarnesHut, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), Result: &sim.Result{Cycles: 9, Refs: 3}}
 	good, _ := json.Marshal(map[string]any{"status": "done", "point": pt})
-	f.Add(good, 1, 64*1024)
+	f.Add(good, spec.PPC, spec.SCCBytes)
 	f.Add([]byte(`{"status":"failed","error":"x"}`), 1, 4096)
 	f.Add([]byte(`{"status":"done","point":{"Config":{"Clusters":4},"Result":{"Cycles":1}}}`), 2, 8192)
 	f.Add(good[:len(good)/2], 8, 512*1024)
 	f.Add([]byte(`[]`), 0, 0)
 	f.Fuzz(func(t *testing.T, raw []byte, ppc, scc int) {
-		asm := NewAssembler(BarnesHut, sysmodel.Axes{})
 		decoded, err := DecodePointEnvelope(raw)
 		if err != nil {
 			if decoded != nil {
@@ -256,21 +242,21 @@ func FuzzShardMerge(f *testing.F) {
 		if decoded == nil || decoded.Result == nil {
 			t.Fatal("accepted envelope without a result")
 		}
-		spec := PointSpec{PPC: ppc, SCCBytes: scc}
-		// First delivery: merged iff it validates. Second delivery of
-		// the same partial must always be rejected.
-		if err := asm.Put(spec, decoded); err == nil {
-			if cerr := asm.Check(spec, decoded); cerr != nil {
-				t.Fatalf("Put accepted what Check rejects: %v", cerr)
-			}
-			if err := asm.Put(spec, decoded); err == nil {
-				t.Fatal("duplicate partial accepted")
-			}
-			if _, err := asm.Grid(); err == nil && len(asm.Specs()) > 1 {
-				t.Fatal("grid assembled from a single partial")
-			}
-		} else if cerr := asm.Check(spec, decoded); cerr == nil {
-			t.Fatalf("Put rejected what Check accepts: %v", err)
+		// The coordinator asked the worker for (ppc, scc).
+		cfg := PointConfig(BarnesHut, ppc, scc, sysmodel.Axes{})
+		local := &Point{Config: cfg, Result: &sim.Result{}}
+		remote := func(context.Context, Workload, PointSpec) (*Point, error) { return decoded, nil }
+		run := offerRemote(BarnesHut, cfg, EngineOptions{Remote: remote},
+			func(context.Context, sim.Tracer) (*Point, error) { return local, nil })
+		got, err := run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Config != cfg {
+			t.Fatalf("accepted a point for %+v, asked for %+v", got.Config, cfg)
+		}
+		if (got == decoded) != (decoded.Config == cfg) {
+			t.Fatalf("remote point for %+v used=%v, asked for %+v", decoded.Config, got == decoded, cfg)
 		}
 	})
 }

@@ -551,11 +551,12 @@ func RunConfigs(ctx context.Context, w Workload, cfgs []sysmodel.Config, s Scale
 
 // Sweep runs workload w over the full design-space grid — RunConfigs
 // over GridSpecs() on the paper's system with eng.Axes applied — and
-// merges the points through an Assembler, so the grid is the same
-// bytes whether its points ran here or on remote workers.
+// lays the in-order points out as the grid (assembleGrid). A point a
+// remote worker served passed checkPoint against its configuration
+// before RunConfigs returned it, so the grid is the same bytes whether
+// its points ran here or on remote workers.
 func Sweep(ctx context.Context, w Workload, s Scale, opts sim.Options, eng EngineOptions) (*Grid, error) {
-	asm := NewAssembler(w, eng.Axes)
-	specs := asm.Specs()
+	specs := GridSpecs()
 	cfgs := make([]sysmodel.Config, len(specs))
 	for i, sp := range specs {
 		cfgs[i] = PointConfig(w, sp.PPC, sp.SCCBytes, eng.Axes)
@@ -564,12 +565,7 @@ func Sweep(ctx context.Context, w Workload, s Scale, opts sim.Options, eng Engin
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range points {
-		if err := asm.Put(specs[i], pt); err != nil {
-			return nil, err
-		}
-	}
-	return asm.Grid()
+	return assembleGrid(w, points), nil
 }
 
 // newJob builds the engine job for one configuration on the selected

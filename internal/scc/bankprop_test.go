@@ -28,8 +28,8 @@ func TestSingleStreamBankCountInvariance(t *testing.T) {
 			if state&7 == 0 {
 				kind = mem.Write
 			}
-			r := s.Access(now, addr, kind)
-			now = r.Start + sysmodel.BankAccessCycles
+			r := access(s, now, addr, kind)
+			now = r.start + sysmodel.BankAccessCycles
 		}
 		return s.CacheStats(), s.Stats()
 	}

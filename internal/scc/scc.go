@@ -189,35 +189,12 @@ func (s *SCC) ResetStats() {
 	s.stats.BankConflicts, s.stats.BankWaitCycles, s.stats.VictimHits = 0, 0, 0
 }
 
-// BankOf returns the bank servicing addr (line-interleaved).
-func (s *SCC) BankOf(addr uint32) int {
-	return int((addr >> s.lineShift) & s.bankMask)
-}
-
-// Result describes the outcome and timing of one SCC access.
-type Result struct {
-	// Hit reports whether the line was resident.
-	Hit bool
-	// Bank is the bank that serviced the access.
-	Bank int
-	// Start is the cycle at which the bank began servicing the access;
-	// Start - now is the bank-arbitration wait.
-	Start uint64
-	// Evicted is the line index displaced by a fill, or cache.EvictedNone.
-	Evicted uint32
-	// EvictedDirty reports whether the displaced line was dirty.
-	EvictedDirty bool
-}
-
-// Wait returns the bank-arbitration wait given the issue time.
-func (r Result) Wait(now uint64) uint64 { return r.Start - now }
-
 // BankStart arbitrates addr's bank for an access issued at cycle now:
 // if the bank is busy the access waits (accounted as a conflict), then
 // the bank is occupied for sysmodel.BankAccessCycles. Returns the cycle
-// at which the bank begins servicing the access. This is Access's
-// arbitration step, exported and kept inline-small so the simulator's
-// fused access path (see BareTags) can run it without a call.
+// at which the bank begins servicing the access. It is the first step
+// of every SCC access (see Tags), kept inline-small so the simulator's
+// access paths run it without a call.
 func (s *SCC) BankStart(now uint64, addr uint32) uint64 {
 	b := &s.bank[(addr>>s.lineShift)&s.bankMask]
 	b.count++
@@ -232,69 +209,46 @@ func (s *SCC) BankStart(now uint64, addr uint32) uint64 {
 	return start
 }
 
-// BareTags returns the tag store when the SCC has no victim buffer —
-// the configuration whose access path the simulator fuses inline
-// (BankStart for timing plus the tag store's probe/miss pair,
-// cache.HitDM/MissDM or HitAssoc/MissAssoc by associativity, reproduce
-// Access exactly) — and nil otherwise. Accessing the returned cache
-// outside that pairing bypasses bank accounting.
-func (s *SCC) BareTags() *cache.Cache {
-	if s.victim == nil {
-		return s.tags
-	}
-	return nil
-}
+// Tags returns the tag store. An SCC access is BankStart for timing,
+// then the tag store's probe/miss pair — cache.HitDM/MissDM or
+// HitAssoc/MissAssoc by associativity — and, on a miss with a victim
+// buffer attached, MissVictim. On a miss the caller is responsible for
+// bus/memory timing; the refill does not occupy the bank again (the SCC
+// is non-blocking, and its one refill cycle is negligible against the
+// 100-cycle fetch — see the simulator's miss path). Accessing the tag
+// store outside that sequence bypasses bank accounting.
+func (s *SCC) Tags() *cache.Cache { return s.tags }
 
-// Access performs an access issued at cycle now, modelling bank
-// arbitration: if the bank is busy the access waits. The bank is then
-// occupied for sysmodel.BankAccessCycles. On a miss the caller is
-// responsible for bus/memory timing; the refill does not occupy the bank
-// again (the SCC is non-blocking, and its one refill cycle is negligible
-// against the 100-cycle fetch — see the simulator's miss path).
-func (s *SCC) Access(now uint64, addr uint32, kind mem.Kind) Result {
-	bank := s.BankOf(addr)
-	start := s.BankStart(now, addr)
-
-	cr := s.tags.Access(addr, kind)
-	res := Result{
-		Hit:          cr.Hit,
-		Bank:         bank,
-		Start:        start,
-		Evicted:      cr.Evicted,
-		EvictedDirty: cr.EvictedDirty,
-	}
-	if s.victim == nil {
-		return res
-	}
-	line := addr >> s.lineShift
-	if !cr.Hit {
-		// A victim-buffer hit turns the miss into a hit: the line swaps
-		// back without a bus transaction. (The tag store still counted a
-		// miss; VictimHits lets callers reconcile the two views.)
-		if found, dirty := s.victim.take(line); found {
-			s.stats.VictimHits++
-			res.Hit = true
-			if dirty && kind == mem.Read {
-				// Preserve dirtiness without perturbing any statistics: the
-				// swap-back is not a program reference, so it must not show
-				// up in Accesses[Write] or the hit/miss counts.
-				s.tags.MarkDirty(addr)
-			}
+// MissVictim completes, with the victim buffer, a miss on addr that the
+// tag store's miss half (cache.MissDM or MissAssoc) has just filled,
+// displacing evicted (cache.EvictedNone for no line). Call it only when
+// EnableVictimBuffer attached a buffer. It reports whether the buffer
+// held the missing line: the line then swaps back without a bus
+// transaction and the access completes as a hit. (The tag store still
+// counted a miss; VictimHits lets callers reconcile the two views.)
+//
+// The displaced line moves to the buffer instead of leaving the SCC, so
+// the caller must not send the bus an eviction notice for it: its
+// coherence presence bit stays set (the line is still here and must
+// still receive invalidations — Invalidate checks the buffer). An entry
+// silently displaced *out* of the buffer leaves a stale presence bit
+// behind, which is safe: a later invalidation attempt simply finds
+// nothing.
+func (s *SCC) MissVictim(addr uint32, kind mem.Kind, evicted uint32, evictedDirty bool) bool {
+	found, dirty := s.victim.take(addr >> s.lineShift)
+	if found {
+		s.stats.VictimHits++
+		if dirty && kind == mem.Read {
+			// Preserve dirtiness without perturbing any statistics: the
+			// swap-back is not a program reference, so it must not show
+			// up in Accesses[Write] or the hit/miss counts.
+			s.tags.MarkDirty(addr)
 		}
 	}
-	if res.Evicted != cache.EvictedNone {
-		// The displaced line moves to the victim buffer instead of
-		// leaving the SCC: suppress the bus eviction notice so the
-		// coherence presence bit stays set (the line is still here and
-		// must still receive invalidations — Invalidate checks the
-		// buffer). An entry silently displaced *out* of the buffer
-		// leaves a stale presence bit behind, which is safe: a later
-		// invalidation attempt simply finds nothing.
-		s.victim.put(res.Evicted, res.EvictedDirty)
-		res.Evicted = cache.EvictedNone
-		res.EvictedDirty = false
+	if evicted != cache.EvictedNone {
+		s.victim.put(evicted, evictedDirty)
 	}
-	return res
+	return found
 }
 
 // Probe reports whether addr is resident without side effects.

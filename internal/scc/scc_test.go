@@ -33,27 +33,62 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(4096, 1, 3)
 }
 
+// result is one access's outcome as the tests inspect it.
+type result struct {
+	hit          bool
+	start        uint64 // the cycle the bank began servicing the access
+	evicted      uint32 // the line displaced toward the bus, or cache.EvictedNone
+	evictedDirty bool
+}
+
+// access performs one SCC access the way the simulator does: bank
+// arbitration, the tag store's probe/miss pair and, on a miss with a
+// victim buffer attached, the buffer's step — a buffer hit completes as
+// a hit, and the line parked in the buffer is no eviction for the bus.
+func access(s *SCC, now uint64, addr uint32, kind mem.Kind) result {
+	start := s.BankStart(now, addr)
+	cr := s.Tags().Access(addr, kind)
+	r := result{hit: cr.Hit, start: start, evicted: cr.Evicted, evictedDirty: cr.EvictedDirty}
+	if !cr.Hit && s.victim != nil {
+		r.hit = s.MissVictim(addr, kind, cr.Evicted, cr.EvictedDirty)
+		r.evicted, r.evictedDirty = cache.EvictedNone, false
+	}
+	return r
+}
+
 func TestBankInterleaving(t *testing.T) {
 	s := MustNew(32*1024, 1, 8)
+	// bankOf reports the bank whose access count an arbitration for
+	// addr raised.
+	bankOf := func(addr uint32) int {
+		before := append([]uint64(nil), s.Stats().BankAccesses...)
+		s.BankStart(0, addr)
+		for b, n := range s.Stats().BankAccesses {
+			if n != before[b] {
+				return b
+			}
+		}
+		return -1
+	}
 	// Consecutive lines must land in consecutive banks.
 	for i := 0; i < 16; i++ {
 		addr := uint32(i * sysmodel.LineSize)
-		if got := s.BankOf(addr); got != i%8 {
-			t.Errorf("BankOf(line %d) = %d, want %d", i, got, i%8)
+		if got := bankOf(addr); got != i%8 {
+			t.Errorf("bank of line %d = %d, want %d", i, got, i%8)
 		}
 	}
 	// Addresses within a line map to the same bank.
-	if s.BankOf(0x10) != s.BankOf(0x1f) {
+	if bankOf(0x10) != bankOf(0x1f) {
 		t.Error("addresses in one line map to different banks")
 	}
 }
 
 func TestNoConflictOnDifferentBanks(t *testing.T) {
 	s := MustNew(32*1024, 1, 8)
-	r0 := s.Access(100, 0*sysmodel.LineSize, mem.Read)
-	r1 := s.Access(100, 1*sysmodel.LineSize, mem.Read)
-	if r0.Wait(100) != 0 || r1.Wait(100) != 0 {
-		t.Errorf("same-cycle accesses to different banks waited: %d, %d", r0.Wait(100), r1.Wait(100))
+	r0 := access(s, 100, 0*sysmodel.LineSize, mem.Read)
+	r1 := access(s, 100, 1*sysmodel.LineSize, mem.Read)
+	if r0.start != 100 || r1.start != 100 {
+		t.Errorf("same-cycle accesses to different banks waited: started at %d, %d", r0.start, r1.start)
 	}
 	if s.Stats().BankConflicts != 0 {
 		t.Errorf("BankConflicts = %d, want 0", s.Stats().BankConflicts)
@@ -63,13 +98,13 @@ func TestNoConflictOnDifferentBanks(t *testing.T) {
 func TestBankConflictSerializes(t *testing.T) {
 	s := MustNew(32*1024, 1, 8)
 	// Two same-cycle accesses to lines 0 and 8: both bank 0.
-	r0 := s.Access(100, 0, mem.Read)
-	r1 := s.Access(100, 8*sysmodel.LineSize, mem.Read)
-	if r0.Start != 100 {
-		t.Errorf("first access started at %d, want 100", r0.Start)
+	r0 := access(s, 100, 0, mem.Read)
+	r1 := access(s, 100, 8*sysmodel.LineSize, mem.Read)
+	if r0.start != 100 {
+		t.Errorf("first access started at %d, want 100", r0.start)
 	}
-	if want := uint64(100 + sysmodel.BankAccessCycles); r1.Start != want {
-		t.Errorf("conflicting access started at %d, want %d", r1.Start, want)
+	if want := uint64(100 + sysmodel.BankAccessCycles); r1.start != want {
+		t.Errorf("conflicting access started at %d, want %d", r1.start, want)
 	}
 	st := s.Stats()
 	if st.BankConflicts != 1 || st.BankWaitCycles != uint64(sysmodel.BankAccessCycles) {
@@ -79,21 +114,21 @@ func TestBankConflictSerializes(t *testing.T) {
 
 func TestBankFreesAfterAccess(t *testing.T) {
 	s := MustNew(32*1024, 1, 8)
-	s.Access(100, 0, mem.Read)
-	r := s.Access(100+uint64(sysmodel.BankAccessCycles), 0, mem.Read)
-	if r.Wait(100+uint64(sysmodel.BankAccessCycles)) != 0 {
+	access(s, 100, 0, mem.Read)
+	r := access(s, 100+uint64(sysmodel.BankAccessCycles), 0, mem.Read)
+	if r.start != 100+uint64(sysmodel.BankAccessCycles) {
 		t.Error("access after the bank freed still waited")
 	}
 }
 
 func TestHitMissPlumbing(t *testing.T) {
 	s := MustNew(4096, 1, 4)
-	r := s.Access(0, 0x40, mem.Read)
-	if r.Hit {
+	r := access(s, 0, 0x40, mem.Read)
+	if r.hit {
 		t.Error("cold access hit")
 	}
-	r = s.Access(10, 0x40, mem.Read)
-	if !r.Hit {
+	r = access(s, 10, 0x40, mem.Read)
+	if !r.hit {
 		t.Error("second access missed")
 	}
 	if s.CacheStats().TotalMisses() != 1 {
@@ -103,16 +138,16 @@ func TestHitMissPlumbing(t *testing.T) {
 
 func TestEvictionPlumbing(t *testing.T) {
 	s := MustNew(4096, 1, 4)
-	s.Access(0, 0x0, mem.Write)
-	r := s.Access(1, 4096, mem.Read) // same set+bank, conflict evict
-	if r.Evicted == cache.EvictedNone || !r.EvictedDirty {
+	access(s, 0, 0x0, mem.Write)
+	r := access(s, 1, 4096, mem.Read) // same set+bank, conflict evict
+	if r.evicted == cache.EvictedNone || !r.evictedDirty {
 		t.Errorf("eviction not reported: %+v", r)
 	}
 }
 
 func TestInvalidateAndProbe(t *testing.T) {
 	s := MustNew(4096, 1, 4)
-	s.Access(0, 0x40, mem.Write)
+	access(s, 0, 0x40, mem.Write)
 	if !s.Probe(0x40) {
 		t.Error("Probe missed resident line")
 	}
@@ -128,7 +163,7 @@ func TestInvalidateAndProbe(t *testing.T) {
 func TestBankImbalanceEven(t *testing.T) {
 	s := MustNew(32*1024, 1, 8)
 	for i := 0; i < 8*100; i++ {
-		s.Access(uint64(i)*2, uint32(i*sysmodel.LineSize), mem.Read)
+		access(s, uint64(i)*2, uint32(i*sysmodel.LineSize), mem.Read)
 	}
 	if got := s.Stats().BankImbalance(); got != 1.0 {
 		t.Errorf("BankImbalance of round-robin traffic = %v, want 1.0", got)
@@ -150,9 +185,9 @@ func TestBankingPreservesPlacementProperty(t *testing.T) {
 		c := cache.MustNew(8192, 1)
 		now := uint64(0)
 		for _, a := range addrs {
-			rs := s.Access(now, a, mem.Read)
+			rs := access(s, now, a, mem.Read)
 			rc := c.Access(a, mem.Read)
-			if rs.Hit != rc.Hit || rs.Evicted != rc.Evicted {
+			if rs.hit != rc.Hit || rs.evicted != rc.Evicted {
 				return false
 			}
 			now += 10 // avoid artificial bank stalls affecting nothing
@@ -171,8 +206,8 @@ func TestTimingMonotoneProperty(t *testing.T) {
 		s := MustNew(8192, 1, 4)
 		now := uint64(0)
 		for i, a := range addrs {
-			r := s.Access(now, a, mem.Read)
-			if r.Start < now {
+			r := access(s, now, a, mem.Read)
+			if r.start < now {
 				return false
 			}
 			if i < len(gaps) {
@@ -191,7 +226,7 @@ func BenchmarkSCCAccess(b *testing.B) {
 	s := MustNew(64*1024, 1, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Access(uint64(i), uint32(i*sysmodel.LineSize), mem.Read)
+		access(s, uint64(i), uint32(i*sysmodel.LineSize), mem.Read)
 	}
 }
 
@@ -208,8 +243,8 @@ func TestVictimBufferCatchesConflicts(t *testing.T) {
 	now := uint64(0)
 	for i := 0; i < 50; i++ {
 		for _, addr := range []uint32{0x0, 0x1000} { // same set
-			base.Access(now, addr, mem.Read)
-			vic.Access(now, addr, mem.Read)
+			access(base, now, addr, mem.Read)
+			access(vic, now, addr, mem.Read)
 			now += 10
 		}
 	}
@@ -224,15 +259,15 @@ func TestVictimBufferCatchesConflicts(t *testing.T) {
 func TestVictimBufferInvalidation(t *testing.T) {
 	s := MustNew(4096, 1, 4)
 	s.EnableVictimBuffer(4)
-	s.Access(0, 0x0, mem.Write)   // dirty line
-	s.Access(1, 0x1000, mem.Read) // conflict-evicts it into the buffer
+	access(s, 0, 0x0, mem.Write)   // dirty line
+	access(s, 1, 0x1000, mem.Read) // conflict-evicts it into the buffer
 	present, dirty := s.Invalidate(0x0)
 	if !present || !dirty {
 		t.Errorf("Invalidate of a buffered dirty line = (%v,%v), want (true,true)", present, dirty)
 	}
 	// Once invalidated, a re-access must miss (no stale swap-back).
-	r := s.Access(2, 0x0, mem.Read)
-	if r.Hit {
+	r := access(s, 2, 0x0, mem.Read)
+	if r.hit {
 		t.Error("stale line served from the victim buffer after invalidation")
 	}
 }
@@ -240,10 +275,17 @@ func TestVictimBufferInvalidation(t *testing.T) {
 func TestVictimBufferSuppressesBusEviction(t *testing.T) {
 	s := MustNew(4096, 1, 4)
 	s.EnableVictimBuffer(4)
-	s.Access(0, 0x0, mem.Write)
-	r := s.Access(1, 0x1000, mem.Read)
-	if r.Evicted != cache.EvictedNone {
+	access(s, 0, 0x0, mem.Write)
+	r := access(s, 1, 0x1000, mem.Read)
+	if r.evicted != cache.EvictedNone {
 		t.Error("eviction into the victim buffer was reported to the bus")
+	}
+	// Why the bus must not hear of it: the parked line is still in the
+	// SCC, dirty, where the coherence audit looks for it.
+	parked := false
+	s.VisitLines(func(li uint32, dirty bool) { parked = parked || (li == 0 && dirty) })
+	if !parked {
+		t.Error("the line parked in the victim buffer is not resident")
 	}
 }
 
@@ -255,10 +297,10 @@ func TestVictimBufferSuppressesBusEviction(t *testing.T) {
 func TestVictimBufferDirtyRestore(t *testing.T) {
 	s := MustNew(4096, 1, 4)
 	s.EnableVictimBuffer(4)
-	s.Access(0, 0x0, mem.Write)   // program write: line 0x0 dirty
-	s.Access(1, 0x1000, mem.Read) // conflict-evicts 0x0 into the buffer
-	r := s.Access(2, 0x0, mem.Read)
-	if !r.Hit {
+	access(s, 0, 0x0, mem.Write)   // program write: line 0x0 dirty
+	access(s, 1, 0x1000, mem.Read) // conflict-evicts 0x0 into the buffer
+	r := access(s, 2, 0x0, mem.Read)
+	if !r.hit {
 		t.Fatal("victim buffer did not satisfy the re-read")
 	}
 	cs := s.CacheStats()
@@ -305,8 +347,8 @@ func TestVictimBufferFIFODisplacement(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	s := MustNew(4096, 1, 4)
 	// Two back-to-back accesses to one bank: the second conflicts.
-	s.Access(0, 0x0, mem.Read)
-	s.Access(0, 0x1000, mem.Read)
+	access(s, 0, 0x0, mem.Read)
+	access(s, 0, 0x1000, mem.Read)
 	st := s.Stats()
 	if st.BankConflicts == 0 || st.BankAccesses[0] != 2 {
 		t.Fatalf("setup: conflicts=%d bank0=%d, want a conflict on bank 0",
@@ -323,7 +365,7 @@ func TestResetStats(t *testing.T) {
 		}
 	}
 	// Counting resumes from zero and Stats() materializes fresh counts.
-	s.Access(100, 0x0, mem.Read)
+	access(s, 100, 0x0, mem.Read)
 	if got := s.Stats().BankAccesses[0]; got != 1 {
 		t.Errorf("bank 0 accesses after reset+1 access = %d, want 1", got)
 	}

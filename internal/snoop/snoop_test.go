@@ -177,13 +177,13 @@ func TestBusWithRealSCCs(t *testing.T) {
 	b := New([]Invalidator{s0, s1})
 
 	// Both clusters read line 0x100.
-	s0.Access(0, 0x100, mem.Read)
+	s0.Tags().Access(0x100, mem.Read)
 	b.Fetch(0, 0, 0x100, mem.Read)
-	s1.Access(0, 0x100, mem.Read)
+	s1.Tags().Access(0x100, mem.Read)
 	b.Fetch(0, 1, 0x100, mem.Read)
 
 	// Cluster 0 writes it: cluster 1's copy must die.
-	s0.Access(200, 0x100, mem.Write)
+	s0.Tags().Access(0x100, mem.Write)
 	b.WriteShared(200, 0, 0x100)
 	if s1.Probe(0x100) {
 		t.Error("cluster 1 still holds the line after cluster 0's write")
