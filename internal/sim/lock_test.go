@@ -125,3 +125,35 @@ func TestLockFairProgress(t *testing.T) {
 		t.Errorf("refs = %d, want %d (every critical section completed)", r.Refs, 8*20*3)
 	}
 }
+
+// TestMultiprogLocksBelongToProcesses: a lock belongs to the process
+// that took it, not to the processor it ran on. One processor runs two
+// processes that lock one word under a 16-cycle quantum, shorter than
+// the lock word's read miss, so the first is preempted holding the
+// lock: the second, on the same processor, must spin until the first
+// runs again and releases it.
+func TestMultiprogLocksBelongToProcesses(t *testing.T) {
+	cs := []mem.Ref{lk(0x8000, 0), wr(0x10, 0), ulk(0x8000, 0)}
+	procs := []Process{{Name: "a", Refs: cs}, {Name: "b", Refs: cs}}
+	rec := &recorder{}
+	r, err := RunMultiprog(mpCfg(1, 4096), Options{Tracer: rec}, procs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := false
+	for _, e := range rec.events {
+		switch EventKind(e.Kind) {
+		case EvLockAcquire:
+			if held {
+				t.Fatalf("lock acquired at cycle %d while another process held it (%d switches, %d spins)",
+					e.TS, r.Switches, r.LockSpins)
+			}
+			held = true
+		case EvLockRelease:
+			held = false
+		}
+	}
+	if r.LockSpins == 0 {
+		t.Errorf("the second process never spun on the preempted holder's lock (%d switches)", r.Switches)
+	}
+}

@@ -365,7 +365,9 @@ type osys struct {
 	bankWait  []uint64
 	// wb[i] holds in-flight buffered-write completion times: one buffer
 	// per cluster (shared/hybrid) or per processor (private).
-	wb      [][]uint64
+	wb [][]uint64
+	// locks[addr] is the owner holding the lock word at addr: a
+	// processor, or under multiprogramming the process it runs.
 	locks   map[uint32]int
 	cluster []int
 	// private: group[i] is cache i's cluster (intra-cluster fetch test).
@@ -678,20 +680,22 @@ func (s *osys) memAccessHybrid(p int, now uint64, addr uint32, kind mem.Kind) ui
 	return t
 }
 
-// access performs one reference, handling the lock kinds' documented
-// test-and-test-and-set semantics. retry means a spin iteration: the
-// caller must re-issue the same reference at the returned time.
-func (s *osys) access(p int, now uint64, r mem.Ref) (uint64, bool) {
+// access performs one reference of processor p, handling the lock
+// kinds' documented test-and-test-and-set semantics for owner — the
+// processor itself in a parallel run, the process it runs under
+// multiprogramming. retry means a spin iteration: the caller must
+// re-issue the same reference at the returned time.
+func (s *osys) access(p, owner int, now uint64, r mem.Ref) (uint64, bool) {
 	switch r.Kind {
 	case mem.Lock:
 		t := s.mem(p, now, r.Addr, mem.Read)
-		if holder, held := s.locks[r.Addr]; held && holder != p {
+		if holder, held := s.locks[r.Addr]; held && holder != owner {
 			s.st.LockSpins++
 			s.st.LockStall[p] += oracleSpinInterval
 			return t + oracleSpinInterval, true
 		}
 		t = s.mem(p, t, r.Addr, mem.Write)
-		s.locks[r.Addr] = p
+		s.locks[r.Addr] = owner
 		return t, false
 	case mem.Unlock:
 		t := s.mem(p, now, r.Addr, mem.Write)
@@ -781,7 +785,7 @@ func RunOracle(cfg sysmodel.Config, prog *trace.Program, o OracleOptions) (*RunS
 			t := next[p]
 			r := streams[p][pos[p]]
 			if r.Kind != mem.Idle {
-				t2, retry := s.access(p, t, r)
+				t2, retry := s.access(p, p, t, r)
 				if retry {
 					clock[p] = t2
 					next[p] = t2
@@ -953,7 +957,7 @@ func RunOracleMultiprog(cfg sysmodel.Config, processes []Process, quantum uint64
 		t := clock[p] + uint64(r.Gap)
 		if r.Kind != mem.Idle {
 			var retry bool
-			t, retry = s.access(p, t, r)
+			t, retry = s.access(p, pid, t, r)
 			if retry {
 				clock[p] = t
 				scheduled[p] = true
