@@ -186,7 +186,10 @@ func buildApp(s spec, budget int, alloc *mem.ColoredAllocator, stack uint32, rng
 	}
 	mix := synth.NewMix(rng, sources, weights)
 
-	bl := trace.NewBuilder(budget + budget/2)
+	// Exactly the stream's length: stackRefs+1 references per iteration
+	// (a gap never exceeds a uint16, so none adds an Idle ref) and the
+	// trailing compute's Idle ref.
+	bl := trace.NewBuilder(budget*(s.stackRefs+1) + 1)
 	for i := 0; i < budget; i++ {
 		// Hot private locals: the dominant always-hit traffic of real
 		// code, and the source of destructive interference when several

@@ -1,7 +1,9 @@
 package multiprog
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"sccsim/internal/mem"
 	"sccsim/internal/sim"
@@ -24,6 +26,28 @@ func TestGenerateDefaults(t *testing.T) {
 		if len(p.Refs) < 5000 {
 			t.Errorf("%s has %d refs, want >= 5000", p.Name, len(p.Refs))
 		}
+	}
+}
+
+// TestGenerateAllocatesItsStreams: each stream is sized once, to its
+// exact length, so Generate allocates little beyond the streams it
+// returns — not the arrays an append-grown stream leaves behind.
+func TestGenerateAllocatesItsStreams(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ps, err := Generate(Params{RefsPerApp: 100000, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs uint64
+	for _, p := range ps {
+		refs += uint64(len(p.Refs))
+	}
+	streams := refs * uint64(unsafe.Sizeof(mem.Ref{}))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > streams+streams/10 {
+		t.Errorf("Generate allocated %d bytes for %d bytes of streams (%.2fx), want within 10%%",
+			alloc, streams, float64(alloc)/float64(streams))
 	}
 }
 
