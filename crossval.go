@@ -11,6 +11,7 @@ package sccsim
 import (
 	"context"
 
+	"sccsim/internal/explorer"
 	"sccsim/internal/verify"
 )
 
@@ -68,10 +69,10 @@ func DefaultCrossBounds(w Workload) CrossBounds {
 func CrossValidate(ctx context.Context, w Workload, opts ...Opt) (*CrossReport, error) {
 	// Clamp capacity so the two appends cannot share a backing array.
 	opts = opts[:len(opts):len(opts)]
-	if c, err := resolve(append(opts, WithBackend(BackendAnalytic))); err != nil {
-		// Surface analytic-incompatible options before paying for the
-		// exact sweep; c is unused beyond validation.
-		_ = c
+	// Surface analytic-incompatible options before paying for the exact
+	// sweep.
+	c, err := resolve(append(opts, WithBackend(BackendAnalytic)))
+	if err != nil {
 		return nil, err
 	}
 	exact, err := SweepCtx(ctx, w, append(opts, WithBackend(BackendExact))...)
@@ -82,40 +83,10 @@ func CrossValidate(ctx context.Context, w Workload, opts ...Opt) (*CrossReport, 
 	if err != nil {
 		return nil, err
 	}
-	var pts []CrossPoint
-	for si, row := range exact.Points {
-		for pi, ep := range row {
-			ap := analytic.Points[si][pi]
-			pts = append(pts, CrossPoint{
-				Clusters:        ep.Config.Clusters,
-				ProcsPerCluster: ep.Config.ProcsPerCluster,
-				SCCBytes:        ep.Config.SCCBytes,
-
-				ExactMissRate:    ep.Result.ReadMissRate(),
-				AnalyticMissRate: ap.Result.ReadMissRate(),
-				ExactCycles:      ep.Result.Cycles,
-				AnalyticCycles:   ap.Result.Cycles,
-			})
-		}
+	rep, err := explorer.CompareBackends(w, exact, analytic, c.metrics)
+	if err != nil {
+		return nil, err
 	}
-	rep := verify.NewCrossReport(string(w), pts)
-	publishCrossMetrics(opts, w, rep)
-	return rep, nil
-}
-
-// publishCrossMetrics exports a cross-validation's error summary as
-// float gauges (crossval.<workload>.*) when the caller attached a
-// metrics registry — the analytic backend's accuracy contract as a live
-// scrapeable surface rather than a test-only assertion.
-func publishCrossMetrics(opts []Opt, w Workload, rep *CrossReport) {
-	c, err := resolve(opts)
-	if err != nil || c.metrics == nil {
-		return
-	}
-	name := "crossval." + string(w)
-	c.metrics.FGauge(name + ".max_abs_err").Set(rep.MaxAbsErr)
-	c.metrics.FGauge(name + ".mean_abs_err").Set(rep.MeanAbsErr)
-	c.metrics.FGauge(name + ".max_rel_err").Set(rep.MaxRelErr)
-	c.metrics.FGauge(name + ".max_cycle_rel_err").Set(rep.MaxCycleRelErr)
 	c.metrics.Counter("crossval.runs").Inc()
+	return rep, nil
 }

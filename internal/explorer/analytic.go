@@ -18,12 +18,14 @@ import (
 
 	"sccsim/internal/cache"
 	"sccsim/internal/mem"
+	"sccsim/internal/obs"
 	"sccsim/internal/rdmodel"
 	"sccsim/internal/scc"
 	"sccsim/internal/sim"
 	"sccsim/internal/snoop"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
+	"sccsim/internal/verify"
 	"sccsim/internal/workload/multiprog"
 )
 
@@ -187,4 +189,43 @@ func analyticPoint(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, 
 		return nil, fmt.Errorf("explorer: %s at %v: %w", w, cfg, err)
 	}
 	return &Point{Config: cfg, Result: analyticResult(cfg, prof, pred)}, nil
+}
+
+// CompareBackends pairs workload w's exact and analytic grids point by
+// point into the cross-validation report, and publishes its error
+// summary as the crossval.<workload>.* float gauges on reg (nil for
+// none) — the analytic backend's accuracy contract as a scrapeable
+// metric. Grids of different shapes are an error.
+func CompareBackends(w Workload, exact, analytic *Grid, reg *obs.Registry) (*verify.CrossReport, error) {
+	if len(exact.Points) != len(analytic.Points) {
+		return nil, fmt.Errorf("explorer: cross-validation of %s: exact grid has %d rows, analytic %d",
+			w, len(exact.Points), len(analytic.Points))
+	}
+	var pts []verify.CrossPoint
+	for si, row := range exact.Points {
+		if len(row) != len(analytic.Points[si]) {
+			return nil, fmt.Errorf("explorer: cross-validation of %s: row %d has %d exact and %d analytic points",
+				w, si, len(row), len(analytic.Points[si]))
+		}
+		for pi, ep := range row {
+			ap := analytic.Points[si][pi]
+			pts = append(pts, verify.CrossPoint{
+				Clusters:        ep.Config.Clusters,
+				ProcsPerCluster: ep.Config.ProcsPerCluster,
+				SCCBytes:        ep.Config.SCCBytes,
+
+				ExactMissRate:    ep.Result.ReadMissRate(),
+				AnalyticMissRate: ap.Result.ReadMissRate(),
+				ExactCycles:      ep.Result.Cycles,
+				AnalyticCycles:   ap.Result.Cycles,
+			})
+		}
+	}
+	rep := verify.NewCrossReport(string(w), pts)
+	name := "crossval." + string(w)
+	reg.FGauge(name + ".max_abs_err").Set(rep.MaxAbsErr)
+	reg.FGauge(name + ".mean_abs_err").Set(rep.MeanAbsErr)
+	reg.FGauge(name + ".max_rel_err").Set(rep.MaxRelErr)
+	reg.FGauge(name + ".max_cycle_rel_err").Set(rep.MaxCycleRelErr)
+	return rep, nil
 }

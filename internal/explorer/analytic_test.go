@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"sccsim/internal/cache"
+	"sccsim/internal/mem"
+	"sccsim/internal/obs"
 	"sccsim/internal/sim"
 	"sccsim/internal/sysmodel"
 )
@@ -169,5 +172,42 @@ func TestRunPointAnalytic(t *testing.T) {
 	if pt.Result.Cycles != want.Result.Cycles || pt.Result.ReadMissRate() != want.Result.ReadMissRate() {
 		t.Errorf("point %d/%.5f differs from sweep cell %d/%.5f",
 			pt.Result.Cycles, pt.Result.ReadMissRate(), want.Result.Cycles, want.Result.ReadMissRate())
+	}
+}
+
+// TestCompareBackends: the one exact/analytic pairing behind the
+// facade's CrossValidate and the service's live gauges pairs the grids
+// point by point, publishes the error summary, and refuses grids of
+// different shapes instead of pairing a prefix.
+func TestCompareBackends(t *testing.T) {
+	point := func(reads, misses, cycles uint64) *Point {
+		var st cache.Stats
+		st.Accesses[mem.Read], st.Misses[mem.Read] = reads, misses
+		return &Point{Config: PointConfig(MP3D, 1, 4096, sysmodel.Axes{}),
+			Result: &sim.Result{Cycles: cycles, SCC: []*cache.Stats{&st}}}
+	}
+	exact := &Grid{Workload: MP3D, Points: [][]*Point{{point(100, 40, 1000), point(100, 10, 800)}}}
+	analytic := &Grid{Workload: MP3D, Points: [][]*Point{{point(100, 20, 1200), point(100, 10, 800)}}}
+	reg := obs.NewRegistry()
+	rep, err := CompareBackends(MP3D, exact, analytic, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 2 || rep.MaxAbsErr != 0.2 || rep.MaxCycleRelErr != 0.2 {
+		t.Fatalf("report = %+v, want 2 points, max abs err 0.2, max cycle rel err 0.2", rep)
+	}
+	if got := reg.FGauge("crossval.mp3d.max_abs_err").Value(); got != 0.2 {
+		t.Errorf("crossval.mp3d.max_abs_err = %v, want 0.2", got)
+	}
+	if got := reg.FGauge("crossval.mp3d.mean_abs_err").Value(); got != 0.1 {
+		t.Errorf("crossval.mp3d.mean_abs_err = %v, want 0.1", got)
+	}
+
+	short := &Grid{Workload: MP3D, Points: [][]*Point{{point(100, 20, 1200)}}}
+	if _, err := CompareBackends(MP3D, exact, short, nil); err == nil {
+		t.Error("paired a row of 2 points with a row of 1")
+	}
+	if _, err := CompareBackends(MP3D, exact, &Grid{Workload: MP3D}, nil); err == nil {
+		t.Error("paired a grid of 1 row with an empty grid")
 	}
 }

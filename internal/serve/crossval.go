@@ -10,7 +10,7 @@ package serve
 
 import (
 	"sccsim"
-	"sccsim/internal/verify"
+	"sccsim/internal/explorer"
 )
 
 // publishCrossval compares a just-finished sweep job with its
@@ -26,36 +26,11 @@ func (s *Server) publishCrossval(j, twin *job) {
 	if eg == nil || ag == nil {
 		return
 	}
-	var pts []verify.CrossPoint
-	for si, row := range eg.Points {
-		if si >= len(ag.Points) {
-			return
+	if _, err := explorer.CompareBackends(j.exp.Workload, eg, ag, s.reg); err != nil {
+		if s.logger != nil {
+			s.logger.Warn("crossval: twin grids do not pair", "job", j.id, "err", err)
 		}
-		for pi, ep := range row {
-			if pi >= len(ag.Points[si]) {
-				return
-			}
-			ap := ag.Points[si][pi]
-			pts = append(pts, verify.CrossPoint{
-				Clusters:        ep.Config.Clusters,
-				ProcsPerCluster: ep.Config.ProcsPerCluster,
-				SCCBytes:        ep.Config.SCCBytes,
-
-				ExactMissRate:    ep.Result.ReadMissRate(),
-				AnalyticMissRate: ap.Result.ReadMissRate(),
-				ExactCycles:      ep.Result.Cycles,
-				AnalyticCycles:   ap.Result.Cycles,
-			})
-		}
-	}
-	if len(pts) == 0 {
 		return
 	}
-	rep := verify.NewCrossReport(string(j.exp.Workload), pts)
-	name := "crossval." + string(j.exp.Workload)
-	s.reg.FGauge(name + ".max_abs_err").Set(rep.MaxAbsErr)
-	s.reg.FGauge(name + ".mean_abs_err").Set(rep.MeanAbsErr)
-	s.reg.FGauge(name + ".max_rel_err").Set(rep.MaxRelErr)
-	s.reg.FGauge(name + ".max_cycle_rel_err").Set(rep.MaxCycleRelErr)
 	s.reg.Counter("serve.crossval_pairs").Inc()
 }
