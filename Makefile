@@ -115,10 +115,13 @@ obs-overhead-run:
 # Seed-plus-30s coverage-guided fuzz of the two properties most worth
 # hammering: the verified simulator against the oracle model
 # (FuzzSimConfig) and the trace binary format round trip
-# (FuzzTraceRoundTrip); then 15s of the HTTP service's one untrusted
-# input, request bodies (FuzzResolveRequest: no panic, and an accepted
-# body's experiment re-encodes to the same content key). Each target
-# runs alone (go test allows one -fuzz pattern per invocation).
+# (FuzzTraceRoundTrip); then 15s each of the service's two untrusted
+# inputs: request bodies (FuzzResolveRequest: no panic, and an accepted
+# body's experiment re-encodes to the same content key) and a cluster
+# worker's point responses (FuzzShardMerge: a rejected envelope yields
+# no point, and a remote point is used only when it carries the
+# configuration it was asked for). Each target runs alone (go test
+# allows one -fuzz pattern per invocation).
 # -fuzzminimizetime 2s caps how long the fuzzer minimizes each new
 # interesting input: at the default 60s it stops executing while it
 # minimizes, and FuzzSimConfig sat idle for most of its 30s. A failing
@@ -128,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimConfig$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzShardMerge$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/explorer
 
 # Machine-readable sweep benchmark: quick-scale Barnes-Hut sweeps on
 # both backends, merged into one run manifest (timings, utilization,
