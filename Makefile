@@ -120,8 +120,10 @@ obs-overhead-run:
 # body's experiment re-encodes to the same content key) and a cluster
 # worker's point responses (FuzzShardMerge: a rejected envelope yields
 # no point, and a remote point is used only when it carries the
-# configuration it was asked for). Each target runs alone (go test
-# allows one -fuzz pattern per invocation).
+# configuration it was asked for); and 15s of both reuse-distance
+# profile builders against their naive references (FuzzBuildProfile).
+# Each target runs alone (go test allows one -fuzz pattern per
+# invocation).
 # -fuzzminimizetime 2s caps how long the fuzzer minimizes each new
 # interesting input: at the default 60s it stops executing while it
 # minimizes, and FuzzSimConfig sat idle for most of its 30s. A failing
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMerge$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/explorer
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildProfile$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/rdmodel
 
 # Machine-readable sweep benchmark: quick-scale Barnes-Hut sweeps on
 # both backends, merged into one run manifest (timings, utilization,

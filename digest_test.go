@@ -124,7 +124,7 @@ func TestResultDigests(t *testing.T) {
 
 		"ablation/victim4/mp3d":            "222da9df648a1a5656b4fe21ee29e4adf6fcebc2198e52278ce3cc395e2d5bad",
 		"ablation/victim4/cholesky/assoc2": "a1cf6de69a22fe80f766aee8386732a251ae01c64d27997ac1bdc0e178aea884",
-		"ablation/victim4/mp3d/hybrid":     "d52c005245b26d8e9fd6c477c4870a837a656ae59deb994b654fd1caf3c0c1e4",
+		"ablation/victim4/mp3d/hybrid":     "06db697e5f61fb356e34114531a8999648311d71cc85170ec45fe9a7b19bddd9",
 		"ablation/victim4/multiprog":       "87dbafd09ea8a7de619ed03e4d57ffcd5e7d39adb7225877ad7246c47cd9c00d",
 		"ablation/busocc4/mp3d":            "4d86f6df1a7d9fe93379d1964e9f18e6f6ba53047bce7b6f99abfff43e9b6fd4",
 		"ablation/membanks4/barnes-hut":    "a51b1a9c051c6b5b4e392386e8730b34d01dad6db56506e58b8f563fdb165355",

@@ -12,6 +12,8 @@ package explorer
 
 import (
 	"context"
+	"runtime"
+	"sync"
 
 	"sccsim/internal/rdmodel"
 	"sccsim/internal/sysmodel"
@@ -21,29 +23,57 @@ import (
 // EstimatePoints returns the analytic estimated cycle count for each
 // design point, positionally. It resolves one trace and reuse-distance
 // profile per distinct processor count (through the shared caches and
-// the optional disk cache) and evaluates every size off the profile's
-// rdmodel.Curve. Each Curve.At is O(cap): it rebuilds the cap-long
-// miss-probability table and scans every cluster's histogram. So
-// estimating a 10^4-point space costs a few profile builds plus O(cap)
-// work per point. Every point's system shape comes from PointConfig,
-// as in sweeps (multiprogramming: one cluster, ppc scheduling slots).
+// the optional disk cache), building the distinct ones concurrently on
+// at most GOMAXPROCS goroutines, and evaluates every size off the
+// profile's rdmodel.Curve. Each Curve.At is O(cap): it rebuilds the
+// cap-long miss-probability table and scans every cluster's histogram.
+// So estimating a 10^4-point space costs a few profile builds plus
+// O(cap) work per point. Every point's system shape comes from
+// PointConfig, as in sweeps (multiprogramming: one cluster, ppc
+// scheduling slots). A failure is reported as the serial walk would
+// meet it: the error of the lowest-index spec that fails, or the
+// context's once it is done.
 func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale, dc trace.Store) ([]uint64, error) {
-	curves := make(map[int]*rdmodel.Curve)
+	type ppcCurve struct {
+		curve *rdmodel.Curve
+		err   error
+	}
+	curves := make(map[int]*ppcCurve)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for _, spec := range specs {
+		if curves[spec.PPC] != nil {
+			continue
+		}
+		c := &ppcCurve{}
+		curves[spec.PPC] = c
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			if c.err = ctx.Err(); c.err != nil {
+				return
+			}
+			prof, err := profileFor(w, PointConfig(w, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), s, nil, dc)
+			if err != nil {
+				c.err = err
+				return
+			}
+			c.curve = prof.Curve()
+		}()
+	}
+	wg.Wait()
+
 	out := make([]uint64, len(specs))
 	for i, spec := range specs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		curve, ok := curves[spec.PPC]
-		if !ok {
-			prof, err := profileFor(w, PointConfig(w, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), s, nil, dc)
-			if err != nil {
-				return nil, err
-			}
-			curve = prof.Curve()
-			curves[spec.PPC] = curve
+		c := curves[spec.PPC]
+		if c.err != nil {
+			return nil, c.err
 		}
-		pt, err := curve.At(spec.SCCBytes)
+		pt, err := c.curve.At(spec.SCCBytes)
 		if err != nil {
 			return nil, err
 		}

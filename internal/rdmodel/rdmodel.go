@@ -12,9 +12,15 @@
 // virtual-time order the exact simulator replays them in.
 //
 // The package deliberately depends only on the trace substrate (mem,
-// trace, sysmodel) — not on the simulator — so the exact and analytic
-// backends share inputs but no machinery, which is what makes the
-// verify cross-validator (internal/verify) a meaningful check.
+// trace, sysmodel) and the merge-order primitive (sched) — not on the
+// simulator. The exact and analytic backends share inputs and the
+// priority queue that orders per-processor streams by virtual time,
+// which holds no cache model, but no modelling machinery; that is what
+// makes the verify cross-validator (internal/verify) a meaningful
+// check. Their independence rests on references that share nothing:
+// this package's builders answer to naive min-clock scans over plain
+// LRU stacks in its tests, and the simulator to the map-based oracle in
+// internal/verify.
 //
 // Model accuracy contract: distances below the tracker cap are exact;
 // the model's error against the exact simulator comes from (a) the
@@ -27,9 +33,9 @@ package rdmodel
 
 import (
 	"fmt"
-	"math"
 
 	"sccsim/internal/mem"
+	"sccsim/internal/sched"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
 )
@@ -158,12 +164,17 @@ func accessesOf(k mem.Kind) (reads, writes int) {
 // restricted to one cluster is that cluster's own (clock, id) merge.
 // The merge feeds every reference of every stream exactly once, so each
 // processor's final clock and read count in a phase, its Issue and
-// ReadRefs, are those of its own stream.
+// ReadRefs, are those of its own stream. The merge order comes from the
+// replay loops' scheduler (sched.Tourney), which names at most
+// sysmodel.MaxProcs processors per cluster.
 func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 	if clusters < 1 || c.Procs%clusters != 0 {
 		return nil, fmt.Errorf("rdmodel: %d processors not divisible into %d clusters", c.Procs, clusters)
 	}
 	ppc := c.Procs / clusters
+	if ppc > sysmodel.MaxProcs {
+		return nil, fmt.Errorf("rdmodel: %d processors per cluster, above the limit of %d", ppc, sysmodel.MaxProcs)
+	}
 	p := &Profile{
 		Name: c.Name, Procs: c.Procs, Clusters: clusters, Cap: capLines,
 		Refs:       c.Refs(),
@@ -181,30 +192,41 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 
 	pos := make([]int, ppc)
 	clk := make([]uint64, ppc)
-	done := make([]bool, ppc)
+	tree := sched.NewTourney(ppc)
 	for cl := range p.Cluster {
-		p.Cluster[cl] = newHist(capLines)
+		h := &p.Cluster[cl]
+		*h = newHist(capLines)
 		tk.reset()
 		for phase, procs := range streams {
 			// Phase barriers align the processors, so each phase starts
-			// every clock at zero.
+			// every clock at zero. A processor's leaf is keyed on its
+			// clock before the gap of its next reference, and emptied
+			// once its stream is done.
 			own := procs[cl*ppc : (cl+1)*ppc]
 			issue, reads := p.Issue[phase][cl*ppc:], p.ReadRefs[phase][cl*ppc:]
 			for q := range own {
-				pos[q], clk[q], done[q] = 0, 0, len(own[q]) == 0
+				pos[q], clk[q] = 0, 0
+				if len(own[q]) > 0 {
+					tree.Set(q, sched.Key(q, 0))
+				}
 			}
 			for {
-				// The unfinished processor with the smallest clock (ties
-				// to the lowest id), mirroring the replay scheduler's
-				// order, issues until it passes the runner-up.
-				q, limit := nextUp(clk, done)
-				if q < 0 {
+				// The processor with the smallest clock (ties to the
+				// lowest id), mirroring the replay scheduler's order,
+				// issues until it passes the runner-up.
+				k := tree.Winner()
+				if k == sched.NoKey {
 					break
 				}
+				q := sched.KeyProc(k)
 				var n uint64
-				pos[q], clk[q], n = tk.feed(&p.Cluster[cl], own[q], pos[q], clk[q], limit)
+				pos[q], clk[q], n = tk.feed(h, own[q], pos[q], clk[q], q, tree.RunnerUp(q))
 				reads[q] += n
-				done[q] = pos[q] == len(own[q])
+				if pos[q] == len(own[q]) {
+					tree.Set(q, sched.NoKey)
+				} else {
+					tree.Set(q, sched.Key(q, clk[q]))
+				}
 			}
 			copy(issue, clk)
 		}
@@ -218,11 +240,16 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 // order, a global FIFO ready queue, preemption every quantum issue
 // cycles, idle slots picking up preempted processes immediately)
 // running in stall-free issue time, and the single shared SCC sees the
-// merged stream. Issue and ReadRefs are per scheduling slot.
+// merged stream. Issue and ReadRefs are per scheduling slot. Like the
+// simulator's, the schedule orders slots with sched.Tourney, which
+// names at most sysmodel.MaxProcs of them.
 func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantum uint64, capLines int) (*Profile, error) {
 	if slots < 1 || len(processes) == 0 || quantum == 0 {
 		return nil, fmt.Errorf("rdmodel: bad schedule shape (%d slots, %d processes, quantum %d)",
 			slots, len(processes), quantum)
+	}
+	if slots > sysmodel.MaxProcs {
+		return nil, fmt.Errorf("rdmodel: %d scheduling slots, above the limit of %d", slots, sysmodel.MaxProcs)
 	}
 	p := &Profile{
 		Name: name, Procs: slots, Clusters: 1, Cap: capLines,
@@ -243,45 +270,48 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 	dense, lines := denseStreams([][][]mem.Ref{processes}, maxLine)
 	processes = dense[0]
 	tk := newTracker(capLines, lines)
+	h := &p.Cluster[0]
 
+	// A busy slot's leaf is keyed on its clock, before the gap of its
+	// next reference; an idle slot's leaf is empty. Only the winner's
+	// clock and slots woken from idle ever change, and each is re-keyed
+	// as it does.
 	pos := make([]int, len(processes))
 	queue := make([]int, 0, len(processes))
+	// current[s] is slot s's process, or -1 while s is idle.
 	current := make([]int, slots)
 	quantumEnd := make([]uint64, slots)
-	clk := make([]uint64, slots)
-	idle := make([]bool, slots)
-	for s := 0; s < slots; s++ {
+	clk := p.Issue[0]
+	tree := sched.NewTourney(slots)
+	idle := 0
+	for s := range current {
 		if s < len(processes) {
-			current[s] = s
-			quantumEnd[s] = quantum
+			current[s], quantumEnd[s] = s, quantum
+			tree.Set(s, sched.Key(s, 0))
 		} else {
 			current[s] = -1
-			idle[s] = true
+			idle++
 		}
 	}
 	for i := slots; i < len(processes); i++ {
 		queue = append(queue, i)
 	}
 
+	// wake hands queued processes to idle slots, lowest clock first, at
+	// or after time t.
 	wake := func(t uint64) {
-		for len(queue) > 0 {
+		for idle > 0 && len(queue) > 0 {
 			victim := -1
-			for s := 0; s < slots; s++ {
-				if idle[s] && (victim < 0 || clk[s] < clk[victim]) {
+			for s := range current {
+				if current[s] < 0 && (victim < 0 || clk[s] < clk[victim]) {
 					victim = s
 				}
 			}
-			if victim < 0 {
-				return
-			}
-			pid := queue[0]
-			queue = queue[1:]
-			idle[victim] = false
-			if clk[victim] < t {
-				clk[victim] = t
-			}
-			current[victim] = pid
+			idle--
+			clk[victim] = max(clk[victim], t)
+			current[victim], queue = queue[0], queue[1:]
 			quantumEnd[victim] = clk[victim] + quantum
+			tree.Set(victim, sched.Key(victim, clk[victim]))
 		}
 	}
 
@@ -289,27 +319,27 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		// A slot runs until it passes the runner-up, reaches the end of
 		// its quantum or finishes its process; only then can the
 		// schedule change.
-		s, limit := nextUp(clk, idle)
-		if s < 0 {
+		k := tree.Winner()
+		if k == sched.NoKey {
 			break
 		}
+		s := sched.KeyProc(k)
 		pid := current[s]
 		st := processes[pid]
 		if pos[pid] >= len(st) {
 			if len(queue) > 0 {
-				current[s] = queue[0]
-				queue = queue[1:]
+				current[s], queue = queue[0], queue[1:]
 				quantumEnd[s] = clk[s] + quantum
 			} else {
 				current[s] = -1
-				idle[s] = true
+				idle++
+				tree.Set(s, sched.NoKey)
 			}
 			continue
 		}
-		if clk[s] >= quantumEnd[s] && (len(queue) > 0 || anyIdle(idle)) {
+		if clk[s] >= quantumEnd[s] && (len(queue) > 0 || idle > 0) {
 			queue = append(queue, pid)
-			current[s] = queue[0]
-			queue = queue[1:]
+			current[s], queue = queue[0], queue[1:]
 			quantumEnd[s] = clk[s] + quantum
 			wake(clk[s])
 			continue
@@ -317,44 +347,12 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		if clk[s] >= quantumEnd[s] {
 			quantumEnd[s] = clk[s] + quantum
 		}
+		// Stopping at the quantum end is stopping at s's own key there.
+		bound := min(tree.RunnerUp(s), sched.Key(s, quantumEnd[s]))
 		var reads uint64
-		pos[pid], clk[s], reads = tk.feed(&p.Cluster[0], st, pos[pid], clk[s], min(limit, quantumEnd[s]))
+		pos[pid], clk[s], reads = tk.feed(h, st, pos[pid], clk[s], s, bound)
 		p.ReadRefs[0][s] += reads
+		tree.Set(s, sched.Key(s, clk[s]))
 	}
-	copy(p.Issue[0], clk)
 	return p, nil
-}
-
-// nextUp returns the entry with the smallest clock among those not
-// done, ties to the lowest index, or -1 when all are done. It also
-// returns the bound its clock must stay below for it to remain first:
-// the runner-up's clock, plus one when the runner-up's index is higher.
-func nextUp(clk []uint64, done []bool) (int, uint64) {
-	first, second := -1, -1
-	for q := range clk {
-		switch {
-		case done[q]:
-		case first < 0 || clk[q] < clk[first]:
-			first, second = q, first
-		case second < 0 || clk[q] < clk[second]:
-			second = q
-		}
-	}
-	limit := uint64(math.MaxUint64)
-	if second >= 0 {
-		limit = clk[second]
-		if first < second {
-			limit++
-		}
-	}
-	return first, limit
-}
-
-func anyIdle(idle []bool) bool {
-	for _, b := range idle {
-		if b {
-			return true
-		}
-	}
-	return false
 }

@@ -398,6 +398,40 @@ func TestBuildScheduledProfile(t *testing.T) {
 	}
 }
 
+// TestBuildersRefuseTooManyProcs: the merge scheduler packs a processor
+// or slot id into 8 bits of its keys, so a build that would merge more
+// than sysmodel.MaxProcs streams is an error, while one at the limit
+// builds.
+func TestBuildersRefuseTooManyProcs(t *testing.T) {
+	st := []mem.Ref{{Addr: sysmodel.LineSize, Kind: mem.Read}}
+	for _, tc := range []struct {
+		clusters, ppc int
+		ok            bool
+	}{{1, sysmodel.MaxProcs, true}, {1, sysmodel.MaxProcs + 1, false}, {2, sysmodel.MaxProcs + 1, false}} {
+		procs := tc.clusters * tc.ppc
+		phase := trace.Phase{Name: "main", Streams: make([][]mem.Ref, procs)}
+		for pr := range phase.Streams {
+			phase.Streams[pr] = st
+		}
+		comp, err := trace.Compile(&trace.Program{Name: "wide", Procs: procs, Phases: []trace.Phase{phase}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildProfile(comp, tc.clusters, 8); (err == nil) != tc.ok {
+			t.Errorf("BuildProfile, %d clusters of %d processors: err = %v, want ok=%v", tc.clusters, tc.ppc, err, tc.ok)
+		}
+	}
+	processes := [][]mem.Ref{st, st}
+	for _, tc := range []struct {
+		slots int
+		ok    bool
+	}{{sysmodel.MaxProcs, true}, {sysmodel.MaxProcs + 1, false}} {
+		if _, err := BuildScheduledProfile("wide", processes, tc.slots, 100, 8); (err == nil) != tc.ok {
+			t.Errorf("BuildScheduledProfile, %d slots: err = %v, want ok=%v", tc.slots, err, tc.ok)
+		}
+	}
+}
+
 // TestPredictMonotonicInSize: bigger caches cannot predict more misses.
 func TestPredictMonotonicInSize(t *testing.T) {
 	prog := syntheticProgram(t, 2, 10_000, 2048)
@@ -479,6 +513,102 @@ func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
 			p.ReadRefs[phase][pr] += uint64(reads)
 		}
 		copy(p.Issue[phase], clk)
+	}
+	return p
+}
+
+// naiveBuildScheduledProfile is the reference for BuildScheduledProfile:
+// the documented round-robin scheduler — initial assignment in process
+// order, a global FIFO ready queue, preemption once a slot's clock
+// reaches its quantum end, idle slots (lowest clock first) picking up
+// preempted processes at once — as a plain min-clock scan over the busy
+// slots (ties to the lowest id) that issues one reference per step into
+// a capped naive stack.
+func naiveBuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantum uint64, capLines int) *Profile {
+	p := &Profile{
+		Name: name, Procs: slots, Clusters: 1, Cap: capLines,
+		Cluster:    []Hist{newHist(capLines)},
+		PhaseNames: []string{"scheduled"},
+		Issue:      [][]uint64{make([]uint64, slots)},
+		ReadRefs:   [][]uint64{make([]uint64, slots)},
+	}
+	stack := newCappedStack(capLines)
+	clk := p.Issue[0]
+	pos := make([]int, len(processes))
+	var queue []int
+	// current[s] is slot s's process, or -1 while s is idle.
+	current := make([]int, slots)
+	quantumEnd := make([]uint64, slots)
+	for s := range current {
+		current[s] = -1
+		if s < len(processes) {
+			current[s], quantumEnd[s] = s, quantum
+		}
+	}
+	for pid := slots; pid < len(processes); pid++ {
+		queue = append(queue, pid)
+	}
+	// idleSlot is the idle slot with the smallest clock, or -1.
+	idleSlot := func() int {
+		v := -1
+		for s := range current {
+			if current[s] < 0 && (v < 0 || clk[s] < clk[v]) {
+				v = s
+			}
+		}
+		return v
+	}
+	for {
+		s := -1
+		for q := range current {
+			if current[q] >= 0 && (s < 0 || clk[q] < clk[s]) {
+				s = q
+			}
+		}
+		if s < 0 {
+			break
+		}
+		pid := current[s]
+		st := processes[pid]
+		switch {
+		case pos[pid] == len(st):
+			// Finished: take the head of the queue or go idle.
+			current[s] = -1
+			if len(queue) > 0 {
+				current[s], queue = queue[0], queue[1:]
+				quantumEnd[s] = clk[s] + quantum
+			}
+			continue
+		case clk[s] >= quantumEnd[s] && (len(queue) > 0 || idleSlot() >= 0):
+			// Preempted: requeue, take the head, and hand the rest of
+			// the queue to idle slots.
+			queue = append(queue, pid)
+			current[s], queue = queue[0], queue[1:]
+			quantumEnd[s] = clk[s] + quantum
+			for v := idleSlot(); v >= 0 && len(queue) > 0; v = idleSlot() {
+				clk[v] = max(clk[v], clk[s])
+				current[v], queue = queue[0], queue[1:]
+				quantumEnd[v] = clk[v] + quantum
+			}
+			continue
+		case clk[s] >= quantumEnd[s]:
+			// Nobody is waiting: a fresh quantum.
+			quantumEnd[s] = clk[s] + quantum
+		}
+		r := st[pos[pid]]
+		pos[pid]++
+		clk[s] += uint64(r.Gap)
+		reads, writes := accessesOf(r.Kind)
+		if reads+writes == 0 {
+			continue
+		}
+		p.Refs++
+		line := sysmodel.LineIndex(r.Addr)
+		for i := 0; i < reads+writes; i++ {
+			p.Cluster[0].add(stack.access(line), i >= reads)
+		}
+		clk[s] += uint64(reads + writes)
+		p.ReadRefs[0][s] += uint64(reads)
 	}
 	return p
 }
@@ -567,6 +697,46 @@ func TestBuildProfileMatchesNaive(t *testing.T) {
 				}
 				if want := naiveBuildProfile(comp, clusters, capLines); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s, %d clusters, cap %d: profile differs from the naive global merge", tc.name, clusters, capLines)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildScheduledProfileMatchesNaive: the run-ahead scheduled merge
+// must produce exactly the profile of the naive one-reference-per-step
+// scheduler — with one slot, fewer slots than processes (time slicing)
+// and more (idle slots), an empty process stream, quanta from one cycle
+// (a preemption check before every reference) to longer than most
+// streams, clocks that tie at every step, and caps small enough to
+// compact many times.
+func TestBuildScheduledProfileMatchesNaive(t *testing.T) {
+	for _, nproc := range []int{1, 5, 9} {
+		for _, maxGap := range []int{0, 5} {
+			rng := rand.New(rand.NewSource(int64(10*nproc + maxGap)))
+			var processes [][]mem.Ref
+			for pid := 0; pid < nproc; pid++ {
+				var st []mem.Ref
+				if pid != 2 {
+					// Overlapping footprints, so processes also reuse
+					// each other's lines.
+					st = mixedStream(rng, 150+rng.Intn(300), maxGap, 1+uint32(pid)*100, 150)
+				}
+				processes = append(processes, st)
+			}
+			for _, slots := range []int{1, 2, 3, 8} {
+				for _, quantum := range []uint64{1, 7, 500} {
+					for _, capLines := range []int{8, 64} {
+						got, err := BuildScheduledProfile("mp", processes, slots, quantum, capLines)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := naiveBuildScheduledProfile("mp", processes, slots, quantum, capLines)
+						if want.Refs == 0 || !reflect.DeepEqual(got, want) {
+							t.Errorf("%d processes, gaps ≤%d, %d slots, quantum %d, cap %d: profile differs from the naive scheduler",
+								nproc, maxGap, slots, quantum, capLines)
+						}
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"sccsim/internal/mem"
+	"sccsim/internal/sched"
 	"sccsim/internal/sysmodel"
 )
 
@@ -205,15 +206,16 @@ func (tk *tracker) compact() {
 	tk.t, tk.live = n, n
 }
 
-// feed runs stream st from position i, at virtual clock clk, through
-// the tracker into h: each reference first advances the clock by its
-// compute gap, then issues its cache accesses (see accessesOf) at one
-// cycle each. It stops at the end of the stream or before the first
-// reference due at or after limit, and returns the new position and
-// clock and the read-kind accesses issued.
-func (tk *tracker) feed(h *Hist, st []mem.Ref, i int, clk, limit uint64) (int, uint64, uint64) {
+// feed runs processor q's stream st from position i, at virtual clock
+// clk, through the tracker into h: each reference first advances the
+// clock by its compute gap, then issues its cache accesses (see
+// accessesOf) at one cycle each. It stops at the end of the stream or
+// before the first reference whose scheduler key, sched.Key(q, clk)
+// with clk before the reference's gap, is not below bound; it returns
+// the new position and clock and the read-kind accesses issued.
+func (tk *tracker) feed(h *Hist, st []mem.Ref, i int, clk uint64, q int, bound uint64) (int, uint64, uint64) {
 	var reads uint64
-	for ; i < len(st) && clk < limit; i++ {
+	for ; i < len(st) && sched.Key(q, clk) < bound; i++ {
 		r := st[i]
 		clk += uint64(r.Gap)
 		rd, wr := accessesOf(r.Kind)

@@ -80,16 +80,19 @@ func (v *victimBuffer) take(line uint32) (bool, bool) {
 	return false, false
 }
 
-// put inserts an evicted line, displacing the oldest entry. The cursor
+// put inserts an evicted line, displacing the oldest entry, and returns
+// the displaced line (victimInvalid for an empty entry). The cursor
 // wraps with a compare-and-reset rather than a modulo: the buffer sits on
 // the miss path and an integer divide per eviction is measurable at the
 // typical 4-8 entry sizes.
-func (v *victimBuffer) put(line uint32, dirty bool) {
+func (v *victimBuffer) put(line uint32, dirty bool) uint32 {
+	old := v.tags[v.next]
 	v.tags[v.next] = line
 	v.dirty[v.next] = dirty
 	if v.next++; v.next == len(v.tags) {
 		v.next = 0
 	}
+	return old
 }
 
 // Stats accumulates SCC-specific contention statistics on top of the tag
@@ -233,8 +236,11 @@ func (s *SCC) Tags() *cache.Cache { return s.tags }
 // still receive invalidations — Invalidate checks the buffer). An entry
 // silently displaced *out* of the buffer leaves a stale presence bit
 // behind, which is safe: a later invalidation attempt simply finds
-// nothing.
-func (s *SCC) MissVictim(addr uint32, kind mem.Kind, evicted uint32, evictedDirty bool) bool {
+// nothing. MissVictim returns that entry's line index as gone
+// (cache.EvictedNone when the buffer displaced nothing): it has left
+// the SCC, so a caller keeping copies of the SCC's lines, such as the
+// hybrid hierarchy's L1s, must drop them.
+func (s *SCC) MissVictim(addr uint32, kind mem.Kind, evicted uint32, evictedDirty bool) (hit bool, gone uint32) {
 	found, dirty := s.victim.take(addr >> s.lineShift)
 	if found {
 		s.stats.VictimHits++
@@ -245,10 +251,13 @@ func (s *SCC) MissVictim(addr uint32, kind mem.Kind, evicted uint32, evictedDirt
 			s.tags.MarkDirty(addr)
 		}
 	}
+	gone = cache.EvictedNone
 	if evicted != cache.EvictedNone {
-		s.victim.put(evicted, evictedDirty)
+		if old := s.victim.put(evicted, evictedDirty); old != victimInvalid {
+			gone = old
+		}
 	}
-	return found
+	return found, gone
 }
 
 // Probe reports whether addr is resident without side effects.

@@ -50,7 +50,7 @@ func access(s *SCC, now uint64, addr uint32, kind mem.Kind) result {
 	cr := s.Tags().Access(addr, kind)
 	r := result{hit: cr.Hit, start: start, evicted: cr.Evicted, evictedDirty: cr.EvictedDirty}
 	if !cr.Hit && s.victim != nil {
-		r.hit = s.MissVictim(addr, kind, cr.Evicted, cr.EvictedDirty)
+		r.hit, _ = s.MissVictim(addr, kind, cr.Evicted, cr.EvictedDirty)
 		r.evicted, r.evictedDirty = cache.EvictedNone, false
 	}
 	return r
@@ -287,6 +287,33 @@ func TestVictimBufferSuppressesBusEviction(t *testing.T) {
 	if !parked {
 		t.Error("the line parked in the victim buffer is not resident")
 	}
+}
+
+// TestVictimBufferReportsDisplaced: MissVictim names the line its FIFO
+// pushes out of the buffer, which leaves the SCC with it, and nothing
+// while the buffer still has room or the miss displaced no line.
+func TestVictimBufferReportsDisplaced(t *testing.T) {
+	s := MustNew(4096, 1, 4)
+	s.EnableVictimBuffer(1)
+	miss := func(addr uint32) uint32 {
+		cr := s.Tags().Access(addr, mem.Read)
+		_, gone := s.MissVictim(addr, mem.Read, cr.Evicted, cr.EvictedDirty)
+		return gone
+	}
+	if gone := miss(0x0); gone != cache.EvictedNone {
+		t.Errorf("a cold miss displaced line %d", gone)
+	}
+	if gone := miss(0x1000); gone != cache.EvictedNone {
+		t.Errorf("parking line 0 in the empty buffer displaced line %d", gone)
+	}
+	if gone := miss(0x2000); gone != 0 {
+		t.Errorf("parking line 0x100 displaced line %d, want line 0", gone)
+	}
+	s.VisitLines(func(li uint32, _ bool) {
+		if li == 0 {
+			t.Error("the displaced line is still in the SCC")
+		}
+	})
 }
 
 // TestVictimBufferDirtyRestore is the regression test for the dirty

@@ -42,10 +42,12 @@ import "sccsim/internal/mem"
 //     same-cluster sibling L1 copies are invalidated at issue time —
 //     the intra-cluster analogue of the bus's write-invalidate protocol.
 //   - Multi-level inclusion is enforced: a line leaving a cluster's SCC
-//     (eviction or inter-cluster invalidation) is back-invalidated out
-//     of that cluster's L1s. L1 residency therefore always implies SCC
-//     residency, which is what lets the coherence presence table keep
-//     one bit per cluster.
+//     is back-invalidated out of that cluster's L1s. It leaves by an
+//     eviction, an inter-cluster invalidation or, with a victim buffer,
+//     by the buffer's FIFO pushing it out; a line parked in the buffer
+//     is still in the SCC and keeps its L1 copies. L1 residency
+//     therefore always implies SCC residency (tags or buffer), which is
+//     what lets the coherence presence table keep one bit per cluster.
 //
 // All SCC, bank, bus and write-buffer behaviour is byte-identical to
 // the shared hierarchy for the references that reach the SCC; the L1

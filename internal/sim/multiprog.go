@@ -7,6 +7,7 @@ import (
 	"sccsim/internal/mem"
 	"sccsim/internal/obs"
 	"sccsim/internal/scc"
+	"sccsim/internal/sched"
 	"sccsim/internal/sysmodel"
 )
 
@@ -36,17 +37,22 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 	if quantum == 0 {
 		return nil, fmt.Errorf("sim: zero scheduler quantum")
 	}
-	nproc := cfg.Procs()
 	s, err := newSystem(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	return s.runMultiprog(processes, quantum)
+}
+
+// runMultiprog is RunMultiprog on the freshly built system s.
+func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, error) {
+	nproc := s.cfg.Procs()
 	// Size the flat presence table from the workload's footprint (and
 	// count the non-idle references the verifier expects); one linear
 	// pass over the streams is negligible against the run.
 	var expRefs uint64
 	var maxLine uint32
-	shift := cfg.LineShift()
+	shift := s.cfg.LineShift()
 	for i := range processes {
 		for _, r := range processes[i].Refs {
 			if r.Kind == mem.Idle {
@@ -92,11 +98,11 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 	// (below), then its leaf is set to its new clock, or emptied when it
 	// goes idle. Only the winner's clock and processors woken from idle
 	// ever change, and each is re-keyed as it does.
-	sched := newTourney(nproc)
+	tree := sched.NewTourney(nproc)
 	res, tr, warmupAt, dm := s.res, s.tr, s.opts.WarmupRefs, s.directMapped()
 	for p := 0; p < nproc; p++ {
 		if current[p] >= 0 {
-			sched.set(p, schedKey(p, clock[p]))
+			tree.Set(p, sched.Key(p, clock[p]))
 		}
 	}
 
@@ -125,16 +131,16 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			s.emitSwitch(victim, clock[victim])
 			clock[victim] += s.opts.SwitchPenalty
 			quantumEnd[victim] = clock[victim] + quantum
-			sched.set(victim, schedKey(victim, clock[victim]))
+			tree.Set(victim, sched.Key(victim, clock[victim]))
 		}
 	}
 
 	for {
-		k := sched.winner()
-		if k == noKey {
+		k := tree.Winner()
+		if k == sched.NoKey {
 			break
 		}
-		p := keyProc(k)
+		p := sched.KeyProc(k)
 		pid := current[p]
 		st := processes[pid].Refs
 
@@ -148,12 +154,12 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 				s.emitSwitch(p, clock[p])
 				clock[p] += s.opts.SwitchPenalty
 				quantumEnd[p] = clock[p] + quantum
-				sched.set(p, schedKey(p, clock[p]))
+				tree.Set(p, sched.Key(p, clock[p]))
 			} else {
 				current[p] = -1
 				idle[p] = true
 				idleSince[p] = clock[p]
-				sched.set(p, noKey)
+				tree.Set(p, sched.NoKey)
 			}
 			continue
 		}
@@ -172,7 +178,7 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			}
 			quantumEnd[p] = clock[p] + quantum
 			wake(clock[p])
-			sched.set(p, schedKey(p, clock[p]))
+			tree.Set(p, sched.Key(p, clock[p]))
 			continue
 		}
 		if clock[p] >= quantumEnd[p] {
@@ -186,7 +192,7 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 		// stretch. The checks above then run exactly where a scheduler
 		// consulted per reference would run them, and the tree is touched
 		// once per stretch. Only the winner's state changes inside it.
-		bound := sched.runnerUp(p)
+		bound := tree.RunnerUp(p)
 		i, t, qEnd := pos[pid], clock[p], quantumEnd[p]
 		var c int
 		var sc *scc.SCC
@@ -233,12 +239,12 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 					s.warmupReset()
 				}
 			}
-			if i++; i == len(st) || t >= qEnd || schedKey(p, t) >= bound {
+			if i++; i == len(st) || t >= qEnd || sched.Key(p, t) >= bound {
 				break
 			}
 		}
 		pos[pid], clock[p] = i, t
-		sched.set(p, schedKey(p, t))
+		tree.Set(p, sched.Key(p, t))
 	}
 
 	// Close out idle accounting to the makespan.

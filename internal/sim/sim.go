@@ -37,6 +37,7 @@ import (
 	"sccsim/internal/mem"
 	"sccsim/internal/obs"
 	"sccsim/internal/scc"
+	"sccsim/internal/sched"
 	"sccsim/internal/snoop"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
@@ -577,7 +578,13 @@ func (s *system) missFrom(p, c int, t uint64, addr uint32, kind mem.Kind,
 	evicted uint32, evictedDirty bool) uint64 {
 
 	if s.victims {
-		if s.sccs[c].MissVictim(addr, kind, evicted, evictedDirty) {
+		hit, gone := s.sccs[c].MissVictim(addr, kind, evicted, evictedDirty)
+		if gone != cache.EvictedNone && s.l1 != nil {
+			// Inclusion: the buffer pushed a parked line out of the SCC
+			// without a bus notice, so its L1 copies go here.
+			s.invalidateL1s(c, gone<<s.cfg.LineShift(), -1)
+		}
+		if hit {
 			// The buffer held the line: it swapped back without a bus
 			// transaction, so the access completes as a hit.
 			if kind == mem.Write {
@@ -673,27 +680,27 @@ func replay(s *system, phases [][][]mem.Ref) []uint64 {
 	res, tr, warmupAt, dm := s.res, s.tr, s.opts.WarmupRefs, s.directMapped()
 	clock := make([]uint64, procs)
 	pos := make([]int, procs)
-	sched := newTourney(procs)
+	tree := sched.NewTourney(procs)
 	var phaseStart uint64
 
 	for _, streams := range phases {
 		for p := 0; p < procs; p++ {
 			pos[p] = 0
 			if len(streams[p]) > 0 {
-				sched.set(p, schedKey(p, clock[p]+uint64(streams[p][0].Gap)))
+				tree.Set(p, sched.Key(p, clock[p]+uint64(streams[p][0].Gap)))
 			}
 		}
 		for {
-			k := sched.winner()
-			if k == noKey {
+			k := tree.Winner()
+			if k == sched.NoKey {
 				break
 			}
 			// Run ahead: the winner keeps issuing while its next key stays
 			// below bound, every other processor's earliest key — exactly
 			// the order of a scheduler consulted per reference, with the
 			// tree touched only when the winner changes or finishes.
-			p, t := keyProc(k), keyTime(k)
-			bound := sched.runnerUp(p)
+			p, t := sched.KeyProc(k), sched.KeyTime(k)
+			bound := tree.RunnerUp(p)
 			st, i := streams[p], pos[p]
 			var c int
 			var sc *scc.SCC
@@ -732,9 +739,9 @@ func replay(s *system, phases [][][]mem.Ref) []uint64 {
 						var retry bool
 						if t, retry = s.access(p, t, r); retry {
 							// Spin iteration: re-issue the same reference later.
-							if k := schedKey(p, t); k >= bound {
+							if k := sched.Key(p, t); k >= bound {
 								pos[p] = i
-								sched.set(p, k)
+								tree.Set(p, k)
 								break
 							}
 							continue
@@ -747,13 +754,13 @@ func replay(s *system, phases [][][]mem.Ref) []uint64 {
 				}
 				if i++; i == len(st) {
 					clock[p] = t
-					sched.set(p, noKey)
+					tree.Set(p, sched.NoKey)
 					break
 				}
 				t += uint64(st[i].Gap)
-				if k := schedKey(p, t); k >= bound {
+				if k := sched.Key(p, t); k >= bound {
 					pos[p] = i
-					sched.set(p, k)
+					tree.Set(p, k)
 					break
 				}
 			}

@@ -164,6 +164,89 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	}
 }
 
+// auditInclusion fails t unless the hybrid hierarchy's inclusion holds
+// on s: every valid line of every L1 is held by its cluster's SCC, in
+// the tag store or the victim buffer. Other hierarchies have no L1s.
+func auditInclusion(t *testing.T, s *system) {
+	t.Helper()
+	for p, l1 := range s.l1 {
+		held := make(map[uint32]bool)
+		s.sccs[s.clusterOf(p)].VisitLines(func(line uint32, _ bool) { held[line] = true })
+		l1.VisitLines(func(line uint32, _ bool) {
+			if !held[line] {
+				t.Errorf("processor %d's L1 holds line %#x, which cluster %d's SCC does not", p, line, s.clusterOf(p))
+			}
+		})
+	}
+}
+
+// runAudited is Run, ending with auditInclusion.
+func runAudited(t *testing.T, cfg sysmodel.Config, opts Options, p *trace.Program) (*Result, error) {
+	t.Helper()
+	comp, err := trace.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newSystem(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
+	res, err := s.finish(replay(s, comp.Streams), comp.Refs())
+	auditInclusion(t, s)
+	return res, err
+}
+
+// multiprogAudited is RunMultiprog, ending with auditInclusion.
+func multiprogAudited(t *testing.T, cfg sysmodel.Config, opts Options, processes []Process, quantum uint64) (*Result, error) {
+	t.Helper()
+	s, err := newSystem(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.runMultiprog(processes, quantum)
+	auditInclusion(t, s)
+	return res, err
+}
+
+// TestHybridVictimBufferKeepsInclusion is the regression test for a line
+// that the victim buffer's FIFO pushes out of the SCC: it leaves without
+// a bus eviction notice, and its L1 copies must leave with it. Processor
+// 0 reads line A; processor 1 then reads three more lines of A's set in
+// a 2-way SCC, which evicts A into the one-entry buffer and then pushes
+// it out with the next eviction.
+func TestHybridVictimBufferKeepsInclusion(t *testing.T) {
+	cfg := sysmodel.Config{
+		Clusters: 1, ProcsPerCluster: 2, SCCBytes: 4096,
+		LoadLatency: sysmodel.ImpliedLoadLatency(2),
+		Assoc:       2, Repl: sysmodel.ReplLRU,
+		Hierarchy: sysmodel.HierarchyHybrid, L1Bytes: 1024,
+	}
+	const a, setStride = 0x1000, 4096 / 2
+	p := prog(2,
+		[]mem.Ref{rd(a, 0)},
+		[]mem.Ref{rd(a+setStride, 10), rd(a+2*setStride, 0), rd(a+3*setStride, 0)})
+	comp, err := trace.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSystem(cfg, Options{VictimEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
+	replay(s, comp.Streams)
+	inSCC := false
+	s.sccs[0].VisitLines(func(line uint32, _ bool) { inSCC = inSCC || line == a/sysmodel.LineSize })
+	if inSCC {
+		t.Fatal("line A is still in the SCC: the scenario did not push it out of the victim buffer")
+	}
+	if s.l1[0].ProbeDM(a) {
+		t.Error("processor 0's L1 still holds line A after it left the SCC")
+	}
+	auditInclusion(t, s)
+}
+
 // fuzzConfig maps arbitrary fuzz bytes onto a machine within the
 // oracle's modelled envelope, on any of the three hierarchies, at
 // associativity 1, 2 or 4 (assocB%3) with LRU or random replacement
@@ -241,7 +324,8 @@ func fuzzProgram(procs int, stream []byte) *trace.Program {
 // workload (fuzzProcesses) under a fuzzed quantum, held to the same
 // three. On the shared and hybrid hierarchies both run once more with a
 // victim buffer, which the oracle does not model: those runs answer to
-// the checker and to determinism alone.
+// the checker and to determinism alone, and on the hybrid hierarchy to
+// an end-of-run audit of L1 inclusion (auditInclusion).
 func FuzzSimConfig(f *testing.F) {
 	// Each seed runs on every hierarchy (hierB 0, 1, 2).
 	for h := range hierarchies {
@@ -316,6 +400,12 @@ func FuzzSimConfig(f *testing.F) {
 		if cfg.HierarchyKind() != sysmodel.HierarchyPrivate {
 			vopts := opts
 			vopts.VictimEntries = 2
+			if cfg.HierarchyKind() == sysmodel.HierarchyHybrid {
+				// The buffer can push a line out of the SCC silently:
+				// audit that its L1 copies went with it.
+				run = func(o Options) (*Result, error) { return runAudited(t, cfg, o, p) }
+				mrun = func(o Options) (*Result, error) { return multiprogAudited(t, cfg, o, processes, quantum) }
+			}
 			checked("victim-buffer run", run, vopts)
 			checked("victim-buffer multiprog run", mrun, vopts)
 		}
