@@ -76,7 +76,7 @@ type traceShape struct {
 	procs, clusters int
 }
 
-var profiles memo[traceShape, *rdmodel.Profile]
+var profiles = memo[traceShape, *rdmodel.Profile]{budget: profileCacheBudget, size: (*rdmodel.Profile).HeapBytes}
 
 // analyticResult shapes a prediction as a *sim.Result so grids, tables,
 // manifests and the serve layer handle both backends uniformly. Only
@@ -161,7 +161,7 @@ func profileFor(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc 
 	if err != nil {
 		return nil, err
 	}
-	return profiles.get(traceShape{key, cfg.Procs(), cfg.Clusters}, func() (*rdmodel.Profile, error) {
+	prof, evicted, err := profiles.get(traceShape{key, cfg.Procs(), cfg.Clusters}, func() (*rdmodel.Profile, error) {
 		if w == Multiprog {
 			streams := make([][]mem.Ref, len(prog.Phases))
 			for i, ph := range prog.Phases {
@@ -176,6 +176,8 @@ func profileFor(w Workload, cfg sysmodel.Config, s Scale, tc *traceCounters, dc 
 		}
 		return rdmodel.BuildProfile(comp, cfg.Clusters, rdmodel.DefaultCap())
 	})
+	tc.noteCache("profile", profiles.heldBytes(), evicted)
+	return prof, err
 }
 
 // analyticPoint predicts one configuration from its shared profile.

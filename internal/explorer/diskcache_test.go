@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sccsim/internal/mem"
+	"sccsim/internal/obs"
 	"sccsim/internal/sim"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
@@ -118,6 +119,46 @@ func TestCachedParallelProgramSources(t *testing.T) {
 	}
 	if p3.Name != p1.Name || p3.Procs != p1.Procs || !reflect.DeepEqual(p3.Phases, p1.Phases) {
 		t.Fatal("disk-loaded program differs from generated program")
+	}
+}
+
+// TestTraceCacheHoldsManyKeys: the in-memory trace cache is bounded by
+// bytes, not by a key count, so 40 small traces (more than the 32
+// entries it once held) all stay resolved: a second round over them
+// generates nothing and loads nothing, and the registry reports the
+// bytes they are charged and no evictions.
+func TestTraceCacheHoldsManyKeys(t *testing.T) {
+	dc := newTestDiskCache(t)
+	ResetTraceCache()
+	t.Cleanup(ResetTraceCache)
+	const keys = 40
+	reg := obs.NewRegistry()
+	round := func() (*traceCounters, int64) {
+		t.Helper()
+		tc := &traceCounters{reg: reg}
+		var charged int64
+		for seed := int64(1); seed <= keys; seed++ {
+			p, _, err := traceFor(Multiprog, 1, Scale{MultiprogRefs: 2000, Seed: seed}, tc, dc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			charged += max(p.HeapBytes(), memoMinCharge)
+		}
+		return tc, charged
+	}
+	if tc, _ := round(); tc.generated.Load() != keys {
+		t.Fatalf("first round generated %d traces, want %d", tc.generated.Load(), keys)
+	}
+	tc, charged := round()
+	if hits, misses, _, _ := tc.loads(); hits != keys || misses != 0 {
+		t.Fatalf("second round: %d hits, %d misses (%d loaded from disk, %d generated); want %d hits only",
+			hits, misses, tc.diskHits.Load(), tc.generated.Load(), keys)
+	}
+	if got := reg.Gauge("explorer.trace_cache_bytes").Value(); got != charged {
+		t.Errorf("explorer.trace_cache_bytes = %d, want %d", got, charged)
+	}
+	if got := reg.Counter("explorer.trace_cache_evictions").Value(); got != 0 {
+		t.Errorf("explorer.trace_cache_evictions = %d, want 0", got)
 	}
 }
 

@@ -28,6 +28,9 @@ func FuzzBuildProfile(f *testing.F) {
 	f.Add([]byte{7, 3 | 7<<2, 8, 0, 7, 0x00, 1, 0x20, 2, 0x23, 1, 0x45, 3, 0x66, 0, 0x80, 2, 0xe1, 4, 0x02, 1})
 	// Gaps, one cluster, a cap of 2 and renamed lines.
 	f.Add([]byte{1 | 1<<3, 0, 4, 6, 1 | 0x80, 0x08, 5, 0x30, 6, 0x13, 5, 0x5b, 9, 0x8c, 6, 0x2d, 5, 0x17, 7})
+	// 8 slots for 3 processes under a 2-cycle quantum: five slots idle
+	// from the start, so every quantum expires with nobody waiting.
+	f.Add([]byte{0, 7 << 2, 2, 1, 7, 0x20, 1, 0x20, 2, 0x20, 3, 0x20, 4, 0x20, 5, 0x28, 6, 0x40, 7, 0x20, 8, 0x20, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return

@@ -132,6 +132,21 @@ type Profile struct {
 	ReadRefs   [][]uint64
 }
 
+// HeapBytes returns the memory the profile's tables hold: 8 bytes per
+// slot of each cluster's Read and Write histograms and per Issue and
+// ReadRefs entry. The sweep engine's profile cache charges a profile
+// this much.
+func (p *Profile) HeapBytes() int64 {
+	var n int
+	for i := range p.Cluster {
+		n += len(p.Cluster[i].Read) + len(p.Cluster[i].Write)
+	}
+	for i := range p.Issue {
+		n += len(p.Issue[i]) + len(p.ReadRefs[i])
+	}
+	return int64(n) * 8
+}
+
 // accessesOf maps a trace record to its cache accesses, mirroring the
 // exact simulator: a Lock is an acquire read followed by the lock
 // write, an Unlock a single write. (Lock spin re-reads depend on
@@ -238,11 +253,12 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 // profile: the processes' streams are interleaved by a replica of the
 // simulator's round-robin scheduler (initial assignment in process
 // order, a global FIFO ready queue, preemption every quantum issue
-// cycles, idle slots picking up preempted processes immediately)
-// running in stall-free issue time, and the single shared SCC sees the
-// merged stream. Issue and ReadRefs are per scheduling slot. Like the
-// simulator's, the schedule orders slots with sched.Tourney, which
-// names at most sysmodel.MaxProcs of them.
+// cycles when a process waits; a slot goes idle only once the queue is
+// empty, so an idle slot stays idle) running in stall-free issue time,
+// and the single shared SCC sees the merged stream. Issue and ReadRefs
+// are per scheduling slot. Like the simulator's, the schedule orders
+// slots with sched.Tourney, which names at most sysmodel.MaxProcs of
+// them.
 func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantum uint64, capLines int) (*Profile, error) {
 	if slots < 1 || len(processes) == 0 || quantum == 0 {
 		return nil, fmt.Errorf("rdmodel: bad schedule shape (%d slots, %d processes, quantum %d)",
@@ -274,8 +290,7 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 
 	// A busy slot's leaf is keyed on its clock, before the gap of its
 	// next reference; an idle slot's leaf is empty. Only the winner's
-	// clock and slots woken from idle ever change, and each is re-keyed
-	// as it does.
+	// clock ever changes, and it is re-keyed as it does.
 	pos := make([]int, len(processes))
 	queue := make([]int, 0, len(processes))
 	// current[s] is slot s's process, or -1 while s is idle.
@@ -283,36 +298,16 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 	quantumEnd := make([]uint64, slots)
 	clk := p.Issue[0]
 	tree := sched.NewTourney(slots)
-	idle := 0
 	for s := range current {
 		if s < len(processes) {
 			current[s], quantumEnd[s] = s, quantum
 			tree.Set(s, sched.Key(s, 0))
 		} else {
 			current[s] = -1
-			idle++
 		}
 	}
 	for i := slots; i < len(processes); i++ {
 		queue = append(queue, i)
-	}
-
-	// wake hands queued processes to idle slots, lowest clock first, at
-	// or after time t.
-	wake := func(t uint64) {
-		for idle > 0 && len(queue) > 0 {
-			victim := -1
-			for s := range current {
-				if current[s] < 0 && (victim < 0 || clk[s] < clk[victim]) {
-					victim = s
-				}
-			}
-			idle--
-			clk[victim] = max(clk[victim], t)
-			current[victim], queue = queue[0], queue[1:]
-			quantumEnd[victim] = clk[victim] + quantum
-			tree.Set(victim, sched.Key(victim, clk[victim]))
-		}
 	}
 
 	for {
@@ -332,16 +327,14 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 				quantumEnd[s] = clk[s] + quantum
 			} else {
 				current[s] = -1
-				idle++
 				tree.Set(s, sched.NoKey)
 			}
 			continue
 		}
-		if clk[s] >= quantumEnd[s] && (len(queue) > 0 || idle > 0) {
+		if clk[s] >= quantumEnd[s] && len(queue) > 0 {
 			queue = append(queue, pid)
 			current[s], queue = queue[0], queue[1:]
 			quantumEnd[s] = clk[s] + quantum
-			wake(clk[s])
 			continue
 		}
 		if clk[s] >= quantumEnd[s] {

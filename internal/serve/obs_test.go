@@ -219,6 +219,45 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 }
 
+// TestCacheMetricsAfterColdPoint: a cold analytic point resolves a
+// trace and a profile into the engine's caches, and /metrics reports
+// the bytes each cache holds and its evictions.
+func TestCacheMetricsAfterColdPoint(t *testing.T) {
+	sccsim.ResetTraceCache()
+	t.Cleanup(sccsim.ResetTraceCache)
+
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	pr, err := http.Post(ts.URL+"/v1/point", "application/json", strings.NewReader(
+		`{"workload":"multiprog","backend":"analytic","scale_spec":{"multiprog_refs":6000,"seed":23},"procs_per_cluster":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusOK {
+		t.Fatalf("point status %d, want 200", pr.StatusCode)
+	}
+
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Body.Close()
+	var snap map[string]any
+	if err := json.NewDecoder(mr.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"trace", "profile"} {
+		if b, _ := snap["explorer."+c+"_cache_bytes"].(float64); b <= 0 {
+			t.Errorf("explorer.%s_cache_bytes = %v, want the bytes of the cached %s", c, snap["explorer."+c+"_cache_bytes"], c)
+		}
+		if n, ok := snap["explorer."+c+"_cache_evictions"].(float64); !ok || n != 0 {
+			t.Errorf("explorer.%s_cache_evictions = %v, want 0", c, snap["explorer."+c+"_cache_evictions"])
+		}
+	}
+}
+
 // TestMetricsNameSetGolden pins the full Prometheus family-name set a
 // scripted traffic pattern produces — sweeps on both backends (so the
 // crossval gauges fire), a point, a search (so the search.* pipeline

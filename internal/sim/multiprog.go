@@ -27,9 +27,11 @@ type Process struct {
 // stream; Result.Cycles is the makespan.
 //
 // A processor whose quantum expires puts its process at the tail of a
-// global FIFO ready queue and takes the head; idle processors (out of
-// work because fewer processes remain than processors) pick up preempted
-// processes immediately.
+// global FIFO ready queue and takes the head. A processor goes idle only
+// when a process finishes with the queue empty, and a preemption leaves
+// the queue as long as it was, so no process ever waits while a
+// processor is idle: an idle processor stays idle, and a quantum that
+// expires with nobody waiting just restarts.
 func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantum uint64) (*Result, error) {
 	if len(processes) == 0 {
 		return nil, fmt.Errorf("sim: no processes to schedule")
@@ -84,6 +86,9 @@ func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, err
 		if p < len(processes) {
 			current[p] = p
 			quantumEnd[p] = quantum
+			if s.ck != nil {
+				s.ck.OnDispatch(0, p, p)
+			}
 		} else {
 			current[p] = -1
 			idle[p] = true
@@ -96,42 +101,13 @@ func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, err
 	// The scheduler is keyed on each processor's clock, before the gap of
 	// its next reference: the winner issues a stretch of references
 	// (below), then its leaf is set to its new clock, or emptied when it
-	// goes idle. Only the winner's clock and processors woken from idle
-	// ever change, and each is re-keyed as it does.
+	// goes idle. Only the winner's clock ever changes, and it is re-keyed
+	// as it does.
 	tree := sched.NewTourney(nproc)
 	res, tr, warmupAt, dm := s.res, s.tr, s.opts.WarmupRefs, s.directMapped()
 	for p := 0; p < nproc; p++ {
 		if current[p] >= 0 {
 			tree.Set(p, sched.Key(p, clock[p]))
-		}
-	}
-
-	// wake hands queued processes to idle processors, at or after time t.
-	wake := func(t uint64) {
-		for len(queue) > 0 {
-			victim := -1
-			for p := 0; p < nproc; p++ {
-				if idle[p] && (victim < 0 || clock[p] < clock[victim]) {
-					victim = p
-				}
-			}
-			if victim < 0 {
-				return
-			}
-			pid := queue[0]
-			queue = queue[1:]
-			idle[victim] = false
-			if clock[victim] < t {
-				s.res.BarrierWait[victim] += t - clock[victim]
-				clock[victim] = t
-			}
-			s.res.BarrierWait[victim] += clock[victim] - idleSince[victim]
-			current[victim] = pid
-			s.res.Switches++
-			s.emitSwitch(victim, clock[victim])
-			clock[victim] += s.opts.SwitchPenalty
-			quantumEnd[victim] = clock[victim] + quantum
-			tree.Set(victim, sched.Key(victim, clock[victim]))
 		}
 	}
 
@@ -150,6 +126,9 @@ func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, err
 				next := queue[0]
 				queue = queue[1:]
 				current[p] = next
+				if s.ck != nil {
+					s.ck.OnDispatch(clock[p], p, next)
+				}
 				s.res.Switches++
 				s.emitSwitch(p, clock[p])
 				clock[p] += s.opts.SwitchPenalty
@@ -164,20 +143,18 @@ func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, err
 			continue
 		}
 
-		if clock[p] >= quantumEnd[p] && (len(queue) > 0 || anyIdle(idle)) {
-			// Quantum expired and someone can use the processor (or an
-			// idle processor can take over the preempted process).
+		if clock[p] >= quantumEnd[p] && len(queue) > 0 {
+			// Quantum expired and a process is waiting for the processor.
 			queue = append(queue, pid)
-			next := queue[0]
+			current[p] = queue[0]
 			queue = queue[1:]
-			current[p] = next
-			if next != pid {
-				s.res.Switches++
-				s.emitSwitch(p, clock[p])
-				clock[p] += s.opts.SwitchPenalty
+			if s.ck != nil {
+				s.ck.OnDispatch(clock[p], p, current[p])
 			}
+			s.res.Switches++
+			s.emitSwitch(p, clock[p])
+			clock[p] += s.opts.SwitchPenalty
 			quantumEnd[p] = clock[p] + quantum
-			wake(clock[p])
 			tree.Set(p, sched.Key(p, clock[p]))
 			continue
 		}
@@ -268,13 +245,4 @@ func (s *system) emitSwitch(p int, t uint64) {
 		s.tr.Emit(obs.Event{TS: t, Dur: s.opts.SwitchPenalty, Track: int32(p),
 			Kind: uint8(EvSwitch)})
 	}
-}
-
-func anyIdle(idle []bool) bool {
-	for _, b := range idle {
-		if b {
-			return true
-		}
-	}
-	return false
 }

@@ -347,6 +347,11 @@ func FuzzSimConfig(f *testing.F) {
 	// quantum: the second process must spin on the lock the preempted
 	// first one holds (TestMultiprogLocksBelongToProcesses).
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int8(0), uint8(0), []byte{0xc0, 0xc0})
+	// Eight processors, two processes with a critical section each and
+	// seven empty ones, a 16-cycle quantum: six processors are idle
+	// while the lock misses outlast the quantum, so quanta expire with
+	// nobody waiting and a processor idle.
+	f.Add(uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), int8(0), uint8(0), []byte{0xc1, 0xc2})
 	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB, hierB uint8, wbDepth int8, quantumB uint8, stream []byte) {
 		cfg := fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB)
 		if cfg.Validate() != nil {

@@ -16,6 +16,7 @@ package trace
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"sccsim/internal/mem"
 	"sccsim/internal/sysmodel"
@@ -124,6 +125,19 @@ func (p *Program) Refs() uint64 {
 		}
 	}
 	return n
+}
+
+// HeapBytes returns the memory the program's reference streams hold:
+// one mem.Ref, 8 bytes, per stream entry, idle entries included. The
+// sweep engine's trace cache charges a program this much.
+func (p *Program) HeapBytes() int64 {
+	var n int64
+	for _, ph := range p.Phases {
+		for _, st := range ph.Streams {
+			n += int64(len(st))
+		}
+	}
+	return n * int64(unsafe.Sizeof(mem.Ref{}))
 }
 
 // Builder accumulates one processor's reference stream for one phase.

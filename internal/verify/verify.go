@@ -101,6 +101,11 @@ type Checker struct {
 	// OnLockRelease) alone.
 	locks map[uint32]int
 
+	// procOf[pid] is the processor running process pid and pidOn[p]
+	// the process processor p runs, kept from the multiprogramming
+	// scheduler's dispatch reports (OnDispatch) alone.
+	procOf, pidOn map[int]int
+
 	// lineShift is log2 of the caches' line size, used to convert the
 	// line indices the bus reports back to byte addresses for probes.
 	// NewChecker defaults it to the paper's 16-byte line; SetLineBytes
@@ -123,6 +128,8 @@ func NewChecker(o *Options, bus *snoop.Bus, clusters []Cluster, victimSlack bool
 		victimSlack: victimSlack,
 		accesses:    make([]uint64, len(clusters)),
 		locks:       make(map[uint32]int),
+		procOf:      make(map[int]int),
+		pidOn:       make(map[int]int),
 	}
 	c.SetLineBytes(sysmodel.LineSize)
 	return c
@@ -179,6 +186,20 @@ func (c *Checker) OnLockRelease(now uint64, owner int, addr uint32) {
 		c.violate("unlock@%d: owner %d released lock %#x it does not hold", now, owner, addr)
 	}
 	delete(c.locks, addr)
+}
+
+// OnDispatch records that the multiprogramming scheduler put process
+// pid on processor proc at cycle now, in place of the process proc ran
+// before. Putting a process on a processor while another processor
+// still runs it would run it on two processors at once.
+func (c *Checker) OnDispatch(now uint64, proc, pid int) {
+	if q, ok := c.procOf[pid]; ok && q != proc {
+		c.violate("dispatch@%d: process %d put on processor %d while processor %d runs it", now, pid, proc, q)
+	}
+	if prev, ok := c.pidOn[proc]; ok {
+		delete(c.procOf, prev)
+	}
+	c.procOf[pid], c.pidOn[proc] = proc, pid
 }
 
 // OnWarmupReset resynchronizes the access counters with a statistics

@@ -175,6 +175,27 @@ func TestCheckerCatchesLockMisuse(t *testing.T) {
 	}
 }
 
+// TestCheckerCatchesDoubleDispatch: the dispatch hook holds the
+// multiprogramming scheduler to one processor per process — a process
+// moves to another processor only once the one that ran it has taken
+// another process.
+func TestCheckerCatchesDoubleDispatch(t *testing.T) {
+	r := newRig(t, 1)
+	r.ck.OnDispatch(0, 0, 0)
+	r.ck.OnDispatch(0, 1, 1)
+	r.ck.OnDispatch(10, 0, 2) // processor 0 preempts process 0,
+	r.ck.OnDispatch(20, 1, 0) // so processor 1 may take it
+	if err := r.ck.Err(); err != nil {
+		t.Fatalf("a process moved after its processor took another was flagged: %v", err)
+	}
+	r = newRig(t, 1)
+	r.ck.OnDispatch(0, 0, 0)
+	r.ck.OnDispatch(5, 1, 0)
+	if err := r.ck.Err(); err == nil || !strings.Contains(err.Error(), "process 0 put on processor 1 while processor 0 runs it") {
+		t.Fatalf("a double dispatch was not flagged: %v", err)
+	}
+}
+
 func TestCheckerFinishRunConservation(t *testing.T) {
 	r := newRig(t, 2)
 	var refs uint64
