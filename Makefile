@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build fmt-check test test-race race-obs obs-overhead obs-overhead-run fuzz-smoke vet quick bench bench-quick bench-json bench-compare bench-search bench-search-run bench-search-write bench-check experiments cover clean docs-check serve verify-analytic load-check
+.PHONY: all check build fmt-check test test-race race-obs obs-overhead fuzz-smoke vet quick bench bench-quick bench-check experiments cover clean docs-check serve verify-analytic load-check
 
 all: build vet test
 
 # Tier-1 gate: compile, vet, gofmt-clean sources, full test suite,
 # race-enabled observability and engine packages, documentation
-# contract, analytic-backend accuracy smoke, the benchmark module.
+# contract, analytic-backend accuracy smoke, the observability cost
+# bound, the benchmark module.
 check: build vet fmt-check test race-obs docs-check verify-analytic obs-overhead bench-check
 
 build:
@@ -86,31 +87,18 @@ load-check:
 verify-analytic:
 	$(GO) run ./cmd/sccexplore -crossval barnes-hut -scale quick -quiet
 
-# Zero-overhead contract smoke: run the same quick-scale sweep with
-# observability fully disabled and fully enabled (metrics registry,
-# structured logging, manifest capture) and fail when the enabled run's
-# median per-point throughput drops more than OBS_THRESHOLD below the
-# disabled one. This is the executable form of the nil-disabled
-# contract: instrumentation must stay in the noise. Points run
-# sequentially (-parallel 1) so the timing compares simulator work, not
-# scheduler contention; the median is the contract, and the per-point
-# outlier floor is loosened (-severe-mult) because individual
-# quick-scale points run ~10-30ms and jitter by double-digit
-# percentages on a loaded machine.
-# A failed measurement is retried once: a transient load burst on a
-# shared machine can skew one whole sweep, and a real instrumentation
-# regression fails both attempts. The two manifests go to a fresh
-# directory under $TMPDIR (default /tmp), removed on exit, so
-# concurrent runs never read each other's files.
-OBS_THRESHOLD ?= 0.05
+# Zero-overhead contract: BenchmarkObservabilityOverhead runs every
+# quick-scale Barnes-Hut grid point with observability off and fully on
+# (metrics registry and structured logging), in alternating pairs within
+# one process, and fails when the median on/off wall-time ratio pooled
+# over its rounds exceeds 1.05, or when a pair's results differ.
+# The enabled cost sits close to the bound, so a failed measurement is
+# retried once: a transient load burst on a shared machine can skew one
+# attempt, and a real instrumentation regression fails both.
 obs-overhead:
-	@$(MAKE) --no-print-directory obs-overhead-run || { 		echo "obs-overhead: retrying once to rule out transient machine load"; 		$(MAKE) --no-print-directory obs-overhead-run; }
-
-obs-overhead-run:
-	d=$$(mktemp -d "$${TMPDIR:-/tmp}/sccsim_obs.XXXXXX") && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs off -manifest "$$d/off.json" > /dev/null && \
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs on -manifest "$$d/on.json" > /dev/null && \
-	$(GO) run ./cmd/benchcompare -threshold $(OBS_THRESHOLD) -severe-mult 10 "$$d/off.json" "$$d/on.json"
+	@$(GO) test -run '^$$' -bench '^BenchmarkObservabilityOverhead$$' -benchtime 1x . || { \
+		echo "obs-overhead: retrying once to rule out transient machine load"; \
+		$(GO) test -run '^$$' -bench '^BenchmarkObservabilityOverhead$$' -benchtime 1x .; }
 
 # Seed-plus-30s coverage-guided fuzz of the two properties most worth
 # hammering: the verified simulator against the oracle model
@@ -135,47 +123,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveRequest$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMerge$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/explorer
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildProfile$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/rdmodel
-
-# Machine-readable sweep benchmark: quick-scale Barnes-Hut sweeps on
-# both backends, merged into one run manifest (timings, utilization,
-# per-point stats keyed by backend) committed as BENCH_sweep.json to
-# track the engine's — and the analytic model's — performance across
-# PRs.
-bench-json:
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -manifest /tmp/sccsim_bench_exact.json > /dev/null
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -backend analytic -manifest /tmp/sccsim_bench_analytic.json > /dev/null
-	$(GO) run ./cmd/benchcompare -merge BENCH_sweep.json /tmp/sccsim_bench_exact.json /tmp/sccsim_bench_analytic.json
-
-# Perf regression gate: rerun the two-backend benchmark sweep and diff
-# it point by point against the committed BENCH_sweep.json. Fails when
-# the median per-point sim_cycles_per_us ratio drops more than 10%,
-# when any single point drops more than 30%, or when results
-# (cycles/refs) silently change. Override the tolerance with
-# THRESHOLD=0.15.
-THRESHOLD ?= 0.10
-bench-compare:
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -manifest /tmp/sccsim_bench_cur_exact.json > /dev/null
-	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -backend analytic -manifest /tmp/sccsim_bench_cur_analytic.json > /dev/null
-	$(GO) run ./cmd/benchcompare -merge /tmp/sccsim_bench_current.json /tmp/sccsim_bench_cur_exact.json /tmp/sccsim_bench_cur_analytic.json
-	$(GO) run ./cmd/benchcompare -threshold $(THRESHOLD) BENCH_sweep.json /tmp/sccsim_bench_current.json
-
-# Search-efficiency regression gate: run the fixed ~16k-point adaptive
-# search benchmark and diff it against the committed BENCH_search.json
-# (see cmd/benchsearch). The frontier and work counts are deterministic
-# and gated at SEARCH_THRESHOLD; the calibration-normalized wall time is
-# gated loosely (it jitters with machine load) and, like obs-overhead,
-# a failed run is retried once before it counts.
-SEARCH_THRESHOLD ?= 0.10
-bench-search:
-	@$(MAKE) --no-print-directory bench-search-run || { 		echo "bench-search: retrying once to rule out transient machine load"; 		$(MAKE) --no-print-directory bench-search-run; }
-
-bench-search-run:
-	$(GO) run ./cmd/benchsearch -threshold $(SEARCH_THRESHOLD)
-
-# Regenerate the committed search baseline after an intentional change
-# to the search pipeline or the benchmark experiment.
-bench-search-write:
-	$(GO) run ./cmd/benchsearch -write
 
 # Regenerate every paper table/figure at paper scale.
 bench:

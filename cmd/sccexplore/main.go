@@ -21,14 +21,9 @@
 //	sccexplore -csv barnes-hut -manifest run.json  # versioned JSON run manifest
 //	sccexplore -csv barnes-hut -trace run.trace    # Chrome trace (Perfetto)
 //	sccexplore -exp all -debug-addr :6060          # live pprof + expvar metrics
-//	sccexplore -csv mp3d -obs on                   # force metrics + structured logs
-//	sccexplore -csv mp3d -obs off                  # no instrumentation (overhead baseline)
 //
-// -obs auto (the default) creates the metrics registry only when
-// -debug-addr or -manifest asks for one; "on" always attaches a
-// registry and a JSON slog logger; "off" disables every instrumentation
-// site — `make obs-overhead` diffs "off" against "on" with benchcompare
-// to enforce the nil-disabled zero-overhead contract.
+// The metrics registry exists only when -debug-addr or -manifest asks
+// for one; otherwise every instrumentation site stays disabled.
 //
 // Backends:
 //
@@ -84,7 +79,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -93,7 +87,6 @@ import (
 	"time"
 
 	"sccsim"
-	"sccsim/internal/obs"
 )
 
 // stdout receives experiment results only; stderr receives every
@@ -155,7 +148,6 @@ func cli(args []string) int {
 	traceCacheDir := fs.String("trace-cache", "", "persist generated workload traces in this directory; repeated runs load them instead of regenerating")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event timeline of the -csv sweep to this file (open in Perfetto)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
-	obsMode := fs.String("obs", "auto", `observability: "auto" (registry when -debug-addr/-manifest need it), "on" (registry + structured logs always) or "off" (every instrumentation site disabled, for overhead baselines)`)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -210,21 +202,8 @@ func cli(args []string) int {
 	// The metrics registry feeds two consumers: the expvar endpoint
 	// (live, while running) and the manifest's metrics snapshot (final).
 	var metrics *sccsim.Metrics
-	switch *obsMode {
-	case "on":
+	if *debugAddr != "" || *manifestPath != "" {
 		metrics = sccsim.NewMetrics()
-	case "auto":
-		if *debugAddr != "" || *manifestPath != "" {
-			metrics = sccsim.NewMetrics()
-		}
-	case "off":
-		if *debugAddr != "" {
-			fmt.Fprintln(stderr, "sccexplore: -obs off contradicts -debug-addr")
-			return 2
-		}
-	default:
-		fmt.Fprintf(stderr, "sccexplore: unknown -obs mode %q (want auto, on or off)\n", *obsMode)
-		return 2
 	}
 	if *debugAddr != "" {
 		// Guard against re-registration across repeated cli runs in
@@ -246,13 +225,6 @@ func cli(args []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// -obs on also attaches the structured logger, so the overhead gate
-	// measures the full enabled configuration, not just metrics.
-	var logger *slog.Logger
-	if *obsMode == "on" {
-		logger = obs.NewJSONLogger(stderr, slog.LevelInfo)
-	}
-
 	opts := func(label string) []sccsim.Opt {
 		o := []sccsim.Opt{sccsim.WithScale(scale), sccsim.WithParallelism(*parallel), sccsim.WithBackend(backend)}
 		if !axes.IsZero() {
@@ -260,9 +232,6 @@ func cli(args []string) int {
 		}
 		if metrics != nil {
 			o = append(o, sccsim.WithMetrics(metrics))
-		}
-		if logger != nil {
-			o = append(o, sccsim.WithLogger(logger))
 		}
 		if *traceCacheDir != "" {
 			o = append(o, sccsim.WithTraceCache(*traceCacheDir))

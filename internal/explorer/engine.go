@@ -185,7 +185,7 @@ const (
 
 // traceCounters accumulates one sweep's trace-cache lookups; jobs record
 // into it and the engine folds the totals into Progress events and the
-// SweepReport. A nil receiver no-ops (EstimatePoints runs no points).
+// SweepReport. A nil receiver no-ops.
 type traceCounters struct {
 	hits, misses        atomic.Uint64
 	diskHits, generated atomic.Uint64
@@ -494,9 +494,10 @@ func (m *memo[K, V]) reset() {
 }
 
 // The memos' budgets, each well above the working set of every
-// benchmark workload: paper-scale grid-shared replays 259 MB of traces,
-// and serve-mixed's 36 cold keys hold 75 MB of QuickScale traces and
-// 72 MiB of profiles (2 MiB each).
+// benchmark workload: paper-scale grid-shared replays traces charged
+// 278 MB (259 MB of references), and serve-mixed's 36 cold keys hold
+// QuickScale traces charged 82 MB (75 MB of references) and 72 MiB of
+// profiles (2 MiB each).
 const (
 	traceCacheBudget   = 1 << 30
 	profileCacheBudget = 256 << 20

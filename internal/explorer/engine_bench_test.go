@@ -15,8 +15,7 @@ import (
 // throughput. On a multi-core machine the 4-worker run should be well
 // over 1.5x faster than 1 worker; on a single core all sizes converge.
 // Besides ns/op it reports sim_cycles/us — simulated cycles delivered
-// per microsecond of wall time, the repo's headline throughput metric
-// (see BENCH_sweep.json and `make bench-compare`).
+// per microsecond of wall time.
 func BenchmarkSweepParallelism(b *testing.B) {
 	s := explorer.QuickScale()
 	if _, err := explorer.Sweep(context.Background(), explorer.BarnesHut, s,

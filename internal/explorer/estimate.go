@@ -17,14 +17,14 @@ import (
 
 	"sccsim/internal/rdmodel"
 	"sccsim/internal/sysmodel"
-	"sccsim/internal/trace"
 )
 
 // EstimatePoints returns the analytic estimated cycle count for each
 // design point, positionally. It resolves one trace and reuse-distance
 // profile per distinct processor count (through the shared caches and
-// the optional disk cache), building the distinct ones concurrently on
-// at most GOMAXPROCS goroutines, and evaluates every size off the
+// eng.TraceCache, recording the lookups and cache sizes on eng.Metrics
+// as a sweep does), building the distinct ones concurrently on at most
+// GOMAXPROCS goroutines, and evaluates every size off the
 // profile's rdmodel.Curve. Each Curve.At is O(cap): it rebuilds the
 // cap-long miss-probability table and scans every cluster's histogram.
 // So estimating a 10^4-point space costs a few profile builds plus
@@ -33,7 +33,8 @@ import (
 // scheduling slots). A failure is reported as the serial walk would
 // meet it: the error of the lowest-index spec that fails, or the
 // context's once it is done.
-func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale, dc trace.Store) ([]uint64, error) {
+func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale, eng EngineOptions) ([]uint64, error) {
+	tc := &traceCounters{reg: eng.Metrics}
 	type ppcCurve struct {
 		curve *rdmodel.Curve
 		err   error
@@ -54,7 +55,7 @@ func EstimatePoints(ctx context.Context, w Workload, specs []PointSpec, s Scale,
 			if c.err = ctx.Err(); c.err != nil {
 				return
 			}
-			prof, err := profileFor(w, PointConfig(w, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), s, nil, dc)
+			prof, err := profileFor(w, PointConfig(w, spec.PPC, spec.SCCBytes, sysmodel.Axes{}), s, tc, eng.TraceCache)
 			if err != nil {
 				c.err = err
 				return

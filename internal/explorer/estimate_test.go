@@ -37,7 +37,7 @@ func TestEstimatePointsMatchesSerial(t *testing.T) {
 			want[i] = pt.EstCycles
 		}
 		ResetTraceCache()
-		got, err := EstimatePoints(context.Background(), w, specs, s, nil)
+		got, err := EstimatePoints(context.Background(), w, specs, s, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestEstimatePointsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	specs := []PointSpec{{PPC: 1, SCCBytes: sysmodel.SCCSizes[0]}, {PPC: 2, SCCBytes: sysmodel.SCCSizes[0]}}
-	if _, err := EstimatePoints(ctx, MP3D, specs, QuickScale(), nil); !errors.Is(err, context.Canceled) {
+	if _, err := EstimatePoints(ctx, MP3D, specs, QuickScale(), EngineOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EstimatePoints on a cancelled context returned %v, want context.Canceled", err)
 	}
 }

@@ -215,3 +215,31 @@ func TestMemoConcurrentEviction(t *testing.T) {
 		t.Fatalf("memo holds %d bytes, over its %d-byte budget", b, m.budget)
 	}
 }
+
+// TestTraceChargeIsCapacity: the trace cache charges a program the
+// capacity of its streams, which is what they hold, and no generator
+// reserves far more than it fills, however unevenly its work spreads
+// over 32 processors (Cholesky's factor schedule).
+func TestTraceChargeIsCapacity(t *testing.T) {
+	for _, w := range []Workload{BarnesHut, MP3D, Cholesky} {
+		for _, procs := range []int{4, 32} {
+			p, err := GenerateParallel(w, procs, QuickScale())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refs, slots int64
+			for _, ph := range p.Phases {
+				for _, st := range ph.Streams {
+					refs += int64(len(st))
+					slots += int64(cap(st))
+				}
+			}
+			if got := p.HeapBytes(); got != 8*slots {
+				t.Errorf("%s at %d processors: HeapBytes %d, want 8 B x %d slots", w, procs, got, slots)
+			}
+			if slots >= 2*refs {
+				t.Errorf("%s at %d processors: streams hold %d slots for %d references", w, procs, slots, refs)
+			}
+		}
+	}
+}

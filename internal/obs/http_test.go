@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 )
 
@@ -70,14 +71,16 @@ func TestInstrumentHandlerNilRegistry(t *testing.T) {
 // streaming handlers.
 func TestStatusWriterFlush(t *testing.T) {
 	reg := NewRegistry()
-	flushed := false
+	// The client reads the flag once the flushed headers arrive, while
+	// the handler may still run: it is set before Flush, atomically.
+	var flushed atomic.Bool
 	h := InstrumentHandler(reg, "POST /v1/sweep", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, ok := w.(http.Flusher); !ok {
 			t.Error("instrumented writer does not expose Flush")
 			return
 		}
+		flushed.Store(true)
 		w.(http.Flusher).Flush()
-		flushed = true
 	}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -86,7 +89,7 @@ func TestStatusWriterFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !flushed {
+	if !flushed.Load() {
 		t.Error("handler never flushed")
 	}
 }

@@ -15,9 +15,8 @@ const ManifestVersion = 1
 // what was run (workload, scale, config grid), where (host, toolchain),
 // how fast (per-point and whole-sweep timings, worker utilization,
 // trace-cache effectiveness) and what came out (per-point simulator
-// statistics). The `make bench-json` target writes one of these as
-// BENCH_sweep.json so the performance trajectory of the engine is
-// tracked across PRs.
+// statistics). `sccexplore -manifest` and sccsim.WithManifest write
+// one per sweep or search.
 type Manifest struct {
 	Version   int    `json:"version"`
 	Tool      string `json:"tool"`
@@ -117,8 +116,7 @@ type SweepStats struct {
 // SearchStamp records how an adaptive design-space search produced its
 // frontier: the resolved strategy and inputs, and how many candidates
 // each pipeline stage handled. The exact-simulation count against the
-// space size is the search's efficiency claim in numbers, tracked
-// across PRs by `make bench-search`.
+// space size is the search's efficiency claim in numbers.
 type SearchStamp struct {
 	// Strategy is the resolved strategy ("exhaustive", "adaptive",
 	// "random"); Budget, Seed and Margin echo the resolved spec.

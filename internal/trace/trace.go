@@ -128,13 +128,14 @@ func (p *Program) Refs() uint64 {
 }
 
 // HeapBytes returns the memory the program's reference streams hold:
-// one mem.Ref, 8 bytes, per stream entry, idle entries included. The
-// sweep engine's trace cache charges a program this much.
+// one mem.Ref, 8 bytes, per slot of each stream's capacity, so slack a
+// builder left behind counts too. The sweep engine's trace cache
+// charges a program this much.
 func (p *Program) HeapBytes() int64 {
 	var n int64
 	for _, ph := range p.Phases {
 		for _, st := range ph.Streams {
-			n += int64(len(st))
+			n += int64(cap(st))
 		}
 	}
 	return n * int64(unsafe.Sizeof(mem.Ref{}))
@@ -213,6 +214,27 @@ func (b *Builder) WriteRegion(addr, size uint32) {
 // Finish returns the accumulated stream. Any trailing compute is emitted
 // as Idle refs so barrier timing sees it.
 func (b *Builder) Finish() []mem.Ref {
+	b.flushTail()
+	r := b.refs
+	b.refs = nil
+	return r
+}
+
+// FinishCopy is Finish for a builder that serves several streams in
+// turn: it returns an exactly sized copy of the accumulated stream and
+// empties the builder, keeping its buffer for the next stream. The
+// buffer grows to the longest stream once, and each stream holds only
+// its own references.
+func (b *Builder) FinishCopy() []mem.Ref {
+	b.flushTail()
+	r := make([]mem.Ref, len(b.refs))
+	copy(r, b.refs)
+	b.refs = b.refs[:0]
+	return r
+}
+
+// flushTail emits the pending compute as Idle refs.
+func (b *Builder) flushTail() {
 	if b.gap > 0 {
 		for b.gap > 0xffff {
 			b.refs = append(b.refs, mem.Ref{Kind: mem.Idle, Gap: 0xffff})
@@ -221,9 +243,6 @@ func (b *Builder) Finish() []mem.Ref {
 		b.refs = append(b.refs, mem.Ref{Kind: mem.Idle, Gap: uint16(b.gap)})
 		b.gap = 0
 	}
-	r := b.refs
-	b.refs = nil
-	return r
 }
 
 // Len returns the number of refs accumulated so far (excluding pending

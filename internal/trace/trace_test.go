@@ -99,6 +99,34 @@ func TestFinishResetsBuilder(t *testing.T) {
 	}
 }
 
+// TestFinishCopyReusesBuffer: a builder serving several streams hands
+// out exactly sized copies that later streams do not overwrite, and
+// trailing compute still ends each stream as idle refs.
+func TestFinishCopyReusesBuffer(t *testing.T) {
+	b := NewBuilder(64)
+	b.Read(0x40)
+	b.Write(0x80)
+	b.Compute(3)
+	first := b.FinishCopy()
+	b.Read(0xc0)
+	second := b.FinishCopy()
+	want := []mem.Ref{{Addr: 0x40, Kind: mem.Read}, {Addr: 0x80, Kind: mem.Write}, {Kind: mem.Idle, Gap: 3}}
+	if len(first) != len(want) || cap(first) != len(want) {
+		t.Fatalf("first stream len %d cap %d, want both %d", len(first), cap(first), len(want))
+	}
+	for i := range want {
+		if first[i] != want[i] {
+			t.Errorf("first[%d] = %v, want %v", i, first[i], want[i])
+		}
+	}
+	if len(second) != 1 || cap(second) != 1 || second[0] != (mem.Ref{Addr: 0xc0, Kind: mem.Read}) {
+		t.Errorf("second stream %v (cap %d), want one read of 0xc0", second, cap(second))
+	}
+	if b.Len() != 0 {
+		t.Errorf("Len after FinishCopy = %d, want 0", b.Len())
+	}
+}
+
 func validProgram() *Program {
 	return &Program{
 		Name:  "test",

@@ -100,13 +100,12 @@ func Generate(p Params) (*trace.Program, error) {
 
 	// --- Phase: factor ----------------------------------------------
 	// Replay the schedule: each processor's operation sequence with the
-	// DAG-forced waits as idle time.
-	builders := make([]*trace.Builder, p.Procs)
-	for i := range builders {
-		builders[i] = trace.NewBuilder(1 << 16)
-	}
+	// DAG-forced waits as idle time. The schedule spreads the work
+	// unevenly, so one builder emits every processor's stream in turn
+	// and each stream is copied out at its exact length.
+	bl := trace.NewBuilder(1 << 16)
+	factor := make([][]mem.Ref, p.Procs)
 	for proc, seq := range sched.PerProc {
-		bl := builders[proc]
 		stack := stacks[proc]
 		var cursor int64
 		for _, so := range seq {
@@ -121,8 +120,9 @@ func Generate(p Params) (*trace.Program, error) {
 				emitSMod(bl, stack, l, sns[so.J], sns[so.K], valAddr, idxAddr)
 			}
 		}
+		factor[proc] = bl.FinishCopy()
 	}
-	prog.Phases = append(prog.Phases, finishPhase("factor", builders))
+	prog.Phases = append(prog.Phases, trace.Phase{Name: "factor", Streams: factor})
 
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cholesky: generated invalid program: %w", err)

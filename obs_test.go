@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"testing"
+	"time"
 
 	"sccsim"
+	"sccsim/internal/obs"
+	"sccsim/internal/stats"
 )
 
 // manifestDoc decodes the schema-bearing parts of a run manifest.
@@ -163,5 +168,73 @@ func TestObservabilityOffByDefault(t *testing.T) {
 	}
 	if pt.Result.Cycles == 0 {
 		t.Fatal("empty result")
+	}
+}
+
+// obsOverheadBound is the observability contract's cost: fully enabled
+// instrumentation may slow a design point by at most 5%.
+const obsOverheadBound = 0.05
+
+// BenchmarkObservabilityOverhead is the observability contract's cost
+// check, a paired in-process A/B: each QuickScale Barnes-Hut grid
+// point runs twice, once with observability off and once fully on (a
+// metrics registry and a JSON logger), and the side that runs first
+// alternates from pair to pair. Both sides of a pair must give the same
+// result, and the median on/off wall-time ratio, pooled over every pair
+// of every round, must stay within obsOverheadBound. The traces are
+// warmed first, so both sides time simulation only. Per-round medians
+// spread by a few percent on a loaded 2-vCPU host, so the verdict pools
+// obsOverheadRounds rounds of 32 pairs. `make obs-overhead` runs it
+// with -benchtime 1x.
+func BenchmarkObservabilityOverhead(b *testing.B) {
+	const obsOverheadRounds = 8
+	ctx := context.Background()
+	q := sccsim.WithScale(sccsim.QuickScale())
+	if _, err := sccsim.SweepCtx(ctx, sccsim.BarnesHut, q); err != nil {
+		b.Fatal(err)
+	}
+	off := []sccsim.Opt{q, sccsim.WithParallelism(1)}
+	on := []sccsim.Opt{q, sccsim.WithParallelism(1),
+		sccsim.WithMetrics(sccsim.NewMetrics()),
+		sccsim.WithLogger(obs.NewJSONLogger(io.Discard, slog.LevelInfo))}
+	run := func(opts []sccsim.Opt, ppc, scc int) (*sccsim.Point, time.Duration) {
+		start := time.Now()
+		pt, err := sccsim.Do(ctx, sccsim.BarnesHut, append(opts, sccsim.WithPoint(ppc, scc))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pt, time.Since(start)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ratios []float64
+		for r := 0; r < obsOverheadRounds; r++ {
+			for _, ppc := range sccsim.ProcsPerClusterSweep {
+				for _, scc := range sccsim.SCCSizes {
+					var offPt, onPt *sccsim.Point
+					var offDur, onDur time.Duration
+					// Neighbouring pairs swap which side runs first, and
+					// so does each point from one round to the next.
+					if (len(ratios)+r)%2 == 0 {
+						offPt, offDur = run(off, ppc, scc)
+						onPt, onDur = run(on, ppc, scc)
+					} else {
+						onPt, onDur = run(on, ppc, scc)
+						offPt, offDur = run(off, ppc, scc)
+					}
+					if offPt.Result.Cycles != onPt.Result.Cycles || offPt.Result.Refs != onPt.Result.Refs {
+						b.Fatalf("%dP/%dKB: observability changed the result: %d cycles, %d refs off; %d, %d on",
+							ppc, scc/1024, offPt.Result.Cycles, offPt.Result.Refs, onPt.Result.Cycles, onPt.Result.Refs)
+					}
+					ratios = append(ratios, float64(onDur)/float64(offDur))
+				}
+			}
+		}
+		med := stats.Median(ratios)
+		b.ReportMetric(med, "on/off")
+		b.Logf("median on/off ratio %.3f over %d pairs (bound %.2f)", med, len(ratios), 1+obsOverheadBound)
+		if med > 1+obsOverheadBound {
+			b.Fatalf("observability costs %.1f%% per point, above the %.0f%% bound", (med-1)*100, obsOverheadBound*100)
+		}
 	}
 }

@@ -132,7 +132,7 @@ func searchPointSpecs(cands []search.Candidate) []explorer.PointSpec {
 }
 
 func (e *searchEvaluator) Estimate(ctx context.Context, cands []search.Candidate) ([]uint64, error) {
-	return explorer.EstimatePoints(ctx, e.w, searchPointSpecs(cands), e.scale, e.eng.TraceCache)
+	return explorer.EstimatePoints(ctx, e.w, searchPointSpecs(cands), e.scale, e.eng)
 }
 
 func (e *searchEvaluator) Exact(ctx context.Context, cands []search.Candidate) ([]uint64, error) {

@@ -91,6 +91,70 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 	}
 }
 
+// TestSearchLargeSpaceOutcome pins the adaptive search over a
+// ~16k-point space exactly: Barnes-Hut at quick scale, SCC sizes
+// 4K..512K in 128-byte steps crossed with the paper's processors per
+// cluster, budget 64, seed 1: the stage counts and the exact-confirmed
+// frontier, cycle counts included. Static pruning and the analytic
+// estimates decide which 64 points reach the simulator.
+func TestSearchLargeSpaceOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs exact simulations")
+	}
+	spec := SearchSpec{
+		Space:    SearchSpace{SCCBytesMin: 4 * 1024, SCCBytesMax: 512 * 1024, SCCBytesStep: 128},
+		Strategy: SearchAdaptive,
+		Budget:   64,
+		Seed:     1,
+	}
+	res, err := SearchCtx(context.Background(), BarnesHut, spec, WithScale(QuickScale()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	type counts struct{ space, static, triage, analytic, exact, rounds int }
+	got := counts{st.SpaceSize, st.StaticPruned, st.TriagePruned, st.AnalyticEvals, st.ExactSims, st.Rounds}
+	if want := (counts{16260, 14724, 0, 1536, 64, 1}); got != want {
+		t.Errorf("stage counts %+v, want %+v", got, want)
+	}
+	want := []searchKey{
+		{1, 143104, 446407},
+		{2, 28672, 367972}, {2, 32768, 325087}, {2, 45056, 269458},
+		{4, 24576, 230091}, {4, 32768, 176155}, {4, 49152, 141052}, {4, 65536, 133139},
+		{8, 32768, 99307}, {8, 49152, 78136}, {8, 65536, 73749},
+	}
+	frontier := make([]searchKey, 0, len(res.Frontier))
+	for _, p := range res.Frontier {
+		frontier = append(frontier, searchKey{p.PPC, p.SCCBytes, p.Cycles})
+	}
+	if !reflect.DeepEqual(frontier, want) {
+		t.Errorf("frontier %v\nwant     %v", frontier, want)
+	}
+}
+
+// TestSearchTriageReportsCacheMetrics: the analytic triage resolves
+// every trace and profile of a cold search, through the engine's
+// caches, and the registry reports those lookups as a sweep's.
+func TestSearchTriageReportsCacheMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs exact simulations")
+	}
+	ResetTraceCache()
+	t.Cleanup(ResetTraceCache)
+	reg := NewMetrics()
+	if _, err := SearchCtx(context.Background(), MP3D, SearchSpec{}, WithScale(QuickScale()), WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"explorer.trace_cache_misses", "explorer.trace_generated"} {
+		if got := reg.Counter(name).Value(); got < 1 {
+			t.Errorf("%s = %d after a cold search, want >= 1", name, got)
+		}
+	}
+	if got := reg.Gauge("explorer.profile_cache_bytes").Value(); got <= 0 {
+		t.Errorf("explorer.profile_cache_bytes = %d after a cold search, want the cached profiles' bytes", got)
+	}
+}
+
 // TestSearchSeedDeterminism: a fixed seed makes the random strategy's
 // result — and its manifest — identical across runs and parallelism
 // levels.
