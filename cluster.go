@@ -12,21 +12,7 @@ import (
 	"context"
 
 	"sccsim/internal/explorer"
-	"sccsim/internal/trace"
 )
-
-// TraceStore is the trace-cache contract sweeps consult before running
-// a workload generator (trace.Store): the on-disk cache is the
-// single-node implementation, the peer-fetching cache the fleet one.
-type TraceStore = trace.Store
-
-// WithTraceStore roots the experiment's persistent trace cache at an
-// already-constructed store — the programmatic sibling of
-// WithTraceCache(dir), for callers that need a cache the directory
-// form cannot express (a peer-fetching trace.PeerCache that pulls
-// entries from other nodes by content digest, an instrumented wrapper,
-// a test double). When both are set, the store wins.
-func WithTraceStore(st TraceStore) Opt { return func(c *expCfg) { c.traceStore = st } }
 
 // RemotePoint is one design-point job offered to a Remote: the
 // workload, the point on the paper's default system, and the resolved

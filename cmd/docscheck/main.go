@@ -4,8 +4,9 @@
 // their exported methods), every "Deprecated:" notice must point at the
 // replacement ("Deprecated: use X instead" — a deprecation that leaves
 // the reader stranded is a problem), docs/API.md must mention every
-// HTTP route the serve package registers and every JSON field of its
-// request bodies (the three POST bodies, ScaleSpec and SimSpec), the
+// HTTP route the serve package registers, head no section with a route
+// it does not register, and mention every JSON field of its request
+// bodies (the three POST bodies, ScaleSpec and SimSpec), the
 // design-space guide must
 // name every sccsim.Spec field and every architecture axis (so a new
 // sweep axis cannot ship undocumented), and relative markdown links
@@ -36,6 +37,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 
 	"sccsim"
@@ -309,8 +311,13 @@ func checkLinks(targets []string) ([]string, error) {
 	return problems, nil
 }
 
+// routeHeading matches a `##` or `###` heading that names one route,
+// e.g. "### GET /v1/sweep/{id}".
+var routeHeading = regexp.MustCompile(`(?m)^#{2,3} ((?:GET|POST|PUT|PATCH|DELETE) /\S*)[ \t]*$`)
+
 // checkAPIDoc verifies every route pattern appears verbatim in the API
-// document, and every request field as a `code` span.
+// document, every route heading names a registered route, and every
+// request field appears as a `code` span.
 func checkAPIDoc(path string, routes, fields []string) ([]string, error) {
 	content, err := os.ReadFile(path)
 	if err != nil {
@@ -320,6 +327,11 @@ func checkAPIDoc(path string, routes, fields []string) ([]string, error) {
 	for _, r := range routes {
 		if !strings.Contains(string(content), r) {
 			problems = append(problems, fmt.Sprintf("%s: route %q is not documented", path, r))
+		}
+	}
+	for _, m := range routeHeading.FindAllStringSubmatch(string(content), -1) {
+		if !slices.Contains(routes, m[1]) {
+			problems = append(problems, fmt.Sprintf("%s: documented route %q is not registered", path, m[1]))
 		}
 	}
 	for _, f := range fields {

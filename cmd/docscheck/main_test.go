@@ -131,6 +131,33 @@ func TestAPIDocRouteCoverage(t *testing.T) {
 	}
 }
 
+// TestAPIDocStaleRoute: -api fails when a section heading names a
+// route the server does not register — a deleted route whose docs
+// stayed behind — and accepts headings for the registered ones.
+func TestAPIDocStaleRoute(t *testing.T) {
+	var doc strings.Builder
+	for _, r := range serve.Routes() {
+		doc.WriteString("## " + r + "\n\n")
+	}
+	doc.WriteString(documentedFields())
+	path := filepath.Join(t.TempDir(), "api.md")
+	if err := os.WriteFile(path, []byte(doc.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, errOut := runCLI(t, "-api", path); code != 0 {
+		t.Errorf("headings for registered routes: exit %d, stderr:\n%s", code, errOut)
+	}
+
+	doc.WriteString("\n### DELETE /v1/sweep/{id}\n\nCancels a job.\n")
+	if err := os.WriteFile(path, []byte(doc.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, errOut := runCLI(t, "-api", path)
+	if code != 1 || !strings.Contains(errOut, `documented route "DELETE /v1/sweep/{id}" is not registered`) {
+		t.Errorf("stale route heading: exit %d, stderr:\n%s", code, errOut)
+	}
+}
+
 // TestAPIDocFieldCoverage: -api fails when a field of a request body,
 // of scale_spec or of sim is missing from the document, naming it. The
 // field list comes from the wire types, so it covers every route's

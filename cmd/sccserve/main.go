@@ -20,9 +20,9 @@
 //	POST /v1/sweep             full design-space sweep (sync, async or NDJSON stream)
 //	GET  /v1/sweep/{id}        async job status and result
 //	POST /v1/point             one design point
+//	POST /v1/search            adaptive design-space search
 //	POST /v1/cluster/register  worker registration and heartbeat
 //	GET  /v1/cluster           registered workers
-//	GET  /v1/trace/{digest}    content-addressed trace cache entry
 //	GET  /healthz              liveness and queue state
 //	GET  /metrics              metrics registry (JSON, or Prometheus text via Accept)
 //	GET  /debug/requests       ring buffer of recent requests with span timings
@@ -94,7 +94,7 @@ func cli(args []string) int {
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
 	manifestDir := fs.String("manifest-dir", "", "write each sweep job's run manifest to <dir>/<job-id>.json, stamped with its request ID")
 	logLevel := fs.String("log-level", "info", "structured log level on stderr: debug, info, warn or error")
-	join := fs.String("join", "", "run as a worker of the coordinator at this base URL: register, heartbeat, and fetch missing traces from it")
+	join := fs.String("join", "", "run as a worker of the coordinator at this base URL: register and keep heartbeating")
 	advertise := fs.String("advertise", "", "base URL the coordinator should reach this node at (required with -join)")
 	heartbeatTTL := fs.Duration("heartbeat-ttl", 0, "drop workers not heard from for this long (0 = default of 15s)")
 	pointTimeout := fs.Duration("point-timeout", 0, "cap on each remote point attempt when sharding sweeps (0 = default of 2m)")
@@ -129,7 +129,6 @@ func cli(args []string) int {
 		Cluster: serve.ClusterOptions{
 			HeartbeatTTL:   *heartbeatTTL,
 			PointTimeoutMS: pointTimeout.Milliseconds(),
-			PeerTraceURL:   *join,
 		},
 	})
 	if *debugAddr != "" {

@@ -138,9 +138,8 @@ type EngineOptions struct {
 	// before running a workload generator and populated after: repeated
 	// sweeps — across processes — skip generation entirely. The
 	// in-memory cache still fronts it, so a warm process touches the
-	// store once per distinct trace key. Single-node deployments pass a
-	// trace.DiskCache; cluster workers pass a trace.PeerCache so traces
-	// any node in the fleet has generated are fetched, not regenerated.
+	// store once per distinct trace key. The facade and the HTTP
+	// service pass a trace.DiskCache.
 	TraceCache trace.Store
 	// Remote, when non-nil, executes design points on other nodes: every
 	// exact point is offered to Remote first and simulated locally when

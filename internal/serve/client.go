@@ -35,13 +35,14 @@ type clusterWorker struct {
 // httpCluster is the sccsim.Remote a coordinator's sweep uses. Workers
 // are picked round-robin; a failed worker sits out a cooldown; each
 // point gets a bounded number of attempts with exponential backoff
-// before the engine's local fallback takes over. Safe for concurrent
-// use.
+// before the engine's local fallback takes over. Every attempt carries
+// the sweep's request ID. Safe for concurrent use.
 type httpCluster struct {
-	client  *http.Client
-	retries int
-	backoff time.Duration
-	timeout time.Duration
+	client    *http.Client
+	retries   int
+	backoff   time.Duration
+	timeout   time.Duration
+	requestID string // sent as X-Request-ID ("": none)
 
 	mu      sync.Mutex
 	workers []clusterWorker
@@ -49,14 +50,16 @@ type httpCluster struct {
 }
 
 // newHTTPCluster builds the client over worker base URLs, taking its
-// retries, backoff and per-attempt timeout from o. An empty worker list
-// makes every RunPoint fail, i.e. the sweep runs fully local.
-func newHTTPCluster(urls []string, o ClusterOptions) *httpCluster {
+// retries, backoff and per-attempt timeout from o, and stamping every
+// point it posts with requestID. An empty worker list makes every
+// RunPoint fail, i.e. the sweep runs fully local.
+func newHTTPCluster(urls []string, o ClusterOptions, requestID string) *httpCluster {
 	c := &httpCluster{
-		client:  &http.Client{},
-		retries: o.Retries,
-		backoff: time.Duration(o.BackoffMS) * time.Millisecond,
-		timeout: time.Duration(o.PointTimeoutMS) * time.Millisecond,
+		client:    &http.Client{},
+		retries:   o.Retries,
+		backoff:   time.Duration(o.BackoffMS) * time.Millisecond,
+		timeout:   time.Duration(o.PointTimeoutMS) * time.Millisecond,
+		requestID: requestID,
 	}
 	if c.retries <= 0 {
 		c.retries = 2
@@ -169,6 +172,9 @@ func (c *httpCluster) post(ctx context.Context, url string, body []byte) (*sccsi
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if c.requestID != "" {
+		req.Header.Set("X-Request-ID", c.requestID)
+	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func TestHTTPClusterBodyRoundTrip(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	pt, err := newHTTPCluster([]string{worker.URL}, ClusterOptions{}).RunPoint(context.Background(), rp)
+	pt, err := newHTTPCluster([]string{worker.URL}, ClusterOptions{}, "").RunPoint(context.Background(), rp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,18 @@ func TestHTTPClusterBodyRoundTrip(t *testing.T) {
 
 // TestHTTPClusterRetriesAcrossWorkers: a failing worker's point is
 // retried on the next one, and the failed worker sits out its cooldown.
+// Every attempt carries the sweep's request ID.
 func TestHTTPClusterRetriesAcrossWorkers(t *testing.T) {
+	const reqID = "retry-1"
+	checkID := func(r *http.Request) {
+		if got := r.Header.Get("X-Request-ID"); got != reqID {
+			t.Errorf("attempt X-Request-ID = %q, want %q", got, reqID)
+		}
+	}
 	var deadHits atomic.Int64
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		deadHits.Add(1)
+		checkID(r)
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer dead.Close()
@@ -123,11 +131,12 @@ func TestHTTPClusterRetriesAcrossWorkers(t *testing.T) {
 	srv := New(Options{})
 	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		liveHits.Add(1)
+		checkID(r)
 		srv.ServeHTTP(w, r)
 	}))
 	defer live.Close()
 
-	c := newHTTPCluster([]string{dead.URL, live.URL}, ClusterOptions{Retries: 3, BackoffMS: 1})
+	c := newHTTPCluster([]string{dead.URL, live.URL}, ClusterOptions{Retries: 3, BackoffMS: 1}, reqID)
 	rp := sccsim.RemotePoint{
 		Workload: sccsim.Multiprog, ProcsPerCluster: 1, SCCBytes: 64 * 1024,
 		Scale: tinyScale(41),
@@ -154,7 +163,7 @@ func TestHTTPClusterRetriesAcrossWorkers(t *testing.T) {
 // number of attempts; cancellation ends in the context's error.
 func TestHTTPClusterTerminalFailures(t *testing.T) {
 	// No workers at all.
-	c := newHTTPCluster(nil, ClusterOptions{})
+	c := newHTTPCluster(nil, ClusterOptions{}, "")
 	rp := sccsim.RemotePoint{Workload: sccsim.BarnesHut, ProcsPerCluster: 1,
 		SCCBytes: 64 * 1024, Scale: sccsim.QuickScale()}
 	if _, err := c.RunPoint(context.Background(), rp); err == nil {
@@ -169,7 +178,7 @@ func TestHTTPClusterTerminalFailures(t *testing.T) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	}))
 	defer down.Close()
-	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 2, BackoffMS: 1})
+	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 2, BackoffMS: 1}, "")
 	if _, err := c.RunPoint(context.Background(), rp); err == nil {
 		t.Fatal("all-down cluster succeeded")
 	}
@@ -182,7 +191,7 @@ func TestHTTPClusterTerminalFailures(t *testing.T) {
 		io.WriteString(w, `{"status":"done"}`)
 	}))
 	defer garbage.Close()
-	c = newHTTPCluster([]string{garbage.URL}, ClusterOptions{BackoffMS: 1})
+	c = newHTTPCluster([]string{garbage.URL}, ClusterOptions{BackoffMS: 1}, "")
 	if _, err := c.RunPoint(context.Background(), rp); err == nil {
 		t.Fatal("resultless envelope accepted")
 	}
@@ -190,7 +199,7 @@ func TestHTTPClusterTerminalFailures(t *testing.T) {
 	// Cancellation aborts immediately with the context's error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 5, BackoffMS: 1})
+	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 5, BackoffMS: 1}, "")
 	if _, err := c.RunPoint(ctx, rp); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

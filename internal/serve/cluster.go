@@ -4,11 +4,7 @@
 // runs, snapshots the healthy workers into an httpCluster (client.go)
 // so the engine offers every design point to the fleet — with local
 // simulation as the per-point fallback, so losing workers mid-sweep
-// costs retries, never correctness. The same module serves the
-// fleet-shared trace cache: GET /v1/trace/{digest} streams a
-// content-addressed cache entry to peers, and a worker configured with
-// a peer URL wraps its disk cache in a trace.PeerCache that pulls
-// missing entries from the coordinator before regenerating them.
+// costs retries, never correctness.
 
 package serve
 
@@ -20,16 +16,16 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
 	"sccsim"
-	"sccsim/internal/trace"
 )
 
-// ClusterOptions configures the server's coordinator/worker behaviour.
-// The zero value is a standalone node: no workers are accepted until
-// they register, and the trace cache stays local.
+// ClusterOptions configures the server's worker registry and how its
+// sweeps are sharded across the registered workers. The zero value
+// takes the default noted on each field.
 type ClusterOptions struct {
 	// HeartbeatTTL is how long a worker registration stays healthy
 	// without being renewed (<= 0: 15s). Workers re-register on a
@@ -45,11 +41,6 @@ type ClusterOptions struct {
 	BackoffMS int64
 	// PointTimeoutMS caps each remote point attempt (<= 0: 120s).
 	PointTimeoutMS int64
-	// PeerTraceURL, when set on a worker, is the base URL of a peer
-	// node (normally the coordinator) whose trace cache is consulted —
-	// via GET /v1/trace/{digest} — before this node regenerates a
-	// workload trace. Requires TraceCacheDir.
-	PeerTraceURL string
 }
 
 func (o ClusterOptions) heartbeatTTL() time.Duration {
@@ -162,7 +153,7 @@ func (s *Server) pruneWorkersLocked() []*workerNode {
 		}
 		urls = append(urls, url)
 	}
-	sortStrings(urls)
+	slices.Sort(urls)
 	nodes := make([]*workerNode, len(urls))
 	for i, u := range urls {
 		nodes[i] = s.workers[u]
@@ -170,19 +161,11 @@ func (s *Server) pruneWorkersLocked() []*workerNode {
 	return nodes
 }
 
-// sortStrings is insertion sort over the handful of worker URLs —
-// avoids pulling sort into the hot path for a fleet of single digits.
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // clusterRemote snapshots the healthy workers into a Remote for one
-// sweep job, or nil when the node has no usable fleet.
-func (s *Server) clusterRemote() sccsim.Remote {
+// sweep job, or nil when the node has no usable fleet. Every point it
+// posts carries requestID (the job's X-Request-ID), so a worker records
+// the sharded points under the ID of the request that caused them.
+func (s *Server) clusterRemote(requestID string) sccsim.Remote {
 	s.workersMu.Lock()
 	nodes := s.pruneWorkersLocked()
 	s.workersMu.Unlock()
@@ -194,101 +177,7 @@ func (s *Server) clusterRemote() sccsim.Remote {
 	for i, n := range nodes {
 		urls[i] = n.url
 	}
-	return newHTTPCluster(urls, s.opts.Cluster)
-}
-
-// handleTrace serves GET /v1/trace/{digest}: the raw .scct bytes of a
-// content-addressed trace cache entry, 404 when this node does not
-// have it (or has no disk cache at all). Peers treat any non-200 as a
-// cache miss and regenerate locally, so this endpoint never needs to
-// be more precise than hit/miss.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	dc := s.traceDC
-	if dc == nil {
-		writeError(w, http.StatusNotFound, "no trace cache on this node")
-		return
-	}
-	digest := r.PathValue("digest")
-	rc, err := dc.OpenDigest(digest)
-	if err != nil {
-		s.reg.Counter("serve.trace_serve_misses").Inc()
-		writeError(w, http.StatusNotFound, "no cached trace for digest")
-		return
-	}
-	defer rc.Close()
-	s.reg.Counter("serve.trace_served").Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.Copy(w, rc)
-}
-
-// buildTraceStore wires the server's trace cache stack from its
-// options: nothing without a cache dir, the plain disk cache
-// standalone, and a peer-fetching cache when a peer URL is configured.
-// An unusable cache directory degrades to no cache (the library
-// regenerates traces) rather than failing construction.
-func (s *Server) buildTraceStore() {
-	if s.opts.TraceCacheDir == "" {
-		return
-	}
-	dc, err := trace.NewDiskCache(s.opts.TraceCacheDir)
-	if err != nil {
-		if s.logger != nil {
-			s.logger.Warn("trace cache unavailable", "err", err.Error())
-		}
-		return
-	}
-	s.traceDC = dc
-	if peer := strings.TrimRight(s.opts.Cluster.PeerTraceURL, "/"); peer != "" {
-		pc := trace.NewPeerCache(dc, func(digest string) (io.ReadCloser, error) {
-			return fetchPeerTrace(s.baseCtx, peer, digest)
-		})
-		pc.OnFetch(func(hit bool) {
-			if hit {
-				s.reg.Counter("serve.trace_fetch_hits").Inc()
-			} else {
-				s.reg.Counter("serve.trace_fetch_misses").Inc()
-			}
-		})
-		s.traceStore = pc
-		return
-	}
-	s.traceStore = dc
-}
-
-// fetchPeerTrace is the PeerCache transport: one GET against the peer's
-// trace endpoint, returning the body stream on 200.
-func fetchPeerTrace(ctx context.Context, peerURL, digest string) (io.ReadCloser, error) {
-	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+"/v1/trace/"+digest, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		cancel()
-		return nil, fmt.Errorf("peer trace fetch: status %d", resp.StatusCode)
-	}
-	return &cancelReadCloser{ReadCloser: resp.Body, cancel: cancel}, nil
-}
-
-// cancelReadCloser ties a request-scoped cancel to the body's Close.
-type cancelReadCloser struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-// Close closes the body and releases the request context.
-func (c *cancelReadCloser) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
+	return newHTTPCluster(urls, s.opts.Cluster, requestID)
 }
 
 // RegisterWorker announces selfURL to the coordinator at

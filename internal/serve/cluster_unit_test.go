@@ -1,7 +1,7 @@
 // White-box tests of cluster mode's server half: the worker registry
-// (registration, heartbeat expiry, validation), the content-addressed
-// trace endpoint, and the peer trace-cache wiring. The multi-node
-// integration paths live in clustertest.
+// (registration, heartbeat expiry, validation) and the worker-side
+// heartbeat helpers. The multi-node integration paths live in
+// clustertest.
 
 package serve
 
@@ -13,25 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sccsim/internal/mem"
-	"sccsim/internal/trace"
 )
-
-// fixtureProgram builds a tiny trace program for cache round trips.
-func fixtureProgram(procs int) *trace.Program {
-	phases := make([][]mem.Ref, procs)
-	for i := range phases {
-		phases[i] = []mem.Ref{
-			{Addr: uint32(0x100 * (i + 1)), Kind: mem.Read, Gap: 2},
-			{Addr: uint32(0x2000 + 64*i), Kind: mem.Write},
-		}
-	}
-	return &trace.Program{
-		Name: "serve-fixture", Procs: procs,
-		Phases: []trace.Phase{{Name: "p", Streams: phases}},
-	}
-}
 
 func registerBody(t *testing.T, url, worker string) *http.Response {
 	t.Helper()
@@ -83,7 +65,7 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 	if len(st.Workers) != 2 || st.Workers[0].URL != "http://worker-a:1" {
 		t.Fatalf("cluster status %+v, want two workers sorted by URL", st.Workers)
 	}
-	if rem := s.clusterRemote(); rem == nil {
+	if rem := s.clusterRemote(""); rem == nil {
 		t.Fatal("healthy registry produced no Remote")
 	}
 
@@ -92,7 +74,7 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 	if st := clusterStatus(t, ts.URL); len(st.Workers) != 0 {
 		t.Fatalf("expired workers still listed: %+v", st.Workers)
 	}
-	if rem := s.clusterRemote(); rem != nil {
+	if rem := s.clusterRemote(""); rem != nil {
 		t.Fatal("expired registry still produced a Remote")
 	}
 }
@@ -116,104 +98,6 @@ func TestClusterRegisterValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("register %s: status %d, want 400", body, resp.StatusCode)
 		}
-	}
-}
-
-// TestTraceEndpoint: GET /v1/trace/{digest} streams the raw cache
-// entry for a digest this node holds and 404s for everything else.
-func TestTraceEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	dc, err := trace.NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := fixtureProgram(2)
-	const key = "scct1-serve-trace-fixture"
-	if err := dc.Store(key, prog); err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Options{TraceCacheDir: dir})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/trace/" + trace.KeyDigest(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	got, err := trace.ReadProgram(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Procs != prog.Procs {
-		t.Fatalf("served trace has %d procs, want %d", got.Procs, prog.Procs)
-	}
-
-	for _, digest := range []string{trace.KeyDigest("never-stored"), "deadbeef", "..%2F..%2Fetc%2Fpasswd"} {
-		resp, err := http.Get(ts.URL + "/v1/trace/" + digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("digest %q: status %d, want 404", digest, resp.StatusCode)
-		}
-	}
-
-	// A node without a trace cache serves only misses.
-	bare := httptest.NewServer(New(Options{}))
-	defer bare.Close()
-	resp2, err := http.Get(bare.URL + "/v1/trace/" + trace.KeyDigest(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("cacheless node: status %d, want 404", resp2.StatusCode)
-	}
-}
-
-// TestPeerTraceStoreWiring: a worker configured with PeerTraceURL gets
-// a peer-fetching trace store that pulls entries it lacks from the
-// coordinator's trace endpoint and persists them locally.
-func TestPeerTraceStoreWiring(t *testing.T) {
-	coordDir := t.TempDir()
-	cdc, err := trace.NewDiskCache(coordDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := fixtureProgram(4)
-	const key = "scct1-peer-wiring-fixture"
-	if err := cdc.Store(key, prog); err != nil {
-		t.Fatal(err)
-	}
-	coord := httptest.NewServer(New(Options{TraceCacheDir: coordDir}))
-	defer coord.Close()
-
-	worker := New(Options{
-		TraceCacheDir: t.TempDir(),
-		Cluster:       ClusterOptions{PeerTraceURL: coord.URL},
-	})
-	if worker.traceStore == nil {
-		t.Fatal("worker has no trace store")
-	}
-	got, err := worker.traceStore.Load(key)
-	if err != nil || got == nil {
-		t.Fatalf("peer load: %v, %v", got, err)
-	}
-	if got.Procs != prog.Procs {
-		t.Fatalf("fetched trace has %d procs, want %d", got.Procs, prog.Procs)
-	}
-	if worker.reg.Counter("serve.trace_fetch_hits").Value() != 1 {
-		t.Error("peer fetch hit not counted")
-	}
-	// Persisted locally: the worker's own disk cache now serves it.
-	if got, _ := worker.traceDC.Load(key); got == nil {
-		t.Fatal("fetched entry not persisted in the worker's disk cache")
 	}
 }
 

@@ -101,6 +101,59 @@ func TestThreeNodeSweepByteIdentity(t *testing.T) {
 	t.Logf("remote points: %d, worker jobs: %d", remote, workerJobs)
 }
 
+// TestShardedPointsCarryRequestID: the X-Request-ID of a coordinator
+// sweep travels with every point it shards, so each worker records its
+// POST /v1/point requests under that ID and grepping one ID across the
+// fleet tells the request's whole story.
+func TestShardedPointsCarryRequestID(t *testing.T) {
+	sccsim.ResetTraceCache()
+	t.Cleanup(sccsim.ResetTraceCache)
+	c := Start(t, Options{Workers: 2})
+
+	const reqID = "shard-1"
+	req, err := http.NewRequest(http.MethodPost, c.URL+"/v1/sweep", strings.NewReader(tinySweepBody(35, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Request-ID", reqID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d", resp.StatusCode)
+	}
+
+	var tagged, other int
+	for _, w := range c.Workers {
+		resp, err := http.Get(w.URL + "/debug/requests")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dr serve.DebugRequestsResponse
+		err = json.NewDecoder(resp.Body).Decode(&dr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range dr.Requests {
+			if rec.Route != "POST /v1/point" {
+				continue
+			}
+			if rec.ID == reqID {
+				tagged++
+			} else {
+				other++
+			}
+		}
+	}
+	if tagged == 0 || other != 0 {
+		t.Fatalf("worker POST /v1/point records: %d under %q, %d under other IDs", tagged, reqID, other)
+	}
+}
+
 // TestWorkerKillMidSweepRecovers: killing a worker while a streamed
 // sweep is in flight loses no points and duplicates none — the grid is
 // still byte-identical, every design point completes exactly once, and

@@ -146,7 +146,6 @@ func New(o Options) (*Cluster, func(), error) {
 			Workers:       2,
 			QueueDepth:    64,
 			TraceCacheDir: tempDir(),
-			Cluster:       serve.ClusterOptions{PeerTraceURL: csrv.URL},
 		})
 		w := &Worker{Server: ws}
 		w.srv = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {

@@ -33,7 +33,6 @@ func Routes() []string {
 		"POST /v1/search",
 		"POST /v1/cluster/register",
 		"GET /v1/cluster",
-		"GET /v1/trace/{digest}",
 		"GET /healthz",
 		"GET /metrics",
 		"GET /debug/requests",
@@ -60,8 +59,6 @@ func (s *Server) buildMux() *http.ServeMux {
 			h = http.HandlerFunc(s.handleClusterRegister)
 		case "GET /v1/cluster":
 			h = http.HandlerFunc(s.handleClusterStatus)
-		case "GET /v1/trace/{digest}":
-			h = http.HandlerFunc(s.handleTrace)
 		case "GET /healthz":
 			h = http.HandlerFunc(s.handleHealthz)
 		case "GET /metrics":

@@ -81,9 +81,9 @@ type Options struct {
 	// DebugRequests bounds the GET /debug/requests ring buffer of recent
 	// requests (<= 0: 64).
 	DebugRequests int
-	// Cluster configures coordinator/worker mode: the worker registry's
-	// heartbeat TTL and retry knobs on a coordinator, the peer trace
-	// cache URL on a worker. The zero value is a standalone node.
+	// Cluster configures coordinator mode: the worker registry's
+	// heartbeat TTL and the retry knobs of sharded sweeps. The zero
+	// value is a standalone node.
 	Cluster ClusterOptions
 }
 
@@ -152,12 +152,9 @@ type Server struct {
 	workersMu sync.Mutex
 	workers   map[string]*workerNode
 
-	// Trace cache stack: traceDC is the node's content-addressed disk
-	// cache (what GET /v1/trace/{digest} serves); traceStore is what
-	// jobs use — the same disk cache, or a peer-fetching wrapper when
-	// ClusterOptions.PeerTraceURL is set. Both nil without a cache dir.
-	traceDC    *trace.DiskCache
-	traceStore trace.Store
+	// traceStore is the node's disk trace cache, shared by every job
+	// (nil without TraceCacheDir).
+	traceStore *trace.DiskCache
 
 	wg sync.WaitGroup // one per admitted job
 
@@ -195,7 +192,15 @@ func New(opts Options) *Server {
 		cache:    newResultCache(opts.cacheEntries()),
 	}
 	s.runJob = s.execute
-	s.buildTraceStore()
+	if opts.TraceCacheDir != "" {
+		// An unusable directory degrades to no cache (the library
+		// regenerates traces) rather than failing construction.
+		dc, err := trace.NewDiskCache(opts.TraceCacheDir)
+		if err != nil && s.logger != nil {
+			s.logger.Warn("trace cache unavailable", "err", err.Error())
+		}
+		s.traceStore = dc
+	}
 	s.mux = s.buildMux()
 	return s
 }
@@ -399,7 +404,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 				j.set(func(o *outcome) { o.report = &r })
 			}),
 		)
-		if rem := s.clusterRemote(); rem != nil {
+		if rem := s.clusterRemote(j.requestID); rem != nil {
 			// Healthy workers registered: shard the sweep across them,
 			// with local simulation as the per-point fallback.
 			opts = append(opts, sccsim.WithCluster(rem))

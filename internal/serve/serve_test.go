@@ -300,8 +300,8 @@ func waitFor(t *testing.T, cond func() bool) {
 // in production.
 func TestRoutesHaveHandlers(t *testing.T) {
 	_ = New(Options{}) // panics if Routes and buildMux drift
-	if len(Routes()) != 10 {
-		t.Errorf("Routes() lists %d patterns, want 10", len(Routes()))
+	if len(Routes()) != 9 {
+		t.Errorf("Routes() lists %d patterns, want 9", len(Routes()))
 	}
 	var buf bytes.Buffer
 	for _, r := range Routes() {

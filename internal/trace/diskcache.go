@@ -5,11 +5,23 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 )
+
+// Store is the trace-cache contract the sweep engine consults before
+// running a workload generator: Load returns the cached program for a
+// key or (nil, nil) on a miss, Store persists one. A Store is an
+// optimization layer, never a source of truth — implementations must
+// treat corrupt or unreadable entries as misses, and Store failures cost
+// only a later regeneration. DiskCache is the module's implementation.
+type Store interface {
+	// Load returns the cached program for key, or (nil, nil) on a miss.
+	Load(key string) (*Program, error)
+	// Store persists the program under key.
+	Store(key string, p *Program) error
+}
 
 // DiskCache is a content-keyed on-disk store of trace programs in the
 // io.go binary format, so repeated sweeps across processes skip trace
@@ -62,9 +74,9 @@ func KeyDigest(key string) string {
 
 // path maps a key to its file. The layout is content-addressed: the
 // file name ends in the full hex SHA-256 digest of the key (KeyDigest),
-// so any node holding the same key writes the same name and a peer can
-// locate the entry knowing only the digest (see OpenDigest). The
-// sanitized prefix exists so `ls` on the cache directory is readable.
+// so every process sharing the directory writes the same name for the
+// same key. The sanitized prefix exists so `ls` on the cache directory
+// is readable.
 func (c *DiskCache) path(key string) string {
 	prefix := make([]byte, 0, 40)
 	for i := 0; i < len(key) && len(prefix) < 40; i++ {
@@ -78,29 +90,6 @@ func (c *DiskCache) path(key string) string {
 		}
 	}
 	return filepath.Join(c.dir, string(prefix)+"-"+KeyDigest(key)+".scct")
-}
-
-// OpenDigest returns a reader over the raw encoded entry whose content
-// digest (KeyDigest of its key) is digest, or fs.ErrNotExist when the
-// cache holds no such entry. It is the serving side of the fleet-shared
-// cache: a peer that knows only the digest — the `/v1/trace/{digest}`
-// endpoint — streams the entry without ever learning the key. The
-// digest must be the full 64-hex-char SHA-256 form; anything else is
-// rejected before touching the filesystem.
-func (c *DiskCache) OpenDigest(digest string) (io.ReadCloser, error) {
-	if len(digest) != 2*sha256.Size {
-		return nil, fmt.Errorf("trace: digest %q: %w", digest, fs.ErrNotExist)
-	}
-	for _, b := range []byte(digest) {
-		if (b < '0' || b > '9') && (b < 'a' || b > 'f') {
-			return nil, fmt.Errorf("trace: digest %q: %w", digest, fs.ErrNotExist)
-		}
-	}
-	matches, err := filepath.Glob(filepath.Join(c.dir, "*-"+digest+".scct"))
-	if err != nil || len(matches) == 0 {
-		return nil, fs.ErrNotExist
-	}
-	return os.Open(matches[0])
 }
 
 // Load returns the cached program for key, or (nil, nil) on a miss. A

@@ -154,6 +154,26 @@ func NewBuilder(sizeHint int) *Builder {
 	return &Builder{refs: make([]mem.Ref, 0, sizeHint)}
 }
 
+// NewBuilders returns one Builder per processor, each with capacity for
+// sizeHint refs: the builders of one phase.
+func NewBuilders(procs, sizeHint int) []*Builder {
+	bs := make([]*Builder, procs)
+	for i := range bs {
+		bs[i] = NewBuilder(sizeHint)
+	}
+	return bs
+}
+
+// FinishPhase finishes every builder, in processor order, into the
+// named phase.
+func FinishPhase(name string, builders []*Builder) Phase {
+	streams := make([][]mem.Ref, len(builders))
+	for i, b := range builders {
+		streams[i] = b.Finish()
+	}
+	return Phase{Name: name, Streams: streams}
+}
+
 // Compute records n non-memory instructions of work.
 func (b *Builder) Compute(n int) {
 	if n > 0 {

@@ -193,7 +193,7 @@ func Generate(p Params) (*trace.Program, error) {
 		// --- Phase: tree build -------------------------------------
 		// Each processor loads its own bodies into the tree; the
 		// references are the cells its insertion paths touched.
-		builders := newBuilders(p.Procs, p.NBodies/p.Procs*8)
+		builders := trace.NewBuilders(p.Procs, p.NBodies/p.Procs*8)
 		for i, b := range bodies {
 			bl := builders[owner[i]]
 			bl.Read(stacks[owner[i]]) // loop locals
@@ -209,11 +209,11 @@ func Generate(p Params) (*trace.Program, error) {
 			last := t.paths[i][len(t.paths[i])-1]
 			bl.Write(last.addr + cellChildrenOff + uint32(octant(last, &b.pos))*4)
 		}
-		prog.Phases = append(prog.Phases, finishPhase("build", builders))
+		prog.Phases = append(prog.Phases, trace.FinishPhase("build", builders))
 
 		// --- Phase: centre of mass ----------------------------------
 		order := t.computeCOM() // postorder: children before parents
-		builders = newBuilders(p.Procs, len(order)*10/p.Procs)
+		builders = trace.NewBuilders(p.Procs, len(order)*10/p.Procs)
 		for ci, c := range order {
 			// Cells are claimed round-robin from a shared work queue, as
 			// the SPLASH code's self-scheduling loop does; a cell's COM
@@ -243,7 +243,7 @@ func Generate(p Params) (*trace.Program, error) {
 			bl.Write(c.addr + cellMassOff)
 			bl.Compute(costComFinish)
 		}
-		prog.Phases = append(prog.Phases, finishPhase("com", builders))
+		prog.Phases = append(prog.Phases, trace.FinishPhase("com", builders))
 
 		// --- Repartition: contiguous leaf-order chunks, weighted by
 		// last step's interaction counts (SPLASH costzones).
@@ -270,7 +270,7 @@ func Generate(p Params) (*trace.Program, error) {
 		// cluster have proportionally finer chunks (tighter per-chunk
 		// working sets) and touch the shared cells concurrently — the
 		// intra-cluster prefetching the paper describes.
-		builders = newBuilders(p.Procs, p.NBodies/p.Procs*600)
+		builders = trace.NewBuilders(p.Procs, p.NBodies/p.Procs*600)
 		for _, b := range bodies {
 			who := owner[index[b]]
 			bl := builders[who]
@@ -283,10 +283,10 @@ func Generate(p Params) (*trace.Program, error) {
 			bl.Write(b.addr + bodyAccOff + 8)
 			bl.Write(b.addr + bodyAccOff + 16)
 		}
-		prog.Phases = append(prog.Phases, finishPhase("force", builders))
+		prog.Phases = append(prog.Phases, trace.FinishPhase("force", builders))
 
 		// --- Phase: position update ---------------------------------
-		builders = newBuilders(p.Procs, p.NBodies/p.Procs*14)
+		builders = trace.NewBuilders(p.Procs, p.NBodies/p.Procs*14)
 		for i, b := range bodies {
 			bl := builders[owner[i]]
 			bl.Read(stacks[owner[i]]) // loop locals
@@ -300,27 +300,11 @@ func Generate(p Params) (*trace.Program, error) {
 			bl.Compute(costUpdate)
 			advance(b, p.DT)
 		}
-		prog.Phases = append(prog.Phases, finishPhase("update", builders))
+		prog.Phases = append(prog.Phases, trace.FinishPhase("update", builders))
 	}
 
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("barnes: generated invalid program: %w", err)
 	}
 	return prog, nil
-}
-
-func newBuilders(procs, hint int) []*trace.Builder {
-	bs := make([]*trace.Builder, procs)
-	for i := range bs {
-		bs[i] = trace.NewBuilder(hint)
-	}
-	return bs
-}
-
-func finishPhase(name string, builders []*trace.Builder) trace.Phase {
-	streams := make([][]mem.Ref, len(builders))
-	for i, b := range builders {
-		streams[i] = b.Finish()
-	}
-	return trace.Phase{Name: name, Streams: streams}
 }

@@ -82,10 +82,7 @@ func Generate(p Params) (*trace.Program, error) {
 	// --- Phase: load -----------------------------------------------
 	// Copy A into the factor storage (each processor loads a contiguous
 	// share of the columns, as the SPLASH initialization does).
-	loadBuilders := make([]*trace.Builder, p.Procs)
-	for i := range loadBuilders {
-		loadBuilders[i] = trace.NewBuilder(a.Nnz() / p.Procs)
-	}
+	loadBuilders := trace.NewBuilders(p.Procs, a.Nnz()/p.Procs)
 	for j := 0; j < a.N; j++ {
 		bl := loadBuilders[j*p.Procs/a.N]
 		bl.Read(stacks[j*p.Procs/a.N])
@@ -96,7 +93,7 @@ func Generate(p Params) (*trace.Program, error) {
 		}
 		bl.Compute(int(an) * 2)
 	}
-	prog.Phases = append(prog.Phases, finishPhase("load", loadBuilders))
+	prog.Phases = append(prog.Phases, trace.FinishPhase("load", loadBuilders))
 
 	// --- Phase: factor ----------------------------------------------
 	// Replay the schedule: each processor's operation sequence with the
@@ -205,12 +202,4 @@ func emitSMod(bl *trace.Builder, stack uint32, l *sparse.Pattern, tgt, src spars
 		}
 		bl.Compute(overlap * (tail + 2))
 	}
-}
-
-func finishPhase(name string, builders []*trace.Builder) trace.Phase {
-	streams := make([][]mem.Ref, len(builders))
-	for i, b := range builders {
-		streams[i] = b.Finish()
-	}
-	return trace.Phase{Name: name, Streams: streams}
 }

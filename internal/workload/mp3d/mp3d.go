@@ -185,10 +185,7 @@ func Generate(p Params) (*trace.Program, error) {
 // assignment over a spatially random initial ordering).
 func (w *world) movePhase() trace.Phase {
 	p := w.p
-	builders := make([]*trace.Builder, p.Procs)
-	for i := range builders {
-		builders[i] = trace.NewBuilder(p.Particles / p.Procs * 24)
-	}
+	builders := trace.NewBuilders(p.Procs, p.Particles/p.Procs*24)
 	for i := range w.cells {
 		w.cells[i].count = 0
 		w.cells[i].lastIdx = -1
@@ -284,7 +281,7 @@ func (w *world) movePhase() trace.Phase {
 		cell.count++
 		cell.lastIdx = i
 	}
-	return finishPhase("move", builders)
+	return trace.FinishPhase("move", builders)
 }
 
 // mix performs an energy-conserving velocity exchange.
@@ -313,10 +310,8 @@ func mix(a, b [3]float64, rng *synth.RNG) ([3]float64, [3]float64) {
 // clusters — invalidation traffic that depends on the number of clusters,
 // not on the number of processors per cluster.
 func (w *world) tallyPhase() trace.Phase {
-	builders := make([]*trace.Builder, w.p.Procs)
-	for proc := range builders {
-		bl := trace.NewBuilder(16)
-		builders[proc] = bl
+	builders := trace.NewBuilders(w.p.Procs, 16)
+	for proc, bl := range builders {
 		stack := w.stacks[proc]
 		bl.Read(stack)
 		for line := uint32(0); line < w.globals.Size; line += 16 {
@@ -325,13 +320,5 @@ func (w *world) tallyPhase() trace.Phase {
 		}
 		bl.Compute(costTally)
 	}
-	return finishPhase("tally", builders)
-}
-
-func finishPhase(name string, builders []*trace.Builder) trace.Phase {
-	streams := make([][]mem.Ref, len(builders))
-	for i, b := range builders {
-		streams[i] = b.Finish()
-	}
-	return trace.Phase{Name: name, Streams: streams}
+	return trace.FinishPhase("tally", builders)
 }

@@ -241,6 +241,19 @@ func WithProgress(fn func(Progress)) Opt { return func(c *expCfg) { c.progress =
 // before any simulation runs.
 func WithTraceCache(dir string) Opt { return func(c *expCfg) { c.traceCacheDir = dir } }
 
+// TraceStore is the trace-cache contract sweeps consult before running
+// a workload generator (trace.Store); trace.DiskCache, what
+// WithTraceCache opens, is its implementation.
+type TraceStore = trace.Store
+
+// WithTraceStore roots the experiment's persistent trace cache at an
+// already-constructed store — the programmatic sibling of
+// WithTraceCache(dir), for callers that need a cache the directory
+// form cannot express (a disk cache shared with other code, an
+// instrumented wrapper, a test double). When both are set, the store
+// wins.
+func WithTraceStore(st TraceStore) Opt { return func(c *expCfg) { c.traceStore = st } }
+
 // WithVerify attaches the coherence invariant checker (internal/verify)
 // to every simulation the experiment runs: bus transactions are checked
 // against the protocol invariants as they happen and the presence table
