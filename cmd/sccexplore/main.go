@@ -493,7 +493,5 @@ func run(ctx context.Context, exp string, opts func(label string) []sccsim.Opt) 
 			return err
 		}
 	}
-	// table6/table7 share entries but show() rebuilds them; acceptable
-	// for the all-experiments run.
 	return nil
 }

@@ -66,13 +66,18 @@ func TestResultDigests(t *testing.T) {
 			return sccsim.Do(ctx, sccsim.MP3D, s, sccsim.WithBackend(b), sccsim.WithConfig(flat))
 		}})
 	}
+	// Cost/performance entries and searches read the cycles the sweeps
+	// above recorded; each starts from a reset so it pins simulated
+	// numbers.
 	for _, w := range sccsim.AllWorkloads {
 		runs = append(runs, run{fmt.Sprintf("costperf/%s", w), func() (any, error) {
+			sccsim.ResetTraceCache()
 			return sccsim.BuildCostPerfEntryCtx(ctx, w, s)
 		}})
 	}
 	for _, w := range []sccsim.Workload{sccsim.MP3D, sccsim.Multiprog} {
 		runs = append(runs, run{fmt.Sprintf("search/%s", w), func() (any, error) {
+			sccsim.ResetTraceCache()
 			return sccsim.SearchCtx(ctx, w, sccsim.SearchSpec{Seed: 1}, s)
 		}})
 	}

@@ -149,12 +149,17 @@ func TestSweepCtxCancelled(t *testing.T) {
 }
 
 func TestBuildCostPerfEntryCtx(t *testing.T) {
+	// Each entry starts from a reset, so both simulate their points
+	// instead of reading recorded cycles.
+	t.Cleanup(sccsim.ResetTraceCache)
 	s := sccsim.QuickScale()
+	sccsim.ResetTraceCache()
 	e, err := sccsim.BuildCostPerfEntryCtx(context.Background(), sccsim.Cholesky,
 		sccsim.WithScale(s), sccsim.WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sccsim.ResetTraceCache()
 	old, err := sccsim.BuildCostPerfEntry(sccsim.Cholesky, s)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,10 @@ func BuildEntry(w explorer.Workload, s explorer.Scale, opts sim.Options) (*Entry
 
 // BuildEntryCtx is BuildEntry on the concurrent sweep engine: the four
 // implementation points are independent simulations and run on the
-// engine's worker pool, honoring ctx cancellation.
+// engine's worker pool, honoring ctx cancellation. It reads only their
+// cycles, so it asks explorer.ExactCycles, which simulates only the
+// points no earlier exact run in the process has (a grid sweep holds
+// all four).
 func BuildEntryCtx(ctx context.Context, w explorer.Workload, s explorer.Scale, opts sim.Options, eng explorer.EngineOptions) (*Entry, error) {
 	e := &Entry{
 		Workload:  w,
@@ -66,13 +69,13 @@ func BuildEntryCtx(ctx context.Context, w explorer.Workload, s explorer.Scale, o
 	for i, sp := range specs {
 		cfgs[i] = explorer.PointConfig(w, sp.PPC, sp.SCCBytes, eng.Axes)
 	}
-	pts, err := explorer.RunConfigs(ctx, w, cfgs, s, opts, eng)
+	raw, err := explorer.ExactCycles(ctx, w, cfgs, s, opts, eng)
 	if err != nil {
 		return nil, fmt.Errorf("costperf: %s: %w", w, err)
 	}
 	for i, spec := range specs {
-		e.RawCycles[spec.PPC] = pts[i].Result.Cycles
-		e.AdjCycles[spec.PPC] = Adjusted(w, spec.PPC, pts[i].Result.Cycles)
+		e.RawCycles[spec.PPC] = raw[i]
+		e.AdjCycles[spec.PPC] = Adjusted(w, spec.PPC, raw[i])
 	}
 	return e, nil
 }

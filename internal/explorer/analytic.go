@@ -76,7 +76,7 @@ type traceShape struct {
 	procs, clusters int
 }
 
-var profiles = memo[traceShape, *rdmodel.Profile]{budget: profileCacheBudget, size: (*rdmodel.Profile).HeapBytes}
+var profiles = memo[traceShape, *rdmodel.Profile]{budget: profileCacheBudget, minCharge: memoMinCharge, size: (*rdmodel.Profile).HeapBytes}
 
 // analyticResult shapes a prediction as a *sim.Result so grids, tables,
 // manifests and the serve layer handle both backends uniformly. Only

@@ -129,10 +129,13 @@ type EngineOptions struct {
 	// Metrics, when non-nil, receives live engine counters
 	// (explorer.points_done, explorer.trace_cache_{hits,misses},
 	// explorer.trace_{disk_hits,generated},
-	// explorer.{trace,profile}_cache_evictions), the bytes the trace and
-	// profile caches hold (gauges explorer.{trace,profile}_cache_bytes)
-	// and a per-point wall-time histogram (explorer.point_ms) — the
-	// registry a long-running CLI exposes over expvar.
+	// explorer.{trace,profile,cycles}_cache_evictions, and
+	// explorer.cycles_cache_hits: configurations ExactCycles answered
+	// from recorded cycles), the bytes the trace and profile caches and
+	// the exact-cycles table hold (gauges
+	// explorer.{trace,profile,cycles}_cache_bytes) and a per-point
+	// wall-time histogram (explorer.point_ms) — the registry a
+	// long-running CLI exposes over expvar.
 	Metrics *obs.Registry
 	// TraceCache, when non-nil, is a persistent trace store consulted
 	// before running a workload generator and populated after: repeated
@@ -379,24 +382,26 @@ func runPoints(ctx context.Context, w Workload, jobs []pointJob, eng EngineOptio
 // shares its store key; the reuse-distance profiles derived from a
 // trace are immutable the same way (see analytic.go). The memos persist
 // across engine calls, so e.g. the cost/performance entries reuse the
-// programs a full sweep already generated.
+// programs a full sweep already generated. The exact-cycles table
+// (cycles.go) is a third memo with the same lifetime.
 
-// memoMinCharge is the least an entry is charged, whatever its value's
-// size: failed resolutions and tiny values stay bounded, at most
-// budget/memoMinCharge entries per memo.
+// memoMinCharge is the least a trace or profile entry is charged,
+// whatever its value's size: failed resolutions and tiny values stay
+// bounded, at most budget/memoMinCharge entries per memo.
 const memoMinCharge = 64 << 10
 
 // memo resolves each key once: concurrent requesters of a key block on
 // the first resolution instead of duplicating it, and later ones share
 // its value or its error. Each resolved entry is charged its value's
-// size (at least memoMinCharge); a resolution that takes the total past
+// size, and at least minCharge; a resolution that takes the total past
 // budget evicts resolved entries, least recently used first, until the
 // total fits or only the entry just resolved and entries still
 // resolving remain. Values already handed out stay valid: they are
 // just pointers the callers hold.
 type memo[K comparable, V any] struct {
-	budget int64
-	size   func(V) int64
+	budget, minCharge int64
+	// size measures a value; nil charges every entry minCharge.
+	size func(V) int64
 
 	mu      sync.Mutex
 	entries map[K]*memoEntry[K, V]
@@ -434,14 +439,36 @@ func (m *memo[K, V]) get(key K, resolve func() (V, error)) (v V, evicted int, er
 		e = &memoEntry[K, V]{key: key}
 		m.entries[key] = e
 	}
-	e.prev, e.next = &m.lru, m.lru.next
-	e.prev.next, e.next.prev = e, e
+	m.pushFront(e)
 	m.mu.Unlock()
 	e.once.Do(func() {
 		e.val, e.err = resolve()
 		evicted = m.charge(e)
 	})
 	return e.val, evicted, e.err
+}
+
+// peek returns key's value when an earlier get resolved it without an
+// error, and moves its entry to the front. It never resolves a key or
+// adds an entry.
+func (m *memo[K, V]) peek(key K) (v V, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
+	// charge is set under mu once the entry resolved, after val and err.
+	if !ok || e.charge == 0 || e.err != nil {
+		return v, false
+	}
+	e.unlink()
+	m.pushFront(e)
+	return e.val, true
+}
+
+// pushFront links an unlisted e at the front of the list; m.mu must be
+// held.
+func (m *memo[K, V]) pushFront(e *memoEntry[K, V]) {
+	e.prev, e.next = &m.lru, m.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // charge bills a freshly resolved entry and evicts from the back of the
@@ -453,8 +480,8 @@ func (m *memo[K, V]) charge(e *memoEntry[K, V]) int {
 	if m.entries[e.key] != e {
 		return 0
 	}
-	e.charge = memoMinCharge
-	if e.err == nil {
+	e.charge = m.minCharge
+	if e.err == nil && m.size != nil {
 		e.charge = max(e.charge, m.size(e.val))
 	}
 	m.bytes += e.charge
@@ -505,14 +532,17 @@ const (
 // traces holds every resolved trace under its store key; a
 // multiprogramming set is held in its store container
 // (processesToProgram).
-var traces = memo[string, *trace.Program]{budget: traceCacheBudget, size: (*trace.Program).HeapBytes}
+var traces = memo[string, *trace.Program]{budget: traceCacheBudget, minCharge: memoMinCharge, size: (*trace.Program).HeapBytes}
 
-// ResetTraceCache drops every cached trace program and every cached
+// ResetTraceCache drops every cached trace program, every cached
 // reuse-distance profile (profiles are derived from traces and sized
-// like them). Useful to release memory after paper-scale sweeps.
+// like them) and every recorded exact cycle count (see ExactCycles).
+// Useful to release memory after paper-scale sweeps, and to make the
+// next exact run simulate every point.
 func ResetTraceCache() {
 	traces.reset()
 	profiles.reset()
+	cycles.reset()
 }
 
 // parallelDiskKey is the persistent-cache key for a parallel workload
@@ -566,13 +596,11 @@ func programToProcesses(p *trace.Program) []sim.Process {
 // traceShared when the memo already had (or was resolving) the trace,
 // traceFromDisk or traceGenerated when this call resolved it.
 func traceFor(w Workload, procs int, s Scale, tc *traceCounters, dc trace.Store) (*trace.Program, string, error) {
-	key, shape := parallelDiskKey(w, procs, s), procs
+	key, shape := traceKey(w, procs, s)
 	generate := func() (*trace.Program, error) { return GenerateParallel(w, procs, s) }
 	if w == Multiprog {
-		refs := multiprogRefs(s)
-		key, shape = multiprogDiskKey(refs, s.Seed), 1
 		generate = func() (*trace.Program, error) {
-			pset, err := multiprog.Generate(multiprog.Params{RefsPerApp: refs, Seed: s.Seed})
+			pset, err := multiprog.Generate(multiprog.Params{RefsPerApp: multiprogRefs(s), Seed: s.Seed})
 			if err != nil {
 				return nil, err
 			}
@@ -603,6 +631,17 @@ func traceFor(w Workload, procs int, s Scale, tc *traceCounters, dc trace.Store)
 	return prog, key, nil
 }
 
+// traceKey returns the store key of the trace workload w replays on
+// procs processors, and the processor count a program stored under it
+// has: procs for a parallel workload, 1 for the multiprogramming set's
+// container, whatever procs is.
+func traceKey(w Workload, procs int, s Scale) (key string, shape int) {
+	if w == Multiprog {
+		return multiprogDiskKey(multiprogRefs(s), s.Seed), 1
+	}
+	return parallelDiskKey(w, procs, s), procs
+}
+
 // multiprogRefs applies the default per-app reference budget.
 func multiprogRefs(s Scale) int {
 	if s.MultiprogRefs != 0 {
@@ -624,9 +663,10 @@ type PointSpec struct {
 // search and cost/performance entry: eng.Backend picks how each point
 // is produced, eng.Remote (exact backend) is offered each point first,
 // and every point shares the trace cache, the persistent trace store,
-// the metrics and the progress and report hooks. The analytic backend
-// rejects, before any work, configurations it cannot model (see
-// AnalyticSupports).
+// the metrics and the progress and report hooks. It always runs every
+// configuration; on the exact backend it then records each point's
+// cycles for ExactCycles. The analytic backend rejects, before any
+// work, configurations it cannot model (see AnalyticSupports).
 func RunConfigs(ctx context.Context, w Workload, cfgs []sysmodel.Config, s Scale, opts sim.Options, eng EngineOptions) ([]*Point, error) {
 	tc := &traceCounters{reg: eng.Metrics}
 	jobs := make([]pointJob, len(cfgs))
@@ -637,7 +677,11 @@ func RunConfigs(ctx context.Context, w Workload, cfgs []sysmodel.Config, s Scale
 		}
 		jobs[i] = job
 	}
-	return runPoints(ctx, w, jobs, eng, tc)
+	points, err := runPoints(ctx, w, jobs, eng, tc)
+	if err == nil && eng.Backend != BackendAnalytic {
+		recordCycles(w, cfgs, s, opts, points, tc)
+	}
+	return points, err
 }
 
 // Sweep runs workload w over the full design-space grid — RunConfigs

@@ -184,22 +184,23 @@ func PointConfig(w Workload, ppc, sccBytes int, axes sysmodel.Axes) sysmodel.Con
 // SeedSensitivity runs one design point across several seeds and
 // summarizes the execution-time variation — the error-bar check the
 // paper (like most 1994 papers) omits. The returned summary is over
-// cycles; a small coefficient of variation means single-seed results
-// are representative.
+// cycles (ExactCycles: a seed's point an earlier exact run returned is
+// not simulated again); a small coefficient of variation means
+// single-seed results are representative.
 func SeedSensitivity(w Workload, ppc, sccBytes int, s Scale, opts sim.Options, seeds []int64) (stats.Summary, error) {
 	if len(seeds) == 0 {
 		return stats.Summary{}, fmt.Errorf("explorer: no seeds")
 	}
 	cfg := []sysmodel.Config{PointConfig(w, ppc, sccBytes, sysmodel.Axes{})}
-	cycles := make([]float64, 0, len(seeds))
+	runs := make([]float64, 0, len(seeds))
 	for _, seed := range seeds {
 		sc := s
 		sc.Seed = seed
-		pts, err := RunConfigs(context.TODO(), w, cfg, sc, opts, EngineOptions{})
+		c, err := ExactCycles(context.TODO(), w, cfg, sc, opts, EngineOptions{})
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		cycles = append(cycles, float64(pts[0].Result.Cycles))
+		runs = append(runs, float64(c[0]))
 	}
-	return stats.Summarize(cycles), nil
+	return stats.Summarize(runs), nil
 }

@@ -11,7 +11,7 @@ import (
 // unitMemo is a memo whose int values are charged that many
 // memoMinCharge units, under a budget of four units.
 func unitMemo() *memo[string, int] {
-	return &memo[string, int]{budget: 4 * memoMinCharge, size: func(v int) int64 { return int64(v) * memoMinCharge }}
+	return &memo[string, int]{budget: 4 * memoMinCharge, minCharge: memoMinCharge, size: func(v int) int64 { return int64(v) * memoMinCharge }}
 }
 
 // held returns the keys m holds, most recently used first, after
@@ -70,6 +70,29 @@ func TestMemoResolvesOnce(t *testing.T) {
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("a failed resolution ran again: %d resolves, want 2", n)
+	}
+}
+
+// TestMemoPeek: peek returns a resolved value and moves its entry to
+// the front; it never resolves a key, adds an entry, or returns a
+// failed resolution.
+func TestMemoPeek(t *testing.T) {
+	m := unitMemo()
+	if _, ok := m.peek("a"); ok || len(held(t, m)) != 0 {
+		t.Fatal("peek of an absent key found it or added it")
+	}
+	for _, k := range []string{"a", "b"} {
+		m.get(k, func() (int, error) { return 1, nil })
+	}
+	if v, ok := m.peek("a"); !ok || v != 1 {
+		t.Fatalf("peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if keys := held(t, m); !sameKeys(keys, "a", "b") {
+		t.Fatalf("held %v, want [a b]: a peek moves its entry to the front", keys)
+	}
+	m.get("bad", func() (int, error) { return 0, errors.New("boom") })
+	if _, ok := m.peek("bad"); ok {
+		t.Fatal("peek returned a failed resolution")
 	}
 }
 

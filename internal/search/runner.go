@@ -38,7 +38,7 @@ type Progress struct {
 	// Done and Total are the stage's progress counters.
 	Done  int `json:"done"`
 	Total int `json:"total"`
-	// ExactSims is the running exact-simulation count.
+	// ExactSims is the running exact-confirmation count (Stats.ExactSims).
 	ExactSims int `json:"exact_sims"`
 }
 
@@ -80,7 +80,10 @@ type Stats struct {
 	Plausible    int `json:"plausible"`
 	// Sampled is the random strategy's initial sample size (0 otherwise).
 	Sampled int `json:"sampled,omitempty"`
-	// AnalyticEvals and ExactSims count backend calls.
+	// AnalyticEvals counts analytic estimates. ExactSims counts exact
+	// confirmations, which the budget spends; the Evaluator may serve
+	// some from simulations an earlier search or sweep ran (sccsim's
+	// reads the engine's exact-cycles table), so fewer may be simulated.
 	AnalyticEvals int `json:"analytic_evals"`
 	ExactSims     int `json:"exact_sims"`
 	// Abandoned counts candidates dropped mid-halving because an exact

@@ -41,8 +41,10 @@ func Routes() []string {
 
 // buildMux wires every Routes entry to its handler, instrumented
 // through the obs HTTP middleware. The switch panics on a pattern it
-// does not know, so Routes and the handler set cannot drift apart.
-func (s *Server) buildMux() *http.ServeMux {
+// does not know, so Routes and the handler set cannot drift apart. A
+// request no route matches gets the error envelope: 404, or 405 with
+// the Allow header when a route of another method has its path.
+func (s *Server) buildMux() http.Handler {
 	mux := http.NewServeMux()
 	for _, route := range Routes() {
 		var h http.Handler
@@ -72,7 +74,46 @@ func (s *Server) buildMux() *http.ServeMux {
 		// metrics middleware so a recovered panic's 500 is still counted.
 		mux.Handle(route, obs.InstrumentHandler(s.reg, route, s.withRequest(route, h)))
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, pattern := mux.Handler(r); pattern == "" {
+			h.ServeHTTP(&unrouted{ResponseWriter: w, r: r}, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// unrouted turns the mux's own answers to a request no route matches,
+// which http.Error writes in plain text, into the error envelope: 404,
+// and 405 keeping the Allow header the mux set. Other answers (the
+// mux's path-cleaning redirects) pass through.
+type unrouted struct {
+	http.ResponseWriter
+	r *http.Request
+	// replaced is set once the envelope went out; the mux's plain-text
+	// body is then dropped.
+	replaced bool
+}
+
+func (u *unrouted) WriteHeader(code int) {
+	req := u.r.Method + " " + u.r.URL.Path
+	switch code {
+	case http.StatusNotFound:
+		writeError(u.ResponseWriter, code, "no route for "+req)
+	case http.StatusMethodNotAllowed:
+		writeError(u.ResponseWriter, code, "no route for "+req+"; allowed methods: "+u.Header().Get("Allow"))
+	default:
+		u.ResponseWriter.WriteHeader(code)
+		return
+	}
+	u.replaced = true
+}
+
+func (u *unrouted) Write(b []byte) (int, error) {
+	if u.replaced {
+		return len(b), nil
+	}
+	return u.ResponseWriter.Write(b)
 }
 
 // writeJSON renders one JSON response body.

@@ -130,7 +130,7 @@ type Server struct {
 	reg     *obs.Registry
 	logger  *slog.Logger
 	reqs    *obs.RequestLog
-	mux     *http.ServeMux
+	mux     http.Handler
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	start   time.Time

@@ -281,6 +281,46 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnroutedRequestsGetErrorEnvelope: an unknown route answers 404
+// and a wrong method 405 with its Allow header, both in the JSON error
+// envelope like every other non-2xx response.
+func TestUnroutedRequestsGetErrorEnvelope(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	for _, c := range []struct {
+		method, path string
+		code         int
+		allow        string
+	}{
+		{"GET", "/v1/nope", http.StatusNotFound, ""},
+		{"POST", "/v1/sweep/abc/def", http.StatusNotFound, ""},
+		{"GET", "/v1/sweep", http.StatusMethodNotAllowed, "POST"},
+		{"DELETE", "/v1/sweep/abc", http.StatusMethodNotAllowed, "GET, HEAD"},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		what := c.method + " " + c.path
+		if resp.StatusCode != c.code {
+			t.Errorf("%s: status %d, want %d", what, resp.StatusCode, c.code)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", what, ct)
+		}
+		if derr != nil || eb.Error == "" {
+			t.Errorf("%s: no error envelope (%v)", what, derr)
+		}
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("%s: Allow %q, want %q", what, got, c.allow)
+		}
+	}
+}
+
 // waitFor polls cond for up to 5s.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -441,7 +441,13 @@ func SweepCtx(ctx context.Context, w Workload, opts ...Opt) (*Grid, error) {
 // implementations (1P/64KB, 2P/32KB, 4P/64KB, 8P/128KB) on the
 // concurrent sweep engine. The cost/performance tables are the paper's
 // headline numbers, so this path is exact-only: selecting the analytic
-// backend is an error.
+// backend is an error. An entry reads only cycles, so a point an
+// earlier exact run in the process simulated with the same scale and
+// simulator options (a grid sweep holds all four) comes from the
+// engine's exact-cycles table instead of a new simulation, with the
+// same result; WithProgress reports only the points simulated, and
+// under WithVerify all four are simulated. ResetTraceCache empties the
+// table.
 func BuildCostPerfEntryCtx(ctx context.Context, w Workload, opts ...Opt) (*CostPerfEntry, error) {
 	c, err := resolve(opts)
 	if err != nil {
@@ -457,8 +463,10 @@ func BuildCostPerfEntryCtx(ctx context.Context, w Workload, opts ...Opt) (*CostP
 	return costperf.BuildEntryCtx(ctx, w, c.scale, c.sim, eng)
 }
 
-// ResetTraceCache drops every cached workload trace, releasing memory
-// after paper-scale experiments.
+// ResetTraceCache drops every cached workload trace and reuse-distance
+// profile and every recorded exact cycle count, releasing memory after
+// paper-scale experiments; the next search or cost/performance entry
+// then simulates every point it confirms.
 func ResetTraceCache() { explorer.ResetTraceCache() }
 
 // GenerateTrace builds the raw per-processor reference trace for a

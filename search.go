@@ -114,8 +114,10 @@ var searchMargins = map[string]float64{
 
 // searchEvaluator adapts the explorer to the search pipeline's
 // Evaluator: analytic estimates come from the shared reuse-distance
-// curves, exact confirmations are one RunConfigs batch each (in-order
-// results keep the runner deterministic at any parallelism).
+// curves, exact confirmations are one ExactCycles batch each (in-order
+// results keep the runner deterministic at any parallelism), which
+// simulates only the candidates no earlier exact run in the process
+// has.
 type searchEvaluator struct {
 	w     Workload
 	scale Scale
@@ -140,15 +142,7 @@ func (e *searchEvaluator) Exact(ctx context.Context, cands []search.Candidate) (
 	for i, c := range cands {
 		cfgs[i] = explorer.PointConfig(e.w, c.PPC, c.SCCBytes, e.eng.Axes)
 	}
-	pts, err := explorer.RunConfigs(ctx, e.w, cfgs, e.scale, e.sim, e.eng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, len(pts))
-	for i, p := range pts {
-		out[i] = p.Result.Cycles
-	}
-	return out, nil
+	return explorer.ExactCycles(ctx, e.w, cfgs, e.scale, e.sim, e.eng)
 }
 
 // SearchCtx searches a workload's design space for the spec's
@@ -159,6 +153,16 @@ func (e *searchEvaluator) Exact(ctx context.Context, cands []search.Candidate) (
 // while most of the space never reaches the simulator. A fixed
 // SearchSpec.Seed makes the result identical across runs and
 // WithParallelism values.
+//
+// Confirmation reads only a point's cycles, so a candidate that an
+// earlier search, sweep, point or cost/performance entry in this
+// process already simulated exactly (same workload, scale, system and
+// simulator options) is confirmed from the engine's exact-cycles table
+// instead of simulated again; ResetTraceCache empties it. The result
+// is identical either way: Stats.ExactSims still counts every
+// confirmation and the budget still spends them, while WithProgress
+// reports only the points simulated. Under WithVerify every
+// confirmation is simulated.
 //
 // SearchCtx composes with the scale, parallelism, trace-cache,
 // verification and observability options. It drives both backends

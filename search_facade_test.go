@@ -43,6 +43,9 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sweep: %v", err)
 			}
+			// The searches would read the sweep's cycles; dropping them
+			// makes the searches simulate what they confirm.
+			ResetTraceCache()
 			exhaustive := ParetoFront(Frontier(grid))
 			want := make([]searchKey, 0, len(exhaustive))
 			for _, p := range exhaustive {
@@ -101,6 +104,9 @@ func TestSearchLargeSpaceOutcome(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs exact simulations")
 	}
+	// Cycles an earlier test recorded would be read, not simulated.
+	ResetTraceCache()
+	t.Cleanup(ResetTraceCache)
 	spec := SearchSpec{
 		Space:    SearchSpace{SCCBytesMin: 4 * 1024, SCCBytesMax: 512 * 1024, SCCBytesStep: 128},
 		Strategy: SearchAdaptive,
@@ -129,6 +135,70 @@ func TestSearchLargeSpaceOutcome(t *testing.T) {
 	}
 	if !reflect.DeepEqual(frontier, want) {
 		t.Errorf("frontier %v\nwant     %v", frontier, want)
+	}
+}
+
+// TestSearchReusesEarlierSimulations: a search confirms from the
+// exact-cycles table what an earlier search in the process simulated.
+// After a reset, the cycles-vs-area search and then the
+// cost/performance search on QuickScale MP3D: the second simulates
+// only configurations the first did not, both frontiers equal the same
+// searches run cold, and under WithVerify the second simulates every
+// confirmation again.
+func TestSearchReusesEarlierSimulations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs exact simulations")
+	}
+	t.Cleanup(ResetTraceCache)
+	ctx := context.Background()
+	specs := []SearchSpec{{Seed: 1}, {Objectives: []SearchObjective{SearchObjectiveCostPerf}, Seed: 1}}
+	// run returns the search's frontier as JSON, its confirmation count
+	// and the configurations its Progress events named.
+	run := func(spec SearchSpec, opts ...Opt) (string, int, []Config) {
+		t.Helper()
+		var simulated []Config
+		opts = append(opts, WithScale(QuickScale()),
+			WithProgress(func(p Progress) { simulated = append(simulated, p.Config) }))
+		res, err := SearchCtx(ctx, MP3D, spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res.Frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw), res.Stats.ExactSims, simulated
+	}
+	var cold [2]string
+	for i, spec := range specs {
+		ResetTraceCache()
+		cold[i], _, _ = run(spec)
+	}
+
+	ResetTraceCache()
+	first, _, simulated := run(specs[0])
+	second, confirmed, again := run(specs[1])
+	if first != cold[0] || second != cold[1] {
+		t.Errorf("frontiers after reuse differ from cold runs:\n%s\n%s\ncold:\n%s\n%s", first, second, cold[0], cold[1])
+	}
+	earlier := map[Config]bool{}
+	for _, cfg := range simulated {
+		earlier[cfg] = true
+	}
+	for _, cfg := range again {
+		if earlier[cfg] {
+			t.Errorf("the second search simulated %v, which the first already had", cfg)
+		}
+	}
+	t.Logf("the second search simulated %d of its %d confirmations", len(again), confirmed)
+	if len(again) >= confirmed {
+		t.Errorf("the second search simulated %d of its %d confirmations: none reused", len(again), confirmed)
+	}
+
+	ResetTraceCache()
+	run(specs[0])
+	if _, confirmed, verified := run(specs[1], WithVerify()); len(verified) != confirmed {
+		t.Errorf("a verified search simulated %d of its %d confirmations, want all", len(verified), confirmed)
 	}
 }
 
