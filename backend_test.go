@@ -107,3 +107,32 @@ func TestAnalyticDoMatchesSweep(t *testing.T) {
 		t.Errorf("analytic multiprog ran on %d clusters", mp.Config.Clusters)
 	}
 }
+
+// TestAnalyticAssocPastCap: the analytic model tracks distances up to
+// a 512 KB SCC's line count, so a larger SCC is modeled as 512 KB, and
+// a 512 KB SCC is at most fully associative. A 1 MB fully-associative
+// SCC must therefore predict what a 512 KB fully-associative one does,
+// a miss rate above zero and at most the direct-mapped 1 MB one's.
+func TestAnalyticAssocPastCap(t *testing.T) {
+	ctx := context.Background()
+	do := func(sccBytes, assoc int) *Point {
+		t.Helper()
+		cfg := DefaultConfig(1, sccBytes)
+		cfg.Assoc = assoc
+		pt, err := Do(ctx, MP3D, WithScale(QuickScale()), WithConfig(cfg), WithBackend(BackendAnalytic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	const mb = 1 << 20
+	full, atCap, dm := do(mb, mb/16), do(mb/2, mb/32), do(mb, 1)
+	if full.Result.Cycles != atCap.Result.Cycles || full.Result.ReadMissRate() != atCap.Result.ReadMissRate() {
+		t.Errorf("1 MB fully associative predicts %d cycles, miss rate %.4f; 512 KB fully associative %d, %.4f",
+			full.Result.Cycles, full.Result.ReadMissRate(), atCap.Result.Cycles, atCap.Result.ReadMissRate())
+	}
+	if r := full.Result.ReadMissRate(); r <= 0 || r > dm.Result.ReadMissRate() {
+		t.Errorf("1 MB fully associative predicts miss rate %.4f, want above 0 and at most direct-mapped's %.4f",
+			r, dm.Result.ReadMissRate())
+	}
+}

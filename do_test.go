@@ -154,10 +154,19 @@ func TestBuildCostPerfEntryCtx(t *testing.T) {
 	t.Cleanup(sccsim.ResetTraceCache)
 	s := sccsim.QuickScale()
 	sccsim.ResetTraceCache()
+	reg := sccsim.NewMetrics()
 	e, err := sccsim.BuildCostPerfEntryCtx(context.Background(), sccsim.Cholesky,
-		sccsim.WithScale(s), sccsim.WithParallelism(2))
+		sccsim.WithScale(s), sccsim.WithParallelism(2), sccsim.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The points it simulated feed the simulator's stall histograms, as
+	// a sweep's do.
+	snap := reg.Snapshot()
+	for _, h := range []string{"sim.read_miss_cycles", "sim.bank_wait_cycles", "sim.wb_stall_cycles"} {
+		if _, ok := snap[h]; !ok {
+			t.Errorf("cost/performance entry under WithMetrics published no %s", h)
+		}
 	}
 	sccsim.ResetTraceCache()
 	old, err := sccsim.BuildCostPerfEntry(sccsim.Cholesky, s)

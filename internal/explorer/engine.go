@@ -522,8 +522,9 @@ func (m *memo[K, V]) reset() {
 // The memos' budgets, each well above the working set of every
 // benchmark workload: paper-scale grid-shared replays traces charged
 // 278 MB (259 MB of references), and serve-mixed's 36 cold keys hold
-// QuickScale traces charged 82 MB (75 MB of references) and 72 MiB of
-// profiles (2 MiB each).
+// QuickScale traces charged 82 MB (75 MB of references) and 74 MiB of
+// profiles (2 MiB of histograms each, plus 0.01-0.1 MiB of query
+// form).
 const (
 	traceCacheBudget   = 1 << 30
 	profileCacheBudget = 256 << 20

@@ -13,43 +13,27 @@ import (
 // identical estimates to Predict(size, 1), so the search pipeline's
 // calibrated pruning margins transfer directly from the analytic
 // backend's cross-validation. The miss-probability table (1-(1-1/C)^d
-// for each distance d) is built once per size and shared across the
-// clusters, which keeps a query at O(cap + clusters x nonzero
-// distances + phases x procs) — microseconds against the exact
-// simulator's seconds.
+// for each distance d up to the profile's largest tracked one) is
+// built once per size and shared across the clusters, which keeps a
+// query at O(top + listed read distances + phases x procs) —
+// microseconds against the exact simulator's seconds.
 //
 // A Curve is not safe for concurrent use: the miss-probability scratch
 // table is reused across At calls. The search triage stage queries it
 // from a single goroutine.
 type Curve struct {
 	prof *Profile
-	// baseReadMisses[c] counts cluster c's cold and far reads — misses
-	// at every size; reads[c] is its total read count.
-	baseReadMisses []float64
-	reads          []float64
 	// pmiss is the per-At scratch table: pmiss[d] = 1-(1-1/C)^d for the
 	// last queried line count, filled by missProbs as Predict's is.
 	pmiss []float64
 }
 
-// Curve folds the profile's cluster histograms into the per-size query
-// form. The returned Curve shares the profile's histogram and
-// Issue/ReadRefs tables and must not outlive mutations to them
+// Curve returns the profile's per-size query form. The returned Curve
+// reads the profile's tables and must not outlive mutations to them
 // (profiles are immutable once built, so in practice any Curve is safe
 // forever).
 func (p *Profile) Curve() *Curve {
-	c := &Curve{
-		prof:           p,
-		baseReadMisses: make([]float64, len(p.Cluster)),
-		reads:          make([]float64, len(p.Cluster)),
-		pmiss:          make([]float64, p.Cap),
-	}
-	for i := range p.Cluster {
-		h := &p.Cluster[i]
-		c.baseReadMisses[i] = float64(h.ColdReads + h.FarReads)
-		c.reads[i] = float64(h.Reads())
-	}
-	return c
+	return &Curve{prof: p, pmiss: make([]float64, p.top)}
 }
 
 // CurvePoint is one size's answer off a Curve: the system-wide
@@ -82,11 +66,12 @@ func (c *Curve) At(sccBytes int) (CurvePoint, error) {
 	rates := make([]float64, len(p.Cluster))
 	var reads, misses float64
 	for i := range p.Cluster {
-		m := expectedMisses(c.baseReadMisses[i], p.Cluster[i].Read, c.pmiss)
-		if c.reads[i] > 0 {
-			rates[i] = m / c.reads[i]
+		h, q := &p.Cluster[i], &p.query[i]
+		m := q.read.misses(float64(h.ColdReads+h.FarReads), c.pmiss)
+		if q.reads > 0 {
+			rates[i] = m / q.reads
 		}
-		reads += c.reads[i]
+		reads += q.reads
 		misses += m
 	}
 	if reads > 0 {

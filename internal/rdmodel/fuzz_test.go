@@ -15,7 +15,9 @@ import (
 // plain min-clock scans over naive LRU stacks: BuildProfile over a
 // phased program on ppc×clusters processors, and BuildScheduledProfile
 // over the same references dealt out to processes on a number of slots
-// under a quantum. Every field of both profiles must match.
+// under a quantum. Every field of both profiles must match, and a few
+// predictions of each must match the dense reference (see
+// checkQueries).
 //
 // The first five bytes are the shape: ppc 1–8 and phases 1–3 (byte 0),
 // clusters 1–4 and slots 1–8 (byte 1), processes 1–10 (byte 2), quantum
@@ -62,6 +64,14 @@ func FuzzBuildProfile(f *testing.F) {
 		if want := naiveBuildProfile(comp, clusters, capLines); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d×%d processors, %d phases, cap %d: profile differs from the naive merge", clusters, ppc, phases, capLines)
 		}
+		// A few queries, at sizes and associativities below and past the
+		// cap, must give the dense evaluation's floats.
+		var sizes []int
+		for _, lines := range []int{1, 3, capLines, 2*capLines + 1, 256} {
+			sizes = append(sizes, lines*sysmodel.LineSize)
+		}
+		assocs := []int{1, 2, 4, 8, 64}
+		checkQueries(t, "BuildProfile", got, sizes, assocs)
 
 		processes := fuzzStreams(refs, nproc, base)
 		got, err = BuildScheduledProfile("fuzz", processes, slots, quantum, capLines)
@@ -71,6 +81,7 @@ func FuzzBuildProfile(f *testing.F) {
 		if want := naiveBuildScheduledProfile("fuzz", processes, slots, quantum, capLines); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d processes on %d slots, quantum %d, cap %d: profile differs from the naive scheduler", nproc, slots, quantum, capLines)
 		}
+		checkQueries(t, "BuildScheduledProfile", got, sizes, assocs)
 	})
 }
 

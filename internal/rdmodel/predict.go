@@ -42,8 +42,11 @@ type Prediction struct {
 }
 
 // Predict estimates the miss ratio and execution time of one SCC size
-// from the profile, in O(cap) per cluster — every grid size reuses the
-// same single profile pass.
+// from the profile. It fills one miss-probability table up to the
+// profile's largest tracked distance, then adds each cluster's nonzero
+// histogram slots: O(top·A) plus O(listed distances) per query, where
+// top is at most the cap — every grid size reuses the same single
+// profile pass.
 //
 // Miss model: a compulsory (cold) access always misses. For a
 // direct-mapped cache of C lines (assoc 1, the paper's SCC), an access
@@ -54,10 +57,12 @@ type Prediction struct {
 // generalises: with S = C/A sets, the access hits iff fewer than A of
 // the d intervening lines landed in its set, i.e. P(hit) = P(X < A)
 // with X ~ Binomial(d, A/C). The distribution is advanced
-// incrementally in d, so the A-way model costs O(cap*A) per cluster
-// and degenerates exactly to the direct-mapped recurrence at A = 1 and
+// incrementally in d, so the A-way table costs O(top·A) and
+// degenerates exactly to the direct-mapped recurrence at A = 1 and
 // to the fully-associative LRU threshold (miss iff d >= C) at S = 1.
-// Distances at or above the tracker cap are taken as certain misses.
+// Distances at or above the tracker cap are taken as certain misses,
+// and a cache of more lines than the cap is modeled as one of cap lines
+// and at most cap ways.
 // The model assumes LRU within a set; random replacement is not
 // modeled (callers on the analytic backend reject it).
 //
@@ -78,24 +83,27 @@ func (p *Profile) Predict(sccBytes, assoc int) (*Prediction, error) {
 	if assoc > lines {
 		return nil, fmt.Errorf("rdmodel: associativity %d exceeds the %d lines of a %d-byte SCC", assoc, lines, sccBytes)
 	}
-	if lines > p.Cap {
-		// Distances in [cap, lines) were not tracked exactly; clamping
-		// keeps the prediction defined (and conservative) but a profile
-		// built with a larger cap would be exact.
-		lines = p.Cap
-	}
 	pred := &Prediction{
 		SCCBytes: sccBytes, Assoc: assoc,
 		Cluster: make([]CacheCounts, len(p.Cluster)),
 	}
-	pmiss := make([]float64, p.Cap)
-	missProbs(pmiss, lines, assoc)
+	ways := assoc
+	if lines > p.Cap {
+		// Distances in [cap, lines) were not tracked exactly; clamping
+		// keeps the prediction defined (and conservative) but a profile
+		// built with a larger cap would be exact. A cache of cap lines
+		// is at most fully associative.
+		lines = p.Cap
+		ways = min(ways, lines)
+	}
+	pmiss := make([]float64, p.top)
+	missProbs(pmiss, lines, ways)
 	rates := make([]float64, len(p.Cluster))
 	for i := range p.Cluster {
-		h := &p.Cluster[i]
-		c := CacheCounts{Reads: float64(h.Reads()), Writes: float64(h.Writes())}
-		c.ReadMisses = expectedMisses(float64(h.ColdReads+h.FarReads), h.Read, pmiss)
-		c.WriteMisses = expectedMisses(float64(h.ColdWrites+h.FarWrites), h.Write, pmiss)
+		h, q := &p.Cluster[i], &p.query[i]
+		c := CacheCounts{Reads: q.reads, Writes: q.writes}
+		c.ReadMisses = q.read.misses(float64(h.ColdReads+h.FarReads), pmiss)
+		c.WriteMisses = q.write.misses(float64(h.ColdWrites+h.FarWrites), pmiss)
 		pred.Cluster[i] = c
 		pred.Reads += c.Reads
 		pred.ReadMisses += c.ReadMisses
@@ -115,8 +123,10 @@ func (p *Profile) Predict(sccBytes, assoc int) (*Prediction, error) {
 // recurrence is the survival chance (1-1/C)^d as an iterated product;
 // the A-way one advances P(X_d = k) for k < assoc under one more
 // Bernoulli(A/C) trial per distance step, the hit probability at
-// distance d being the mass below assoc. Every caller computes the same
-// floats in the same order, so their estimates agree bit for bit.
+// distance d being the mass below assoc. Each entry depends only on the
+// entries before it, so a table cut at any length holds the same floats
+// as a longer one, and every caller computes them in the same order:
+// their estimates agree bit for bit.
 func missProbs(pmiss []float64, lines, assoc int) {
 	if assoc == 1 {
 		surv := 1.0
@@ -141,18 +151,6 @@ func missProbs(pmiss []float64, lines, assoc int) {
 		}
 		pk[0] *= 1 - q
 	}
-}
-
-// expectedMisses adds to base, the accesses that miss at every size,
-// the expected misses of the tracked distances: hist[d] accesses at
-// reuse distance d, each missing with probability pmiss[d].
-func expectedMisses(base float64, hist []uint64, pmiss []float64) float64 {
-	for d, n := range hist {
-		if n != 0 {
-			base += pmiss[d] * float64(n)
-		}
-	}
-	return base
 }
 
 // estimateCycles is the time model: per phase, the slowest processor's

@@ -5,19 +5,20 @@ import (
 	"testing"
 
 	"sccsim/internal/mem"
+	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
 )
 
 // profileSink keeps the benchmarked builds observable to the compiler.
 var profileSink *Profile
 
-// BenchmarkBuildProfile builds the profile of a deterministic program
-// shaped like the paper's largest grid column: 4 clusters of 8
-// processors, two phases, and a shared footprint of 96K lines, three
-// times the default cap, so that compaction and far distances occur.
-func BenchmarkBuildProfile(b *testing.B) {
+// benchTrace is a deterministic program shaped like the paper's
+// largest grid column: 4 clusters of 8 processors, two phases, and a
+// shared footprint of 96K lines, three times the default cap, so that
+// compaction and far distances occur.
+func benchTrace(b *testing.B) *trace.Compiled {
 	rng := rand.New(rand.NewSource(1))
-	const procs, clusters = 32, 4
+	const procs = 32
 	p := &trace.Program{Name: "bench", Procs: procs}
 	for ph := 0; ph < 2; ph++ {
 		phase := trace.Phase{Name: "main"}
@@ -30,16 +31,68 @@ func BenchmarkBuildProfile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return comp
+}
+
+// benchClusters is benchTrace's cluster count.
+const benchClusters = 4
+
+// BenchmarkBuildProfile builds benchTrace's profile.
+func BenchmarkBuildProfile(b *testing.B) {
+	comp := benchTrace(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := BuildProfile(comp, clusters, DefaultCap())
+		prof, err := BuildProfile(comp, benchClusters, DefaultCap())
 		if err != nil {
 			b.Fatal(err)
 		}
 		profileSink = prof
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(comp.Refs()), "ns/ref")
+}
+
+// predictionSink keeps the benchmarked queries observable to the
+// compiler.
+var predictionSink any
+
+// BenchmarkPredict times one direct-mapped Predict on benchTrace's
+// profile, the paper's sizes in turn.
+func BenchmarkPredict(b *testing.B) {
+	prof, err := BuildProfile(benchTrace(b), benchClusters, DefaultCap())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pred, err := prof.Predict(sysmodel.SCCSizes[i%len(sysmodel.SCCSizes)], 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		predictionSink = pred
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/query")
+}
+
+// BenchmarkCurveAt times one Curve.At on benchTrace's profile, the
+// paper's sizes in turn.
+func BenchmarkCurveAt(b *testing.B) {
+	prof, err := BuildProfile(benchTrace(b), benchClusters, DefaultCap())
+	if err != nil {
+		b.Fatal(err)
+	}
+	curve := prof.Curve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt, err := curve.At(sysmodel.SCCSizes[i%len(sysmodel.SCCSizes)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		predictionSink = pt
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/query")
 }
 
 // BenchmarkBuildScheduledProfile builds a multiprogramming profile of

@@ -3,7 +3,10 @@
 // reference trace produces per-cluster reuse-distance histograms, from
 // which the predicted SCC miss ratio — and a derived execution-time
 // estimate — of *every* cache size on the paper's grid follows in
-// microseconds (see Predict). The approach is
+// microseconds (see Predict). Each builder finishes by folding every
+// histogram into a sparse query form, its nonzero slots, so a query
+// costs what the trace's reuse distances fill, not the tracker cap.
+// The approach is
 // the shared-cache reuse-distance model of Barai, Chapman et al.
 // ("Modeling Shared Cache Performance of OpenMP Programs using Reuse
 // Distance"): the processors of a cluster share one SCC, so the model
@@ -130,12 +133,85 @@ type Profile struct {
 	PhaseNames []string
 	Issue      [][]uint64
 	ReadRefs   [][]uint64
+
+	// query[i] is Cluster[i] in the form Predict and Curve.At read (see
+	// finish), and top is one past the largest distance any histogram
+	// holds a count at: the length of every miss-probability table.
+	query []clusterQuery
+	top   int
+}
+
+// clusterQuery is one cluster histogram folded for prediction: its
+// read and write totals, and the nonzero slots of each kind.
+type clusterQuery struct {
+	reads, writes float64
+	read, write   sparseHist
+}
+
+// sparseHist lists a histogram's nonzero slots: dist[i] is a tracked
+// distance, in increasing order, and n[i] its count. The paper's
+// workloads fill 0.3–42% of a profile's slots, so a query reads only
+// these.
+type sparseHist struct {
+	dist []int32
+	n    []float64
+}
+
+func newSparseHist(hist []uint64) sparseHist {
+	var listed int
+	for _, n := range hist {
+		if n != 0 {
+			listed++
+		}
+	}
+	s := sparseHist{dist: make([]int32, 0, listed), n: make([]float64, 0, listed)}
+	for d, n := range hist {
+		if n != 0 {
+			s.dist = append(s.dist, int32(d))
+			s.n = append(s.n, float64(n))
+		}
+	}
+	return s
+}
+
+// misses adds to base, the accesses that miss at every size, the
+// expected misses of the listed distances: n[i] accesses at distance
+// dist[i], each missing with probability pmiss[dist[i]]. pmiss must
+// reach past the largest listed distance.
+func (s *sparseHist) misses(base float64, pmiss []float64) float64 {
+	for i, d := range s.dist {
+		base += pmiss[d] * s.n[i]
+	}
+	return base
+}
+
+// top returns one past the largest listed distance, or 0.
+func (s *sparseHist) top() int {
+	if len(s.dist) == 0 {
+		return 0
+	}
+	return int(s.dist[len(s.dist)-1]) + 1
+}
+
+// finish folds each cluster histogram into its query form. Both
+// builders call it last; a profile is immutable from then on.
+func (p *Profile) finish() {
+	p.query = make([]clusterQuery, len(p.Cluster))
+	for i := range p.Cluster {
+		h := &p.Cluster[i]
+		q := clusterQuery{
+			reads: float64(h.Reads()), writes: float64(h.Writes()),
+			read: newSparseHist(h.Read), write: newSparseHist(h.Write),
+		}
+		p.query[i] = q
+		p.top = max(p.top, q.read.top(), q.write.top())
+	}
 }
 
 // HeapBytes returns the memory the profile's tables hold: 8 bytes per
 // slot of each cluster's Read and Write histograms and per Issue and
-// ReadRefs entry. The sweep engine's profile cache charges a profile
-// this much.
+// ReadRefs entry, and 12 per nonzero slot the query form lists. The
+// sweep engine's profile cache charges a profile this much.
 func (p *Profile) HeapBytes() int64 {
 	var n int
 	for i := range p.Cluster {
@@ -144,7 +220,11 @@ func (p *Profile) HeapBytes() int64 {
 	for i := range p.Issue {
 		n += len(p.Issue[i]) + len(p.ReadRefs[i])
 	}
-	return int64(n) * 8
+	var listed int
+	for i := range p.query {
+		listed += len(p.query[i].read.dist) + len(p.query[i].write.dist)
+	}
+	return int64(n)*8 + int64(listed)*12
 }
 
 // accessesOf maps a trace record to its cache accesses, mirroring the
@@ -246,6 +326,7 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 			copy(issue, clk)
 		}
 	}
+	p.finish()
 	return p, nil
 }
 
@@ -347,5 +428,6 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		p.ReadRefs[0][s] += reads
 		tree.Set(s, sched.Key(s, clk[s]))
 	}
+	p.finish()
 	return p, nil
 }

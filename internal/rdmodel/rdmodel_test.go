@@ -514,6 +514,7 @@ func naiveBuildProfile(c *trace.Compiled, clusters, capLines int) *Profile {
 		}
 		copy(p.Issue[phase], clk)
 	}
+	p.finish()
 	return p
 }
 
@@ -610,6 +611,7 @@ func naiveBuildScheduledProfile(name string, processes [][]mem.Ref, slots int, q
 		clk[s] += uint64(reads + writes)
 		p.ReadRefs[0][s] += uint64(reads)
 	}
+	p.finish()
 	return p
 }
 

@@ -54,7 +54,7 @@ func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, err
 	// pass over the streams is negligible against the run.
 	var expRefs uint64
 	var maxLine uint32
-	shift := s.cfg.LineShift()
+	shift := s.lineShift
 	for i := range processes {
 		for _, r := range processes[i].Refs {
 			if r.Kind == mem.Idle {

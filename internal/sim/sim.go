@@ -224,6 +224,9 @@ func (lt *lockTable) release(addr uint32)        { delete(lt.held, addr) }
 type system struct {
 	cfg  sysmodel.Config
 	opts Options
+	// lineShift is cfg.LineShift(), which evictions and the multiprog
+	// footprint scan read per line.
+	lineShift uint32
 	// sccs[c] is cluster c's SCC; nil in the private hierarchy.
 	sccs []*scc.SCC
 	// private[p] is processor p's cache in the private hierarchy; nil
@@ -283,7 +286,7 @@ func newSystem(cfg sysmodel.Config, opts Options) (*system, error) {
 	if hier == sysmodel.HierarchyPrivate {
 		n = procs
 	}
-	s := &system{cfg: cfg, opts: opts, locks: newLockTable(), cluster: make([]int32, procs), owner: make([]int, procs)}
+	s := &system{cfg: cfg, opts: opts, lineShift: cfg.LineShift(), locks: newLockTable(), cluster: make([]int32, procs), owner: make([]int, procs)}
 	for p := range s.owner {
 		s.owner[p] = p
 	}
@@ -582,7 +585,7 @@ func (s *system) missFrom(p, c int, t uint64, addr uint32, kind mem.Kind,
 		if gone != cache.EvictedNone && s.l1 != nil {
 			// Inclusion: the buffer pushed a parked line out of the SCC
 			// without a bus notice, so its L1 copies go here.
-			s.invalidateL1s(c, gone<<s.cfg.LineShift(), -1)
+			s.invalidateL1s(c, gone<<s.lineShift, -1)
 		}
 		if hit {
 			// The buffer held the line: it swapped back without a bus
@@ -604,7 +607,7 @@ func (s *system) missFrom(p, c int, t uint64, addr uint32, kind mem.Kind,
 			// Inclusion: the line leaves the cluster's L1s before the bus
 			// learns of it, so a bus-level probe never finds an L1-only
 			// copy.
-			s.invalidateL1s(c, evicted<<s.cfg.LineShift(), -1)
+			s.invalidateL1s(c, evicted<<s.lineShift, -1)
 		}
 		s.bus.Evicted(t, c, evicted, evictedDirty)
 	}

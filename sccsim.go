@@ -275,10 +275,11 @@ func resolve(opts []Opt) (expCfg, error) {
 		return c, err
 	}
 	// Applied after all opts so a later WithSimOptions cannot silently
-	// drop an earlier WithVerify.
+	// drop an earlier WithVerify or WithMetrics.
 	if c.verify && c.sim.Verify == nil {
 		c.sim.Verify = &verify.Options{}
 	}
+	c.sim.Metrics = c.metrics
 	// Stamp the request ID onto every log line the experiment emits, so
 	// callers never have to remember to do it per site.
 	if c.logger != nil && c.requestID != "" {
@@ -337,7 +338,6 @@ func Do(ctx context.Context, w Workload, opts ...Opt) (*Point, error) {
 		c.logger.Debug("point start",
 			"workload", string(w), "backend", string(c.backend))
 	}
-	c.sim.Metrics = c.metrics
 	eng, err := c.engine()
 	if err != nil {
 		return nil, err
@@ -379,7 +379,6 @@ func SweepCtx(ctx context.Context, w Workload, opts ...Opt) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sim.Metrics = c.metrics
 	eng, err := c.engine()
 	if err != nil {
 		return nil, err

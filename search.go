@@ -202,7 +202,6 @@ func SearchCtx(ctx context.Context, w Workload, spec SearchSpec, opts ...Opt) (r
 		a := c.axes
 		spec.Axes = &a
 	}
-	c.sim.Metrics = c.metrics
 	eng, err := c.engine()
 	if err != nil {
 		return nil, err
