@@ -55,7 +55,7 @@ func costEntries(b *testing.B) []*sccsim.CostPerfEntry {
 	b.Helper()
 	entriesOnce.Do(func() {
 		for _, w := range sccsim.AllWorkloads {
-			e, err := sccsim.BuildCostPerfEntry(w, benchScale())
+			e, err := sccsim.BuildCostPerfEntryCtx(context.Background(), w, sccsim.WithScale(benchScale()))
 			if err != nil {
 				entriesErr = err
 				return

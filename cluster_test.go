@@ -27,7 +27,7 @@ func TestSweepWithClusterFallsBackWhenRemoteFails(t *testing.T) {
 
 	got, err := sccsim.SweepCtx(ctx, sccsim.BarnesHut,
 		sccsim.WithScale(sccsim.QuickScale()),
-		sccsim.WithCluster(remoteFunc(func(ctx context.Context, rp sccsim.RemotePoint) (*sccsim.Point, error) {
+		sccsim.WithCluster(remoteFunc(func(ctx context.Context, w sccsim.Workload, ppc, sccBytes int) (*sccsim.Point, error) {
 			return nil, errors.New("no workers")
 		})))
 	if err != nil {
@@ -40,8 +40,8 @@ func TestSweepWithClusterFallsBackWhenRemoteFails(t *testing.T) {
 }
 
 // remoteFunc adapts a function to the Remote interface for tests.
-type remoteFunc func(ctx context.Context, rp sccsim.RemotePoint) (*sccsim.Point, error)
+type remoteFunc func(ctx context.Context, w sccsim.Workload, ppc, sccBytes int) (*sccsim.Point, error)
 
-func (f remoteFunc) RunPoint(ctx context.Context, rp sccsim.RemotePoint) (*sccsim.Point, error) {
-	return f(ctx, rp)
+func (f remoteFunc) RunPoint(ctx context.Context, w sccsim.Workload, ppc, sccBytes int) (*sccsim.Point, error) {
+	return f(ctx, w, ppc, sccBytes)
 }

@@ -7,10 +7,10 @@
 // HTTP route the serve package registers, head no section with a route
 // it does not register, and mention every JSON field of its request
 // bodies (the three POST bodies, ScaleSpec and SimSpec), the
-// design-space guide must
-// name every sccsim.Spec field and every architecture axis (so a new
-// sweep axis cannot ship undocumented), and relative markdown links
-// must resolve to files that exist.
+// design-space guide must name every With* option of the facade and
+// every architecture axis (so a new option or sweep axis cannot ship
+// undocumented), and relative markdown links must resolve to files that
+// exist.
 //
 // Usage:
 //
@@ -19,9 +19,11 @@
 // Each DIR is parsed as one Go package (test files excluded). Problems
 // are listed one per line on stderr and the exit code is non-zero when
 // any are found, so `make docs-check` and CI fail loudly. The source
-// checks are purely static; -api and -design reflect over the request
-// bodies and the library's Spec and Axes types so the field lists can
-// never drift from the code.
+// checks are purely static; -design takes the option names from the
+// parsed facade (the DIR whose package declares Opt: its exported With*
+// constructors), and -api and -design reflect over the request bodies
+// and the library's Axes type, so the name lists can never drift from
+// the code.
 package main
 
 import (
@@ -60,19 +62,20 @@ func cli(args []string) int {
 	fs := flag.NewFlagSet("docscheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	apiDoc := fs.String("api", "", "markdown file that must mention every serve route and request field")
-	designDoc := fs.String("design", "", "markdown file that must name every sccsim.Spec field and Axes axis")
+	designDoc := fs.String("design", "", "markdown file that must name every With* option of the facade (which must be among the DIRs) and every Axes axis")
 	links := fs.String("links", "", "comma-separated markdown files/directories whose relative links must resolve")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var problems []string
+	var problems, options []string
 	for _, dir := range fs.Args() {
-		ps, err := checkDir(dir)
+		ps, opts, err := checkDir(dir)
 		if err != nil {
 			fmt.Fprintf(stderr, "docscheck: %v\n", err)
 			return 2
 		}
 		problems = append(problems, ps...)
+		options = append(options, opts...)
 	}
 	if *apiDoc != "" {
 		ps, err := checkAPIDoc(*apiDoc, serve.Routes(), requestFields())
@@ -83,7 +86,11 @@ func cli(args []string) int {
 		problems = append(problems, ps...)
 	}
 	if *designDoc != "" {
-		ps, err := checkDesignDoc(*designDoc)
+		if len(options) == 0 {
+			fmt.Fprintln(stderr, "docscheck: -design needs the facade (the package declaring Opt and its With* options) among the DIRs")
+			return 2
+		}
+		ps, err := checkDesignDoc(*designDoc, options)
 		if err != nil {
 			fmt.Fprintf(stderr, "docscheck: %v\n", err)
 			return 2
@@ -109,16 +116,17 @@ func cli(args []string) int {
 }
 
 // checkDir parses the package in dir and returns one problem string per
-// undocumented exported identifier.
-func checkDir(dir string) ([]string, error) {
+// undocumented exported identifier, and the names of the package's
+// options: the exported functions that return its type Opt (the
+// facade's With* options).
+func checkDir(dir string) (problems, options []string, err error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var problems []string
 	for name, pkg := range pkgs {
 		if strings.HasSuffix(name, "_test") {
 			continue
@@ -170,6 +178,11 @@ func checkDir(dir string) ([]string, error) {
 			values("const", t.Consts)
 			values("var", t.Vars)
 			funcs("", t.Funcs)
+			if t.Name == "Opt" {
+				for _, f := range t.Funcs {
+					options = append(options, f.Name)
+				}
+			}
 			var methodPrefix = t.Name + "."
 			for _, m := range t.Methods {
 				if !ast.IsExported(m.Name) {
@@ -183,7 +196,7 @@ func checkDir(dir string) ([]string, error) {
 			}
 		}
 	}
-	return problems, nil
+	return problems, options, nil
 }
 
 // deprecatedWithoutPointer reports whether a doc comment carries a
@@ -230,27 +243,19 @@ func requestFields() []string {
 		reflect.TypeOf(serve.SearchRequest{}), reflect.TypeOf(serve.ScaleSpec{}), reflect.TypeOf(serve.SimSpec{}))
 }
 
-// specAxisNames collects the names the design-space guide must carry:
-// every field of the declarative sccsim.Spec (its JSON names — the Go
-// field names, since Spec carries no tags) and every architecture axis
-// of sccsim.Axes (its wire tags). Reflection keeps the list in
-// lockstep with the code: adding a Spec field or an axis without
-// documenting it fails `make docs-check`.
-func specAxisNames() []string {
-	return jsonNames(reflect.TypeOf(sccsim.Spec{}), reflect.TypeOf(sccsim.Axes{}))
-}
-
-// checkDesignDoc verifies every Spec field and Axes axis name appears
-// in the design-space guide.
-func checkDesignDoc(path string) ([]string, error) {
+// checkDesignDoc verifies the design-space guide names every option
+// (the facade's With* functions, as checkDir found them) and every
+// architecture axis of sccsim.Axes (its wire tags, by reflection):
+// adding either without documenting it fails `make docs-check`.
+func checkDesignDoc(path string, options []string) ([]string, error) {
 	content, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
-	for _, name := range specAxisNames() {
+	for _, name := range append(options, jsonNames(reflect.TypeOf(sccsim.Axes{}))...) {
 		if !strings.Contains(string(content), name) {
-			problems = append(problems, fmt.Sprintf("%s: design-space axis/field %q is not documented", path, name))
+			problems = append(problems, fmt.Sprintf("%s: design-space option/axis %q is not documented", path, name))
 		}
 	}
 	return problems, nil

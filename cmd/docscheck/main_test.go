@@ -252,26 +252,48 @@ const C = 1
 	}
 }
 
-// TestDesignDocCheck: the design-space guide must name every Spec
-// field and Axes axis; a doc missing one fails with a problem naming
-// it, and the repository's real guide passes.
+// TestDesignDocCheck: the design-space guide must name every With*
+// option of the facade among the DIRs (the package declaring Opt) and
+// every Axes axis; a doc missing one fails with a problem naming it,
+// -design without the facade is a usage error, and the repository's
+// real guide passes.
 func TestDesignDocCheck(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "design.md")
-	if err := os.WriteFile(bad, []byte("Scale Sim Config ProcsPerCluster SCCBytes Axes Parallelism TraceCacheDir Verify Backend Cluster line_bytes assoc repl hierarchy"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, errOut := runCLI(t, "-design", bad)
-	if code != 1 || !strings.Contains(errOut, `"l1_bytes" is not documented`) {
-		t.Errorf("missing axis: exit %d, stderr:\n%s", code, errOut)
-	}
+	facade := writePkg(t, `// Package p is a facade.
+package p
 
-	good := filepath.Join(dir, "good.md")
-	if err := os.WriteFile(good, []byte("Scale Sim Config ProcsPerCluster SCCBytes Axes Parallelism TraceCacheDir Verify Backend Cluster line_bytes assoc repl hierarchy l1_bytes"), 0o644); err != nil {
-		t.Fatal(err)
+// Opt configures a run.
+type Opt func()
+
+// WithA is an option.
+func WithA() Opt { return nil }
+
+// WithB is an option added later.
+func WithB() Opt { return nil }
+`)
+	const axes = " line_bytes assoc repl hierarchy l1_bytes"
+	dir := t.TempDir()
+	for _, tc := range []struct{ doc, missing string }{
+		{"WithA" + axes, "WithB"},
+		{"WithA WithB line_bytes assoc repl hierarchy", "l1_bytes"},
+		{"WithA WithB" + axes, ""},
+	} {
+		path := filepath.Join(dir, "design.md")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, errOut := runCLI(t, "-design", path, facade)
+		switch {
+		case tc.missing == "" && code != 0:
+			t.Errorf("complete doc: exit %d, stderr:\n%s", code, errOut)
+		case tc.missing != "" && (code != 1 || !strings.Contains(errOut, `"`+tc.missing+`" is not documented`)):
+			t.Errorf("doc without %s: exit %d, stderr:\n%s", tc.missing, code, errOut)
+		}
 	}
-	if code, errOut := runCLI(t, "-design", good); code != 0 {
-		t.Errorf("complete doc: exit %d, stderr:\n%s", code, errOut)
+	if code, errOut := runCLI(t, "-design", filepath.Join(dir, "design.md")); code != 2 {
+		t.Errorf("-design without the facade: exit %d, want 2; stderr:\n%s", code, errOut)
+	}
+	if code, errOut := runCLI(t, "-design", "../../docs/DESIGN-SPACE.md", "../.."); code != 0 {
+		t.Errorf("the real design-space guide: exit %d, stderr:\n%s", code, errOut)
 	}
 }
 

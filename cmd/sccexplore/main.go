@@ -87,6 +87,7 @@ import (
 	"time"
 
 	"sccsim"
+	"sccsim/internal/trace"
 )
 
 // stdout receives experiment results only; stderr receives every
@@ -199,6 +200,18 @@ func cli(args []string) int {
 		return 2
 	}
 
+	// The trace cache opens once, here, so an unusable directory fails
+	// before any experiment runs.
+	var traceStore sccsim.TraceStore
+	if *traceCacheDir != "" {
+		dc, err := trace.NewDiskCache(*traceCacheDir)
+		if err != nil {
+			fmt.Fprintf(stderr, "sccexplore: %v\n", err)
+			return 1
+		}
+		traceStore = dc
+	}
+
 	// The metrics registry feeds two consumers: the expvar endpoint
 	// (live, while running) and the manifest's metrics snapshot (final).
 	var metrics *sccsim.Metrics
@@ -233,8 +246,8 @@ func cli(args []string) int {
 		if metrics != nil {
 			o = append(o, sccsim.WithMetrics(metrics))
 		}
-		if *traceCacheDir != "" {
-			o = append(o, sccsim.WithTraceCache(*traceCacheDir))
+		if traceStore != nil {
+			o = append(o, sccsim.WithTraceStore(traceStore))
 		}
 		if *verifyRuns {
 			o = append(o, sccsim.WithVerify())

@@ -169,13 +169,14 @@ func TestBuildCostPerfEntryCtx(t *testing.T) {
 		}
 	}
 	sccsim.ResetTraceCache()
-	old, err := sccsim.BuildCostPerfEntry(sccsim.Cholesky, s)
+	serial, err := sccsim.BuildCostPerfEntryCtx(context.Background(), sccsim.Cholesky,
+		sccsim.WithScale(s), sccsim.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ppc, raw := range old.RawCycles {
+	for ppc, raw := range serial.RawCycles {
 		if e.RawCycles[ppc] != raw {
-			t.Errorf("%dP: ctx entry %d cycles, serial %d", ppc, e.RawCycles[ppc], raw)
+			t.Errorf("%dP: parallel entry %d cycles, serial %d", ppc, e.RawCycles[ppc], raw)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,7 +27,7 @@ func main() {
 
 	var entries []*sccsim.CostPerfEntry
 	for _, w := range sccsim.AllWorkloads {
-		e, err := sccsim.BuildCostPerfEntry(w, scale)
+		e, err := sccsim.BuildCostPerfEntryCtx(context.Background(), w, sccsim.WithScale(scale))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sccsim_test
 
 import (
+	"context"
 	"testing"
 
 	"sccsim"
@@ -78,7 +79,7 @@ func TestPaperHeadlines(t *testing.T) {
 	t.Run("Tables6And7", func(t *testing.T) {
 		var entries []*sccsim.CostPerfEntry
 		for _, w := range sccsim.AllWorkloads {
-			e, err := sccsim.BuildCostPerfEntry(w, scale)
+			e, err := sccsim.BuildCostPerfEntryCtx(context.Background(), w, sccsim.WithScale(scale))
 			if err != nil {
 				t.Fatal(err)
 			}

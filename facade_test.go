@@ -1,6 +1,7 @@
 package sccsim_test
 
 import (
+	"context"
 	"testing"
 
 	"sccsim"
@@ -79,7 +80,8 @@ func TestRunWithOptionsAPI(t *testing.T) {
 }
 
 func TestBuildCostPerfEntryAPI(t *testing.T) {
-	e, err := sccsim.BuildCostPerfEntry(sccsim.Cholesky, sccsim.QuickScale())
+	e, err := sccsim.BuildCostPerfEntryCtx(context.Background(), sccsim.Cholesky,
+		sccsim.WithScale(sccsim.QuickScale()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,10 @@ func TestGoldenPinnedValues(t *testing.T) {
 }
 
 // TestGoldenDefaultAxesByteIdentical pins the widening contract of the
-// architecture axes: a zero Axes overlay — whether passed as an option,
-// through the declarative Spec, or not at all — produces the identical
-// grid, byte for byte. A failure means the axes stopped being a pure
-// overlay and have started perturbing the paper-default configurations.
+// architecture axes: a zero Axes overlay — passed as an option or not
+// at all — produces the identical grid, byte for byte. A failure means
+// the axes stopped being a pure overlay and have started perturbing the
+// paper-default configurations.
 func TestGoldenDefaultAxesByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	base, err := sccsim.SweepCtx(ctx, sccsim.MP3D, sccsim.WithScale(sccsim.QuickScale()))
@@ -80,10 +80,6 @@ func TestGoldenDefaultAxesByteIdentical(t *testing.T) {
 	}
 	variants := map[string][]sccsim.Opt{
 		"zero WithAxes": {sccsim.WithScale(sccsim.QuickScale()), sccsim.WithAxes(sccsim.Axes{})},
-		"zero Spec.Axes": func() []sccsim.Opt {
-			q := sccsim.QuickScale()
-			return sccsim.Spec{Scale: &q, Axes: &sccsim.Axes{}}.Opts()
-		}(),
 	}
 	for name, opts := range variants {
 		g, err := sccsim.SweepCtx(ctx, sccsim.MP3D, opts...)

@@ -46,18 +46,12 @@ func Adjusted(w explorer.Workload, ppc int, raw uint64) float64 {
 	return float64(raw) * pipeline.RelTimeFor(string(w), lat)
 }
 
-// BuildEntry simulates the four Section 4 implementations for one
-// workload.
-func BuildEntry(w explorer.Workload, s explorer.Scale, opts sim.Options) (*Entry, error) {
-	return BuildEntryCtx(context.Background(), w, s, opts, explorer.EngineOptions{})
-}
-
-// BuildEntryCtx is BuildEntry on the concurrent sweep engine: the four
-// implementation points are independent simulations and run on the
-// engine's worker pool, honoring ctx cancellation. It reads only their
-// cycles, so it asks explorer.ExactCycles, which simulates only the
-// points no earlier exact run in the process has (a grid sweep holds
-// all four).
+// BuildEntryCtx simulates the four Section 4 implementations for one
+// workload on the concurrent sweep engine: the four points are
+// independent simulations and run on the engine's worker pool, honoring
+// ctx cancellation. It reads only their cycles, so it asks
+// explorer.ExactCycles, which simulates only the points no earlier
+// exact run in the process has (a grid sweep holds all four).
 func BuildEntryCtx(ctx context.Context, w explorer.Workload, s explorer.Scale, opts sim.Options, eng explorer.EngineOptions) (*Entry, error) {
 	e := &Entry{
 		Workload:  w,

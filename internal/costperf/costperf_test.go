@@ -1,6 +1,7 @@
 package costperf
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func buildAll(t *testing.T) []*Entry {
 	s := explorer.QuickScale()
 	var entries []*Entry
 	for _, w := range explorer.AllWorkloads {
-		e, err := BuildEntry(w, s, sim.Options{})
+		e, err := BuildEntryCtx(context.Background(), w, s, sim.Options{}, explorer.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

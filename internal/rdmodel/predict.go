@@ -127,6 +127,11 @@ func (p *Profile) Predict(sccBytes, assoc int) (*Prediction, error) {
 // entries before it, so a table cut at any length holds the same floats
 // as a longer one, and every caller computes them in the same order:
 // their estimates agree bit for bit.
+//
+// X_d <= d, so until d reaches assoc-1 (the ramp-up) the states above
+// d hold exact zeros: the sum stops at k = d and the step at k = d+1,
+// skipping only additions of zero, which leaves every float as the
+// full recurrence computes it at O(top·min(top, A)) cost.
 func missProbs(pmiss []float64, lines, assoc int) {
 	if assoc == 1 {
 		surv := 1.0
@@ -138,18 +143,31 @@ func missProbs(pmiss []float64, lines, assoc int) {
 		return
 	}
 	q := float64(assoc) / float64(lines)
+	stay := 1 - q
 	pk := make([]float64, assoc)
 	pk[0] = 1
-	for d := range pmiss {
+	ramp := min(len(pmiss), assoc-1)
+	for d := 0; d < ramp; d++ {
 		var pHit float64
-		for k := 0; k < assoc; k++ {
-			pHit += pk[k]
+		for _, p := range pk[:d+1] {
+			pHit += p
 		}
 		pmiss[d] = 1 - pHit
-		for k := assoc - 1; k > 0; k-- {
-			pk[k] = pk[k]*(1-q) + pk[k-1]*q
+		for k := d + 1; k > 0; k-- {
+			pk[k] = pk[k]*stay + pk[k-1]*q
 		}
-		pk[0] *= 1 - q
+		pk[0] *= stay
+	}
+	for d := ramp; d < len(pmiss); d++ {
+		var pHit float64
+		for _, p := range pk {
+			pHit += p
+		}
+		pmiss[d] = 1 - pHit
+		for k := len(pk) - 1; k > 0; k-- {
+			pk[k] = pk[k]*stay + pk[k-1]*q
+		}
+		pk[0] *= stay
 	}
 }
 

@@ -1,6 +1,7 @@
 package rdmodel
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,10 +11,65 @@ import (
 	"sccsim/internal/trace"
 )
 
+// fullMissProbs is the reference for missProbs: the same recurrence
+// with every one of the assoc states summed and advanced at every
+// distance, zeros included.
+func fullMissProbs(pmiss []float64, lines, assoc int) {
+	if assoc == 1 {
+		surv := 1.0
+		decay := 1 - 1/float64(lines)
+		for d := range pmiss {
+			pmiss[d] = 1 - surv
+			surv *= decay
+		}
+		return
+	}
+	q := float64(assoc) / float64(lines)
+	pk := make([]float64, assoc)
+	pk[0] = 1
+	for d := range pmiss {
+		var pHit float64
+		for k := 0; k < assoc; k++ {
+			pHit += pk[k]
+		}
+		pmiss[d] = 1 - pHit
+		for k := assoc - 1; k > 0; k-- {
+			pk[k] = pk[k]*(1-q) + pk[k-1]*q
+		}
+		pk[0] *= 1 - q
+	}
+}
+
+// TestMissProbsMatchFullRecurrence: missProbs, which sums and advances
+// only the states a distance can reach, fills exactly the full
+// recurrence's floats at 2, 4 and 8 ways and at half and all of the
+// lines, in tables shorter and longer than the associativity.
+func TestMissProbsMatchFullRecurrence(t *testing.T) {
+	for _, lines := range []int{256, 1024, 32768} {
+		for _, assoc := range []int{2, 4, 8, lines / 2, lines} {
+			for _, top := range []int{1, assoc - 1, assoc, 2*assoc + 3, 3000} {
+				if top < 1 || top > 3000 {
+					continue // keeps the reference's O(top·A) cost small
+				}
+				got, want := make([]float64, top), make([]float64, top)
+				missProbs(got, lines, assoc)
+				fullMissProbs(want, lines, assoc)
+				for d := range want {
+					if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+						t.Fatalf("%d lines, %d-way, table of %d: pmiss[%d] = %v, full recurrence %v",
+							lines, assoc, top, d, got[d], want[d])
+					}
+				}
+			}
+		}
+	}
+}
+
 // densePredict is the dense reference for Predict: a miss-probability
-// table as long as the cap, and every slot of every histogram scanned,
-// with sizes past the cap clamped to cap lines of at most cap ways.
-// Predict and Curve.At must agree with it bit for bit.
+// table as long as the cap from the full recurrence, and every slot of
+// every histogram scanned, with sizes past the cap clamped to cap lines
+// of at most cap ways. Predict and Curve.At must agree with it bit for
+// bit.
 func densePredict(p *Profile, sccBytes, assoc int) *Prediction {
 	lines := sccBytes / sysmodel.LineSize
 	pred := &Prediction{
@@ -25,7 +81,7 @@ func densePredict(p *Profile, sccBytes, assoc int) *Prediction {
 		assoc = min(assoc, lines)
 	}
 	pmiss := make([]float64, p.Cap)
-	missProbs(pmiss, lines, assoc)
+	fullMissProbs(pmiss, lines, assoc)
 	rates := make([]float64, len(p.Cluster))
 	for i := range p.Cluster {
 		h := &p.Cluster[i]

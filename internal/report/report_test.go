@@ -74,7 +74,7 @@ func TestTables6And7Render(t *testing.T) {
 	s := explorer.QuickScale()
 	var entries []*costperf.Entry
 	for _, w := range []explorer.Workload{explorer.BarnesHut, explorer.Cholesky} {
-		e, err := costperf.BuildEntry(w, s, sim.Options{})
+		e, err := costperf.BuildEntryCtx(context.Background(), w, s, sim.Options{}, explorer.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 // The cluster client: how a coordinator's sweep reaches its workers. A
 // sweep job hands the engine an httpCluster over the registry's healthy
-// workers (clusterRemote); the engine offers it every design point and
-// simulates locally whenever it fails. Each point travels as the
-// PointRequest a worker's handlePoint decodes — the same type on both
-// ends, so the two cannot drift.
+// workers and its own experiment (clusterRemote); the engine offers it
+// every design point and simulates locally whenever it fails. Each
+// point travels as the sweep's experiment made a point job, encoded as
+// the PointRequest a worker's handlePoint decodes — the same type on
+// both ends, so the two cannot drift, and a field added to the
+// experiment reaches workers without a change here.
 
 package serve
 
@@ -42,23 +44,26 @@ type httpCluster struct {
 	retries   int
 	backoff   time.Duration
 	timeout   time.Duration
-	requestID string // sent as X-Request-ID ("": none)
+	exp       experiment // the sweep's; each point posts it as a point job
+	requestID string     // sent as X-Request-ID ("": none)
 
 	mu      sync.Mutex
 	workers []clusterWorker
 	next    int
 }
 
-// newHTTPCluster builds the client over worker base URLs, taking its
-// retries, backoff and per-attempt timeout from o, and stamping every
-// point it posts with requestID. An empty worker list makes every
-// RunPoint fail, i.e. the sweep runs fully local.
-func newHTTPCluster(urls []string, o ClusterOptions, requestID string) *httpCluster {
+// newHTTPCluster builds the client for the sweep experiment e over
+// worker base URLs, taking its retries, backoff and per-attempt timeout
+// from o, and stamping every point it posts with requestID. An empty
+// worker list makes every RunPoint fail, i.e. the sweep runs fully
+// local.
+func newHTTPCluster(urls []string, o ClusterOptions, e experiment, requestID string) *httpCluster {
 	c := &httpCluster{
 		client:    &http.Client{},
 		retries:   o.Retries,
 		backoff:   time.Duration(o.BackoffMS) * time.Millisecond,
 		timeout:   time.Duration(o.PointTimeoutMS) * time.Millisecond,
+		exp:       e,
 		requestID: requestID,
 	}
 	if c.retries <= 0 {
@@ -110,26 +115,27 @@ func (c *httpCluster) markDown(url string) {
 	}
 }
 
-// pointRequest is the body that asks a worker for rp: the point the
-// coordinator would otherwise simulate itself, its scale spelled out so
-// worker-side presets cannot drift, capped by the attempt timeout.
-func pointRequest(rp sccsim.RemotePoint, timeout time.Duration) PointRequest {
-	scale := ScaleSpec(rp.Scale)
-	sim := simSpecOf(rp.Sim, rp.Verify)
+// pointRequest is the body that asks a worker for the point experiment
+// e, its scale spelled out so worker-side presets cannot drift, capped
+// by timeout (0: the worker's default).
+func pointRequest(e experiment, timeout time.Duration) PointRequest {
+	scale := e.Scale
 	return PointRequest{
-		Workload: string(rp.Workload), Backend: rp.Backend, ScaleSpec: &scale,
-		ProcsPerCluster: rp.ProcsPerCluster, SCCBytes: rp.SCCBytes,
-		Sim: absentIfZero(&sim), Axes: absentIfZero(&rp.Axes),
+		Workload: string(e.Workload), Backend: string(e.Backend), ScaleSpec: &scale,
+		ProcsPerCluster: e.PPC, SCCBytes: e.SCCBytes, Sim: e.Sim, Axes: e.Axes,
 		TimeoutMS: timeout.Milliseconds(),
 	}
 }
 
-// RunPoint posts the design point to a worker and decodes the result,
-// retrying on other workers (with exponential backoff and per-worker
-// cooldown) before giving up. Any terminal error means "the caller
-// simulates locally"; context cancellation aborts immediately.
-func (c *httpCluster) RunPoint(ctx context.Context, rp sccsim.RemotePoint) (*sccsim.Point, error) {
-	body, err := json.Marshal(pointRequest(rp, c.timeout))
+// RunPoint posts the sweep's experiment at the design point to a worker
+// and decodes the result, retrying on other workers (with exponential
+// backoff and per-worker cooldown) before giving up. Any terminal error
+// means "the caller simulates locally"; context cancellation aborts
+// immediately.
+func (c *httpCluster) RunPoint(ctx context.Context, w sccsim.Workload, procsPerCluster, sccBytes int) (*sccsim.Point, error) {
+	e := c.exp
+	e.Kind, e.Workload, e.PPC, e.SCCBytes = jobPoint, w, procsPerCluster, sccBytes
+	body, err := json.Marshal(pointRequest(e, c.timeout))
 	if err != nil {
 		return nil, err
 	}

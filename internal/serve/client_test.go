@@ -1,5 +1,5 @@
 // Tests of the cluster client: the body it posts is the worker's own
-// PointRequest and resolves to the coordinator's experiment, failed
+// PointRequest and resolves to the sweep's experiment at the point, failed
 // workers are retried elsewhere and cooled down, and terminal failures
 // are bounded errors that hand the point back to the local fallback.
 
@@ -7,60 +7,26 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"sccsim"
 )
 
-// fillData sets every data field of the struct v points at to a
-// distinct non-zero value, starting after *n. Pointers, interfaces and
-// funcs are observers (tracers, metrics, checkers), not data, and stay
-// unset: they never cross the wire.
-func fillData(t *testing.T, v reflect.Value, n *int) {
-	v = v.Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Pointer, reflect.Interface, reflect.Func:
-			continue
-		case reflect.Int, reflect.Int64:
-			*n++
-			f.SetInt(int64(*n))
-		case reflect.Uint64:
-			*n++
-			f.SetUint(uint64(*n))
-		case reflect.String:
-			*n++
-			f.SetString(fmt.Sprintf("v%d", *n))
-		default:
-			t.Fatalf("%s.%s: no test value for a %s field", v.Type(), v.Type().Field(i).Name, f.Type())
-		}
-	}
-}
-
-// TestHTTPClusterBodyRoundTrip: the body the cluster client posts for a
-// remote point decodes strictly on a worker and resolves to the
-// experiment the coordinator would run itself. Every data field of the
-// point's Scale, simulator Options and Axes is set (found by
-// reflection), plus Verify and Backend, so a field the client drops, or
-// one a worker cannot decode, fails here.
+// TestHTTPClusterBodyRoundTrip: the body the cluster client posts for
+// a design point decodes strictly on a worker and resolves to the
+// sweep's own experiment made a point job at that point. Every leaf a
+// sweep carries — workload, backend, and each field of its scale, sim
+// and axes, enumerated as TestExperimentKey does — is set in turn, so a
+// leaf the client drops, or one a worker cannot decode, fails here.
 func TestHTTPClusterBodyRoundTrip(t *testing.T) {
-	rp := sccsim.RemotePoint{
-		Workload: sccsim.BarnesHut, ProcsPerCluster: 2, SCCBytes: 32 * 1024,
-		Verify: true, Backend: string(sccsim.BackendExact),
-	}
-	n := 0
-	fillData(t, reflect.ValueOf(&rp.Scale), &n)
-	fillData(t, reflect.ValueOf(&rp.Sim), &n)
-	fillData(t, reflect.ValueOf(&rp.Axes), &n)
-
 	got := make(chan experiment, 1)
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/point" || r.Method != http.MethodPost {
@@ -83,31 +49,40 @@ func TestHTTPClusterBodyRoundTrip(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	pt, err := newHTTPCluster([]string{worker.URL}, ClusterOptions{}, "").RunPoint(context.Background(), rp)
+	ctx := context.Background()
+	for _, path := range leafPaths(reflect.TypeOf(experiment{}), nil) {
+		sweep := experiment{Kind: jobSweep, Workload: sccsim.BarnesHut, Backend: sccsim.BackendExact}
+		name := setLeaf(t, reflect.ValueOf(&sweep).Elem(), path)
+		switch {
+		case name == "Kind" || name == "PPC" || name == "SCCBytes" || strings.HasPrefix(name, "Search."):
+			continue // the point sets these; a sweep carries no search
+		case name == "Workload":
+			sweep.Workload = sccsim.MP3D
+		case name == "Backend":
+			sweep.Backend = sccsim.BackendAnalytic
+		}
+		pt, err := newHTTPCluster([]string{worker.URL}, ClusterOptions{}, sweep, "").RunPoint(ctx, sweep.Workload, 2, 32*1024)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if pt.Config.ProcsPerCluster != 2 || pt.Result == nil {
+			t.Fatalf("%s: remote point = %+v", name, pt)
+		}
+		want := sweep
+		want.Kind, want.PPC, want.SCCBytes = jobPoint, 2, 32*1024
+		if e := <-got; !reflect.DeepEqual(e, want) {
+			t.Errorf("%s: the worker resolves the posted body to\n%s, want\n%s", name, mustJSON(t, e), mustJSON(t, want))
+		}
+	}
+}
+
+// mustJSON renders v for a failure message.
+func mustJSON(t *testing.T, v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Config.ProcsPerCluster != 2 || pt.Result == nil {
-		t.Fatalf("remote point = %+v", pt)
-	}
-	e := <-got
-	spec := e.spec(0)
-	wantSim := rp.Sim
-	wantSim.Tracer, wantSim.Metrics, wantSim.Verify = nil, nil, nil
-	switch {
-	case e.Kind != jobPoint || e.Workload != rp.Workload:
-		t.Errorf("worker runs a %s of %s", e.Kind, e.Workload)
-	case spec.ProcsPerCluster != rp.ProcsPerCluster || spec.SCCBytes != rp.SCCBytes:
-		t.Errorf("worker runs point %dP/%dB, want %dP/%dB", spec.ProcsPerCluster, spec.SCCBytes, rp.ProcsPerCluster, rp.SCCBytes)
-	case *spec.Scale != rp.Scale:
-		t.Errorf("worker scale %+v, want %+v", *spec.Scale, rp.Scale)
-	case spec.Sim == nil || *spec.Sim != wantSim:
-		t.Errorf("worker simulator options %+v, want %+v", spec.Sim, wantSim)
-	case spec.Verify != rp.Verify || spec.Backend != rp.Backend:
-		t.Errorf("worker verify %t backend %q, want %t %q", spec.Verify, spec.Backend, rp.Verify, rp.Backend)
-	case spec.Axes == nil || *spec.Axes != rp.Axes:
-		t.Errorf("worker axes %+v, want %+v", spec.Axes, rp.Axes)
-	}
+	return string(b)
 }
 
 // TestHTTPClusterRetriesAcrossWorkers: a failing worker's point is
@@ -136,12 +111,10 @@ func TestHTTPClusterRetriesAcrossWorkers(t *testing.T) {
 	}))
 	defer live.Close()
 
-	c := newHTTPCluster([]string{dead.URL, live.URL}, ClusterOptions{Retries: 3, BackoffMS: 1}, reqID)
-	rp := sccsim.RemotePoint{
-		Workload: sccsim.Multiprog, ProcsPerCluster: 1, SCCBytes: 64 * 1024,
-		Scale: tinyScale(41),
-	}
-	if _, err := c.RunPoint(context.Background(), rp); err != nil {
+	sweep := experiment{Kind: jobSweep, Workload: sccsim.Multiprog,
+		Backend: sccsim.BackendExact, Scale: ScaleSpec(tinyScale(41))}
+	c := newHTTPCluster([]string{dead.URL, live.URL}, ClusterOptions{Retries: 3, BackoffMS: 1}, sweep, reqID)
+	if _, err := c.RunPoint(context.Background(), sccsim.Multiprog, 1, 64*1024); err != nil {
 		t.Fatal(err)
 	}
 	if liveHits.Load() == 0 {
@@ -150,7 +123,7 @@ func TestHTTPClusterRetriesAcrossWorkers(t *testing.T) {
 	// The dead worker is cooling down: the next point goes straight to
 	// the live one.
 	before := deadHits.Load()
-	if _, err := c.RunPoint(context.Background(), rp); err != nil {
+	if _, err := c.RunPoint(context.Background(), sccsim.Multiprog, 1, 64*1024); err != nil {
 		t.Fatal(err)
 	}
 	if deadHits.Load() != before {
@@ -163,10 +136,14 @@ func TestHTTPClusterRetriesAcrossWorkers(t *testing.T) {
 // number of attempts; cancellation ends in the context's error.
 func TestHTTPClusterTerminalFailures(t *testing.T) {
 	// No workers at all.
-	c := newHTTPCluster(nil, ClusterOptions{}, "")
-	rp := sccsim.RemotePoint{Workload: sccsim.BarnesHut, ProcsPerCluster: 1,
-		SCCBytes: 64 * 1024, Scale: sccsim.QuickScale()}
-	if _, err := c.RunPoint(context.Background(), rp); err == nil {
+	sweep := experiment{Kind: jobSweep, Workload: sccsim.BarnesHut,
+		Backend: sccsim.BackendExact, Scale: ScaleSpec(sccsim.QuickScale())}
+	runPoint := func(ctx context.Context, c *httpCluster) error {
+		_, err := c.RunPoint(ctx, sccsim.BarnesHut, 1, 64*1024)
+		return err
+	}
+	c := newHTTPCluster(nil, ClusterOptions{}, sweep, "")
+	if err := runPoint(context.Background(), c); err == nil {
 		t.Fatal("empty cluster succeeded")
 	}
 
@@ -178,8 +155,8 @@ func TestHTTPClusterTerminalFailures(t *testing.T) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	}))
 	defer down.Close()
-	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 2, BackoffMS: 1}, "")
-	if _, err := c.RunPoint(context.Background(), rp); err == nil {
+	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 2, BackoffMS: 1}, sweep, "")
+	if err := runPoint(context.Background(), c); err == nil {
 		t.Fatal("all-down cluster succeeded")
 	}
 	if hits.Load() != 3 {
@@ -191,16 +168,16 @@ func TestHTTPClusterTerminalFailures(t *testing.T) {
 		io.WriteString(w, `{"status":"done"}`)
 	}))
 	defer garbage.Close()
-	c = newHTTPCluster([]string{garbage.URL}, ClusterOptions{BackoffMS: 1}, "")
-	if _, err := c.RunPoint(context.Background(), rp); err == nil {
+	c = newHTTPCluster([]string{garbage.URL}, ClusterOptions{BackoffMS: 1}, sweep, "")
+	if err := runPoint(context.Background(), c); err == nil {
 		t.Fatal("resultless envelope accepted")
 	}
 
 	// Cancellation aborts immediately with the context's error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 5, BackoffMS: 1}, "")
-	if _, err := c.RunPoint(ctx, rp); !errors.Is(err, context.Canceled) {
+	c = newHTTPCluster([]string{down.URL}, ClusterOptions{Retries: 5, BackoffMS: 1}, sweep, "")
+	if err := runPoint(ctx, c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -162,10 +162,11 @@ func (s *Server) pruneWorkersLocked() []*workerNode {
 }
 
 // clusterRemote snapshots the healthy workers into a Remote for one
-// sweep job, or nil when the node has no usable fleet. Every point it
-// posts carries requestID (the job's X-Request-ID), so a worker records
-// the sharded points under the ID of the request that caused them.
-func (s *Server) clusterRemote(requestID string) sccsim.Remote {
+// sweep job running e, or nil when the node has no usable fleet. Every
+// point it posts is e as a point job and carries requestID (the job's
+// X-Request-ID), so a worker records the sharded points under the ID of
+// the request that caused them.
+func (s *Server) clusterRemote(e experiment, requestID string) sccsim.Remote {
 	s.workersMu.Lock()
 	nodes := s.pruneWorkersLocked()
 	s.workersMu.Unlock()
@@ -177,7 +178,7 @@ func (s *Server) clusterRemote(requestID string) sccsim.Remote {
 	for i, n := range nodes {
 		urls[i] = n.url
 	}
-	return newHTTPCluster(urls, s.opts.Cluster, requestID)
+	return newHTTPCluster(urls, s.opts.Cluster, e, requestID)
 }
 
 // RegisterWorker announces selfURL to the coordinator at

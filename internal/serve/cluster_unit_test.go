@@ -65,7 +65,7 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 	if len(st.Workers) != 2 || st.Workers[0].URL != "http://worker-a:1" {
 		t.Fatalf("cluster status %+v, want two workers sorted by URL", st.Workers)
 	}
-	if rem := s.clusterRemote(""); rem == nil {
+	if rem := s.clusterRemote(experiment{}, ""); rem == nil {
 		t.Fatal("healthy registry produced no Remote")
 	}
 
@@ -74,7 +74,7 @@ func TestClusterRegistryLifecycle(t *testing.T) {
 	if st := clusterStatus(t, ts.URL); len(st.Workers) != 0 {
 		t.Fatalf("expired workers still listed: %+v", st.Workers)
 	}
-	if rem := s.clusterRemote(""); rem != nil {
+	if rem := s.clusterRemote(experiment{}, ""); rem != nil {
 		t.Fatal("expired registry still produced a Remote")
 	}
 }

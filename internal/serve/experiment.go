@@ -93,7 +93,7 @@ func (e experiment) validate() error {
 	if e.Search != nil {
 		return e.Search.Validate()
 	}
-	if err := e.spec(0).Validate(); err != nil {
+	if err := sccsim.Validate(e.opts(0)...); err != nil {
 		return err
 	}
 	if e.Kind == jobPoint {
@@ -136,18 +136,37 @@ func (e experiment) twinKey() string {
 	return twin.key()
 }
 
-// spec converts the experiment to the facade's declarative Spec. It
-// sets no TraceCacheDir: a job uses the server's own trace store, or
-// none when the server has no usable one.
-func (e experiment) spec(parallelism int) sccsim.Spec {
-	scale := sccsim.Scale(e.Scale)
-	s := sccsim.Spec{
-		Scale: &scale, ProcsPerCluster: e.PPC, SCCBytes: e.SCCBytes,
-		Axes: e.Axes, Parallelism: parallelism, Backend: string(e.Backend),
+// opts converts the experiment to the facade options that run it, the
+// engine's worker pool bounded by parallelism (0: GOMAXPROCS). It
+// attaches no trace store: a job uses the server's own, or none when
+// the server has no usable one.
+func (e experiment) opts(parallelism int) []sccsim.Opt {
+	o := []sccsim.Opt{sccsim.WithScale(sccsim.Scale(e.Scale))}
+	if s := e.Sim; s != nil {
+		o = append(o, sccsim.WithSimOptions(sccsim.Options{
+			WriteBufferDepth: s.WriteBufferDepth,
+			BusOccupancy:     s.BusOccupancy,
+			SwitchPenalty:    s.SwitchPenalty,
+			MemBanks:         s.MemBanks,
+			MemBankOccupancy: s.MemBankOccupancy,
+			VictimEntries:    s.VictimEntries,
+			WarmupRefs:       s.WarmupRefs,
+		}))
+		if s.Verify {
+			o = append(o, sccsim.WithVerify())
+		}
 	}
-	if e.Sim != nil {
-		o := e.Sim.toOptions()
-		s.Sim, s.Verify = &o, e.Sim.Verify
+	if e.Kind == jobPoint {
+		o = append(o, sccsim.WithPoint(e.PPC, e.SCCBytes))
 	}
-	return s
+	if e.Axes != nil {
+		o = append(o, sccsim.WithAxes(*e.Axes))
+	}
+	if parallelism != 0 {
+		o = append(o, sccsim.WithParallelism(parallelism))
+	}
+	if e.Backend != "" {
+		o = append(o, sccsim.WithBackend(e.Backend))
+	}
+	return o
 }

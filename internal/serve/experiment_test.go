@@ -10,8 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"sccsim"
 )
 
 // newBody returns an empty body of the route that runs kind.
@@ -49,15 +47,7 @@ func bodyOf(e experiment) request {
 		return &SweepRequest{Workload: string(e.Workload), Backend: string(e.Backend),
 			ScaleSpec: &scale, Sim: e.Sim, Axes: e.Axes}
 	case jobPoint:
-		rp := sccsim.RemotePoint{Workload: e.Workload, ProcsPerCluster: e.PPC,
-			SCCBytes: e.SCCBytes, Scale: sccsim.Scale(e.Scale), Backend: string(e.Backend)}
-		if e.Sim != nil {
-			rp.Sim, rp.Verify = e.Sim.toOptions(), e.Sim.Verify
-		}
-		if e.Axes != nil {
-			rp.Axes = *e.Axes
-		}
-		req := pointRequest(rp, 0)
+		req := pointRequest(e, 0)
 		return &req
 	default:
 		return &SearchRequest{Workload: string(e.Workload), ScaleSpec: &scale, Search: *e.Search}

@@ -377,7 +377,7 @@ func (s *Server) finish(j *job, err error) {
 // experiment to the sccsim facade, fanning engine progress out to the
 // job's subscribers and capturing the sweep report for the response.
 func (s *Server) execute(ctx context.Context, j *job) error {
-	opts := j.exp.spec(j.parallelism).Opts()
+	opts := j.exp.opts(j.parallelism)
 	opts = append(opts, sccsim.WithMetrics(s.reg))
 	if j.requestID != "" {
 		opts = append(opts, sccsim.WithRequestID(j.requestID))
@@ -404,7 +404,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 				j.set(func(o *outcome) { o.report = &r })
 			}),
 		)
-		if rem := s.clusterRemote(j.requestID); rem != nil {
+		if rem := s.clusterRemote(j.exp, j.requestID); rem != nil {
 			// Healthy workers registered: shard the sweep across them,
 			// with local simulation as the per-point fallback.
 			opts = append(opts, sccsim.WithCluster(rem))

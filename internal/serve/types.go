@@ -41,33 +41,6 @@ type SimSpec struct {
 	Verify bool `json:"verify,omitempty"`
 }
 
-func (s *SimSpec) toOptions() sccsim.Options {
-	return sccsim.Options{
-		WriteBufferDepth: s.WriteBufferDepth,
-		BusOccupancy:     s.BusOccupancy,
-		SwitchPenalty:    s.SwitchPenalty,
-		MemBanks:         s.MemBanks,
-		MemBankOccupancy: s.MemBankOccupancy,
-		VictimEntries:    s.VictimEntries,
-		WarmupRefs:       s.WarmupRefs,
-	}
-}
-
-// simSpecOf is the wire form of a remote point's simulator data
-// options and verification flag.
-func simSpecOf(o sccsim.Options, verify bool) SimSpec {
-	return SimSpec{
-		WriteBufferDepth: o.WriteBufferDepth,
-		BusOccupancy:     o.BusOccupancy,
-		SwitchPenalty:    o.SwitchPenalty,
-		MemBanks:         o.MemBanks,
-		MemBankOccupancy: o.MemBankOccupancy,
-		VictimEntries:    o.VictimEntries,
-		WarmupRefs:       o.WarmupRefs,
-		Verify:           verify,
-	}
-}
-
 // request is what the three POST bodies share: one resolution into an
 // experiment, and the serving knobs the experiment leaves out.
 type request interface {

@@ -79,6 +79,14 @@ const (
 // AllWorkloads lists every benchmark.
 var AllWorkloads = explorer.AllWorkloads
 
+// ParseWorkload maps a workload name ("barnes-hut", "mp3d", "cholesky",
+// "multiprog") to its Workload, validating it against AllWorkloads —
+// the boundary check for callers that receive workload names as
+// strings.
+func ParseWorkload(name string) (Workload, error) {
+	return explorer.ParseWorkload(name)
+}
+
 // Scale sets problem sizes; the zero value is the paper's configuration.
 type Scale = explorer.Scale
 
@@ -164,12 +172,9 @@ type expCfg struct {
 	// verify, when set, attaches the coherence invariant checker to
 	// every simulation the experiment runs (see WithVerify).
 	verify bool
-	// traceCacheDir, when set, roots the persistent on-disk trace cache
-	// (see WithTraceCache); traceStore, when set, supplies the cache as
-	// an already-built store and wins over the directory form (see
-	// WithTraceStore).
-	traceCacheDir string
-	traceStore    TraceStore
+	// traceStore, when set, is the persistent trace cache sweeps
+	// consult before generating a trace (see WithTraceStore).
+	traceStore TraceStore
 	// remote, when set, executes sweep design points on other nodes
 	// (see WithCluster).
 	remote Remote
@@ -231,27 +236,18 @@ func WithParallelism(n int) Opt { return func(c *expCfg) { c.parallelism = n } }
 // completed design point.
 func WithProgress(fn func(Progress)) Opt { return func(c *expCfg) { c.progress = fn } }
 
-// WithTraceCache roots a persistent on-disk trace cache at dir
-// (created if needed): sweeps consult it before running a workload
-// generator and populate it after, keyed by workload, processor count,
-// problem scale, seed, and the trace-format version — so repeated
-// sweeps, including across processes, skip trace generation entirely.
-// The sweep report's TraceDiskHits/TraceGenerated counters say how the
-// cache performed. An unusable directory fails the experiment at start,
-// before any simulation runs.
-func WithTraceCache(dir string) Opt { return func(c *expCfg) { c.traceCacheDir = dir } }
-
 // TraceStore is the trace-cache contract sweeps consult before running
-// a workload generator (trace.Store); trace.DiskCache, what
-// WithTraceCache opens, is its implementation.
+// a workload generator (trace.Store); trace.DiskCache, opened with
+// trace.NewDiskCache, is its implementation.
 type TraceStore = trace.Store
 
-// WithTraceStore roots the experiment's persistent trace cache at an
-// already-constructed store — the programmatic sibling of
-// WithTraceCache(dir), for callers that need a cache the directory
-// form cannot express (a disk cache shared with other code, an
-// instrumented wrapper, a test double). When both are set, the store
-// wins.
+// WithTraceStore attaches a persistent trace cache: sweeps consult st
+// before running a workload generator and populate it after, keyed by
+// workload, processor count, problem scale, seed, and the trace-format
+// version — so repeated sweeps, including across processes sharing a
+// trace.DiskCache directory, skip trace generation entirely. The sweep
+// report's TraceDiskHits/TraceGenerated counters say how the cache
+// performed.
 func WithTraceStore(st TraceStore) Opt { return func(c *expCfg) { c.traceStore = st } }
 
 // WithVerify attaches the coherence invariant checker (internal/verify)
@@ -262,6 +258,18 @@ func WithTraceStore(st TraceStore) Opt { return func(c *expCfg) { c.traceStore =
 // an observer); runs pay a modest overhead. Composes with
 // WithSimOptions in either order.
 func WithVerify() Opt { return func(c *expCfg) { c.verify = true } }
+
+// Validate checks an experiment's options without running anything:
+// an unknown backend, a combination the chosen backend cannot honor
+// (simulator options, verification or trace export with the analytic
+// model, axes beyond it), out-of-range axes, or a victim buffer without
+// an SCC returns the actionable error Do, SweepCtx and SearchCtx would
+// fail with at start. Servers call it before admitting a request, so
+// bad input fails their 4xx path, not the run.
+func Validate(opts ...Opt) error {
+	_, err := resolve(opts)
+	return err
+}
 
 func resolve(opts []Opt) (expCfg, error) {
 	c := expCfg{scale: PaperScale(), ppc: 1, scc: 64 * 1024, backend: BackendExact}
@@ -288,24 +296,13 @@ func resolve(opts []Opt) (expCfg, error) {
 	return c, nil
 }
 
-func (c expCfg) engine() (explorer.EngineOptions, error) {
-	eng := explorer.EngineOptions{
+func (c expCfg) engine() explorer.EngineOptions {
+	return explorer.EngineOptions{
 		Parallelism: c.parallelism, Progress: c.progress,
 		Report: c.reportFn, Metrics: c.metrics,
 		Backend: c.backend, Logger: c.logger,
-		Axes: c.axes,
+		Axes: c.axes, TraceCache: c.traceStore,
 	}
-	switch {
-	case c.traceStore != nil:
-		eng.TraceCache = c.traceStore
-	case c.traceCacheDir != "":
-		dc, err := trace.NewDiskCache(c.traceCacheDir)
-		if err != nil {
-			return eng, err
-		}
-		eng.TraceCache = dc
-	}
-	return eng, nil
 }
 
 // Do evaluates one workload at one design point. The design point
@@ -313,7 +310,7 @@ func (c expCfg) engine() (explorer.EngineOptions, error) {
 // baseline); problem sizes from WithScale (default: PaperScale); the
 // backend from WithBackend (default: the exact simulator). Do resolves
 // the point's configuration once and runs it on the same engine path
-// as a sweep, so the trace caches, WithTraceCache/WithTraceStore,
+// as a sweep, so the trace caches, WithTraceStore,
 // WithMetrics and WithLogger behave identically on both backends:
 // workload traces are generated once per (workload, processors, scale)
 // and cached, and the analytic backend shares one reuse-distance
@@ -338,10 +335,7 @@ func Do(ctx context.Context, w Workload, opts ...Opt) (*Point, error) {
 		c.logger.Debug("point start",
 			"workload", string(w), "backend", string(c.backend))
 	}
-	eng, err := c.engine()
-	if err != nil {
-		return nil, err
-	}
+	eng := c.engine()
 	var ts *obs.TraceSet
 	if c.traceW != nil {
 		ts, eng.NewTracer = newTraceSet()
@@ -379,10 +373,7 @@ func SweepCtx(ctx context.Context, w Workload, opts ...Opt) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := c.engine()
-	if err != nil {
-		return nil, err
-	}
+	eng := c.engine()
 	if c.logger != nil {
 		c.logger.Info("sweep start",
 			"workload", string(w), "backend", string(c.backend))
@@ -414,10 +405,12 @@ func SweepCtx(ctx context.Context, w Workload, opts ...Opt) (*Grid, error) {
 		}
 	}
 
-	if c.remote != nil {
+	if r := c.remote; r != nil {
 		// Cluster mode: offer every exact point to the remote executor,
 		// simulate locally on failure (see WithCluster).
-		eng.Remote = c.remoteFunc()
+		eng.Remote = func(ctx context.Context, w Workload, spec explorer.PointSpec) (*Point, error) {
+			return r.RunPoint(ctx, w, spec.PPC, spec.SCCBytes)
+		}
 	}
 	g, err := explorer.Sweep(ctx, w, c.scale, c.sim, eng)
 	if err != nil {
@@ -455,11 +448,7 @@ func BuildCostPerfEntryCtx(ctx context.Context, w Workload, opts ...Opt) (*CostP
 	if c.backend == BackendAnalytic {
 		return nil, fmt.Errorf("sccsim: cost/performance entries require the exact backend")
 	}
-	eng, err := c.engine()
-	if err != nil {
-		return nil, err
-	}
-	return costperf.BuildEntryCtx(ctx, w, c.scale, c.sim, eng)
+	return costperf.BuildEntryCtx(ctx, w, c.scale, c.sim, c.engine())
 }
 
 // ResetTraceCache drops every cached workload trace and reuse-distance
@@ -485,12 +474,6 @@ func MultiprogApps() []string { return multiprog.Names() }
 // CostPerfEntry holds one workload's latency-adjusted execution times
 // across the four Section 4 cluster implementations.
 type CostPerfEntry = costperf.Entry
-
-// BuildCostPerfEntry simulates a workload on the four implementations
-// (1P/64KB, 2P/32KB, 4P/64KB, 8P/128KB).
-func BuildCostPerfEntry(w Workload, s Scale) (*CostPerfEntry, error) {
-	return costperf.BuildEntry(w, s, sim.Options{})
-}
 
 // SingleChipComparison is the paper's Table 6 result.
 type SingleChipComparison = costperf.SingleChip

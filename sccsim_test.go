@@ -86,3 +86,58 @@ func TestRenderStaticTables(t *testing.T) {
 		t.Error("area report render")
 	}
 }
+
+func TestParseWorkload(t *testing.T) {
+	for _, w := range sccsim.AllWorkloads {
+		got, err := sccsim.ParseWorkload(string(w))
+		if err != nil || got != w {
+			t.Errorf("ParseWorkload(%q) = %v, %v", w, got, err)
+		}
+	}
+	if _, err := sccsim.ParseWorkload("fft"); err == nil {
+		t.Error("ParseWorkload accepted an unknown workload")
+	}
+}
+
+// TestSpecValidate: table-driven validation of an experiment's
+// specification, its options, through sccsim.Validate — unknown or
+// contradictory options fail with actionable messages, valid ones pass
+// (the same check the HTTP service maps to 400s).
+func TestSpecValidate(t *testing.T) {
+	exact, analytic := sccsim.WithBackend(sccsim.BackendExact), sccsim.WithBackend(sccsim.BackendAnalytic)
+	quantum := sccsim.WithBackend("quantum")
+	cases := []struct {
+		name    string
+		opts    []sccsim.Opt
+		wantErr string // "" means valid
+	}{
+		{"zero spec", nil, ""},
+		{"exact", []sccsim.Opt{exact}, ""},
+		{"analytic", []sccsim.Opt{analytic}, ""},
+		{"unknown backend", []sccsim.Opt{quantum}, "unknown backend"},
+		{"unknown backend lists valid values", []sccsim.Opt{quantum}, "[exact analytic]"},
+		{"verify on analytic", []sccsim.Opt{analytic, sccsim.WithVerify()}, "exact backend"},
+		{"sim options on analytic", []sccsim.Opt{analytic, sccsim.WithSimOptions(sccsim.Options{})}, "exact backend"},
+		{"verify on exact", []sccsim.Opt{exact, sccsim.WithVerify()}, ""},
+		{"assoc on analytic", []sccsim.Opt{analytic, sccsim.WithAxes(sccsim.Axes{Assoc: 4})}, ""},
+		{"random repl on analytic", []sccsim.Opt{analytic, sccsim.WithAxes(sccsim.Axes{Repl: sccsim.ReplRandom})}, "exact backend"},
+		{"hierarchy on analytic", []sccsim.Opt{analytic, sccsim.WithAxes(sccsim.Axes{Hierarchy: sccsim.HierarchyHybrid})}, "exact backend"},
+		{"line bytes on analytic", []sccsim.Opt{analytic, sccsim.WithAxes(sccsim.Axes{LineBytes: 32})}, "exact backend"},
+		{"bad axes", []sccsim.Opt{sccsim.WithAxes(sccsim.Axes{Assoc: 3})}, "divisible"},
+		{"hierarchy on exact", []sccsim.Opt{sccsim.WithAxes(sccsim.Axes{Hierarchy: sccsim.HierarchyPrivate})}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := sccsim.Validate(tc.opts...)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Errorf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Validate() = %v, want substring %q", err, tc.wantErr)
+			}
+		})
+	}
+}

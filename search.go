@@ -202,10 +202,7 @@ func SearchCtx(ctx context.Context, w Workload, spec SearchSpec, opts ...Opt) (r
 		a := c.axes
 		spec.Axes = &a
 	}
-	eng, err := c.engine()
-	if err != nil {
-		return nil, err
-	}
+	eng := c.engine()
 	// The engine's sweep-level telemetry hooks describe one grid sweep;
 	// a search runs many small batches, so they stay off here.
 	eng.Report = nil
