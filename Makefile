@@ -7,7 +7,7 @@ GO ?= go
 all: build vet test
 
 # Tier-1 gate: compile, vet, gofmt-clean sources, full test suite,
-# race-enabled observability and engine packages, documentation
+# race-enabled observability, engine and trace packages, documentation
 # contract, analytic-backend accuracy smoke, the observability cost
 # bound, the benchmark module.
 check: build vet fmt-check test race-obs docs-check verify-analytic obs-overhead bench-check
@@ -41,13 +41,15 @@ test-race:
 
 # Race-enabled run of the instrumentation layer, the engine that
 # drives it concurrently, the HTTP service that shares one registry
-# across jobs, and the simulator layer whose shared-trace contract the
-# engine relies on (TestRunSharedProgramConcurrent) — cheap enough to
-# sit inside `make check`.
+# across jobs, the simulator layer whose shared-trace contract the
+# engine relies on (TestRunSharedProgramConcurrent), and the trace
+# layer: Compile's memo shared by concurrent runs and the disk trace
+# store's concurrent stores and loads (TestDiskCacheConcurrentStoreLoad)
+# — cheap enough to sit inside `make check`.
 # -short keeps the explorer's full-grid oracle diff (which `test` runs
 # uninstrumented) to a representative pair of cache sizes here.
 race-obs:
-	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve ./internal/sim ./internal/cache ./internal/scc
+	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve ./internal/sim ./internal/cache ./internal/scc ./internal/trace
 
 # The benchmark program (bench/, see BENCHMARK.json) is its own module
 # (`replace sccsim => ../`), so `go build ./...` and `go test ./...`
@@ -59,9 +61,9 @@ bench-check:
 # Documentation contract: every exported identifier in the facade and
 # the serve package carries a doc comment, docs/API.md documents every
 # registered HTTP route and heads no section with a route the server
-# lacks, docs/DESIGN-SPACE.md names every Spec field
-# and architecture axis, and relative links in README/docs resolve
-# (see cmd/docscheck).
+# lacks, docs/DESIGN-SPACE.md names every With* option of the facade
+# and every one of the five architecture axes, and relative links in
+# README/docs resolve (see cmd/docscheck).
 docs-check:
 	$(GO) run ./cmd/docscheck -api docs/API.md -design docs/DESIGN-SPACE.md -links README.md,docs . ./internal/serve
 

@@ -152,17 +152,13 @@ func NewWith(size, assoc, lineBytes int, repl string) (*Cache, error) {
 	if lines%assoc != 0 {
 		return nil, fmt.Errorf("cache: %d lines not divisible into %d-way sets", lines, assoc)
 	}
-	shift := uint32(0)
-	for lb := lineBytes; lb > 1; lb >>= 1 {
-		shift++
-	}
 	c := &Cache{
 		tags:      make([]uint32, lines),
 		nsets:     uint32(nsets),
 		assoc:     uint32(assoc),
 		setMask:   uint32(nsets - 1),
 		pow2:      nsets&(nsets-1) == 0,
-		lineShift: shift,
+		lineShift: sysmodel.LineShift(lineBytes),
 		random:    random,
 		rng:       rngSeed,
 	}
@@ -213,8 +209,9 @@ func (c *Cache) Assoc() int { return int(c.assoc) }
 // SizeBytes returns the cache capacity in bytes.
 func (c *Cache) SizeBytes() int { return len(c.tags) << c.lineShift }
 
-// LineBytes returns the cache's line size in bytes.
-func (c *Cache) LineBytes() int { return 1 << c.lineShift }
+// LineShift returns log2 of the cache's line size: an address's line
+// index is addr >> LineShift().
+func (c *Cache) LineShift() uint32 { return c.lineShift }
 
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() *Stats { return &c.stats }

@@ -21,14 +21,14 @@ import (
 //
 // The first five bytes are the shape: ppc 1–8 and phases 1–3 (byte 0),
 // clusters 1–4 and slots 1–8 (byte 1), processes 1–10 (byte 2), quantum
-// 1–256 (byte 3), cap 1–64 and, with the high bit, lines past
-// maxDirectLines so the builders rename them (byte 4). The rest is
+// 1–256 (byte 3), cap 1–64 and, with the high bit, lines just below
+// trace.AddrBound, the highest a trace may reach (byte 4). The rest is
 // references, two bytes each (see fuzzStreams).
 func FuzzBuildProfile(f *testing.F) {
 	// 8 processors per cluster on 4 clusters with tied clocks; 8 slots
 	// for 9 processes under a 1-cycle quantum.
 	f.Add([]byte{7, 3 | 7<<2, 8, 0, 7, 0x00, 1, 0x20, 2, 0x23, 1, 0x45, 3, 0x66, 0, 0x80, 2, 0xe1, 4, 0x02, 1})
-	// Gaps, one cluster, a cap of 2 and renamed lines.
+	// Gaps, one cluster, a cap of 2 and lines just below the bound.
 	f.Add([]byte{1 | 1<<3, 0, 4, 6, 1 | 0x80, 0x08, 5, 0x30, 6, 0x13, 5, 0x5b, 9, 0x8c, 6, 0x2d, 5, 0x17, 7})
 	// 8 slots for 3 processes under a 2-cycle quantum: five slots idle
 	// from the start, so every quantum expires with nobody waiting.
@@ -43,7 +43,7 @@ func FuzzBuildProfile(f *testing.F) {
 		nproc, quantum := 1+int(shape[2]%10), 1+uint64(shape[3])
 		capLines, base := 1+int(shape[4]%64), uint32(1)
 		if shape[4]&0x80 != 0 {
-			base = maxDirectLines
+			base = highBase
 		}
 
 		procs := ppc * clusters
@@ -84,6 +84,10 @@ func FuzzBuildProfile(f *testing.F) {
 		checkQueries(t, "BuildScheduledProfile", got, sizes, assocs)
 	})
 }
+
+// highBase is the first of the 256 lines below trace.AddrBound, the
+// highest lines fuzzStreams can reach.
+const highBase = trace.AddrBound/sysmodel.LineSize - 256
 
 // fuzzStreams deals the references encoded in data out to n streams.
 // Each two bytes (a, b) are one reference on line base+b: its kind is

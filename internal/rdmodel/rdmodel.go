@@ -282,8 +282,7 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 		p.Issue[phase] = make([]uint64, c.Procs)
 		p.ReadRefs[phase] = make([]uint64, c.Procs)
 	}
-	streams, lines := denseStreams(c.Streams, c.MaxLineIndex())
-	tk := newTracker(capLines, lines)
+	tk := newTracker(capLines, int(c.MaxLineIndex())+1)
 
 	pos := make([]int, ppc)
 	clk := make([]uint64, ppc)
@@ -292,7 +291,7 @@ func BuildProfile(c *trace.Compiled, clusters, capLines int) (*Profile, error) {
 		h := &p.Cluster[cl]
 		*h = newHist(capLines)
 		tk.reset()
-		for phase, procs := range streams {
+		for phase, procs := range c.Streams {
 			// Phase barriers align the processors, so each phase starts
 			// every clock at zero. A processor's leaf is keyed on its
 			// clock before the gap of its next reference, and emptied
@@ -356,17 +355,15 @@ func BuildScheduledProfile(name string, processes [][]mem.Ref, slots int, quantu
 		ReadRefs:   [][]uint64{make([]uint64, slots)},
 	}
 	var maxLine uint32
-	for _, st := range processes {
-		for _, r := range st {
-			if rd, wr := accessesOf(r.Kind); rd+wr > 0 {
-				p.Refs++
-				maxLine = max(maxLine, sysmodel.LineIndex(r.Addr))
-			}
+	for pid, st := range processes {
+		refs, ml, err := trace.Measure(st)
+		if err != nil {
+			return nil, fmt.Errorf("rdmodel: process %d: %w", pid, err)
 		}
+		p.Refs += refs
+		maxLine = max(maxLine, ml)
 	}
-	dense, lines := denseStreams([][][]mem.Ref{processes}, maxLine)
-	processes = dense[0]
-	tk := newTracker(capLines, lines)
+	tk := newTracker(capLines, int(maxLine)+1)
 	h := &p.Cluster[0]
 
 	// A busy slot's leaf is keyed on its clock, before the gap of its

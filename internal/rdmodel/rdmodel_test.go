@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -672,7 +673,7 @@ func mixedProgram(seed int64, procs, phases, refs, maxGap int, base uint32, univ
 // min-clock scan over naive stacks — with clocks that tie at every
 // step (maxGap 0), Idle refs, critical sections, empty streams,
 // several phases, 1, 2 and 4 clusters, caps small enough to compact
-// many times, and line indices past maxDirectLines.
+// many times, and line indices just below trace.AddrBound.
 func TestBuildProfileMatchesNaive(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -683,7 +684,7 @@ func TestBuildProfileMatchesNaive(t *testing.T) {
 		{"tied-clocks", 0, 1, 300},
 		{"gaps", 5, 1, 300},
 		{"wide-gaps", 40, 1, 300},
-		{"renamed-lines", 3, maxDirectLines + 12345, 300},
+		{"high-lines", 3, trace.AddrBound/sysmodel.LineSize - 300, 300},
 	}
 	for _, tc := range cases {
 		for _, clusters := range []int{1, 2, 4} {
@@ -745,11 +746,11 @@ func TestBuildScheduledProfileMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestScheduledProfileRenamingIsExact: the scheduled builder renames
-// lines past maxDirectLines to dense ids, a bijection on lines, so a
-// profile over streams shifted there is identical to the profile over
-// the same streams at base 1 — whether there are fewer slots than
-// processes (time slicing) or more (idle slots).
+// TestScheduledProfileRenamingIsExact: renaming lines is a bijection,
+// so a profile over streams shifted to just below trace.AddrBound is
+// identical to the profile over the same streams at base 1 — whether
+// there are fewer slots than processes (time slicing) or more (idle
+// slots).
 func TestScheduledProfileRenamingIsExact(t *testing.T) {
 	streamsAt := func(base uint32) [][]mem.Ref {
 		rng := rand.New(rand.NewSource(5))
@@ -763,7 +764,7 @@ func TestScheduledProfileRenamingIsExact(t *testing.T) {
 		}
 		return processes
 	}
-	low, high := streamsAt(1), streamsAt(maxDirectLines+777)
+	low, high := streamsAt(1), streamsAt(highBase-4*200)
 	for _, slots := range []int{2, 8} {
 		for _, capLines := range []int{8, 64} {
 			want, err := BuildScheduledProfile("mp", low, slots, 500, capLines)
@@ -775,8 +776,29 @@ func TestScheduledProfileRenamingIsExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want.Cluster[0].Reads() == 0 || !reflect.DeepEqual(got, want) {
-				t.Errorf("%d slots, cap %d: profile over renamed lines differs from the profile at base 1", slots, capLines)
+				t.Errorf("%d slots, cap %d: profile over high lines differs from the profile at base 1", slots, capLines)
 			}
 		}
+	}
+}
+
+// TestScheduledProfileAddressBound: a process referencing the last line
+// below trace.AddrBound profiles, and one referencing the bound is
+// refused with an error naming the bound.
+func TestScheduledProfileAddressBound(t *testing.T) {
+	low := []mem.Ref{{Addr: sysmodel.LineSize, Kind: mem.Read}, {Addr: 2 * sysmodel.LineSize, Kind: mem.Write}}
+	at := func(addr uint32) [][]mem.Ref {
+		return [][]mem.Ref{low, {{Kind: mem.Idle, Gap: 3}, {Addr: addr, Kind: mem.Read}}}
+	}
+	p, err := BuildScheduledProfile("mp", at(trace.AddrBound-sysmodel.LineSize), 2, 100, 8)
+	if err != nil {
+		t.Fatalf("reference one line below the bound refused: %v", err)
+	}
+	if p.Refs != 3 {
+		t.Errorf("Refs = %d, want 3", p.Refs)
+	}
+	_, err = BuildScheduledProfile("mp", at(trace.AddrBound), 2, 100, 8)
+	if err == nil || !strings.Contains(err.Error(), "64 MiB address bound") {
+		t.Fatalf("reference at the bound: error %v, want one naming the 64 MiB address bound", err)
 	}
 }

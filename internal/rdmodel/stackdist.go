@@ -64,12 +64,6 @@ const (
 	distCold = -2
 )
 
-// maxDirectLines bounds the tracker's direct-indexed line state at
-// 1<<22 lines, the bound snoop.MaxFlatLines sets for the simulator's
-// presence table. Streams touching higher line indices are renamed to
-// dense ids first (see denseStreams).
-const maxDirectLines = 1 << 22
-
 // recentWords is how many bitmap words below the open word stay out of
 // the Fenwick tree (see tracker.tree). Most reuses in the paper's
 // traces are short, so most distances are a scan of at most
@@ -230,40 +224,4 @@ func (tk *tracker) feed(h *Hist, st []mem.Ref, i int, clk uint64, q int, bound u
 		reads += uint64(rd)
 	}
 	return i, clk, reads
-}
-
-// denseStreams returns the streams (phase-major, then per processor)
-// and a bound on their line indices for sizing a tracker. When maxLine,
-// the largest line any of them accesses, is below maxDirectLines they
-// are returned as they are. Otherwise they are copied with every
-// accessed line renamed to a dense id in first-touch order, so a sparse
-// trace costs tracker memory in proportion to its footprint rather than
-// its address range. Renaming is a bijection on lines, so every reuse
-// distance is unchanged.
-func denseStreams(streams [][][]mem.Ref, maxLine uint32) ([][][]mem.Ref, int) {
-	if maxLine < maxDirectLines {
-		return streams, int(maxLine) + 1
-	}
-	ids := make(map[uint32]uint32)
-	out := make([][][]mem.Ref, len(streams))
-	for ph, procs := range streams {
-		out[ph] = make([][]mem.Ref, len(procs))
-		for pr, st := range procs {
-			dst := make([]mem.Ref, len(st))
-			for i, r := range st {
-				if rd, wr := accessesOf(r.Kind); rd+wr > 0 {
-					line := sysmodel.LineIndex(r.Addr)
-					id, ok := ids[line]
-					if !ok {
-						id = uint32(len(ids))
-						ids[line] = id
-					}
-					r.Addr = id * sysmodel.LineSize
-				}
-				dst[i] = r
-			}
-			out[ph][pr] = dst
-		}
-	}
-	return out, len(ids)
 }

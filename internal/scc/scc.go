@@ -126,19 +126,15 @@ func NewWith(size, assoc, banks, lineBytes int, repl string) (*SCC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scc: %w", err)
 	}
-	if size/tags.LineBytes() < banks {
+	if size>>tags.LineShift() < banks {
 		return nil, fmt.Errorf("scc: size %d has fewer lines than banks %d", size, banks)
-	}
-	shift := uint32(0)
-	for lb := tags.LineBytes(); lb > 1; lb >>= 1 {
-		shift++
 	}
 	return &SCC{
 		tags:      tags,
 		banks:     banks,
 		bankMask:  uint32(banks - 1),
 		bank:      make([]bankState, banks),
-		lineShift: shift,
+		lineShift: tags.LineShift(),
 		stats:     Stats{BankAccesses: make([]uint64, banks)},
 	}, nil
 }

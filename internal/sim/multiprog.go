@@ -9,6 +9,7 @@ import (
 	"sccsim/internal/scc"
 	"sccsim/internal/sched"
 	"sccsim/internal/sysmodel"
+	"sccsim/internal/trace"
 )
 
 // Process is one independent sequential program in a multiprogramming
@@ -49,24 +50,17 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 // runMultiprog is RunMultiprog on the freshly built system s.
 func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, error) {
 	nproc := s.cfg.Procs()
-	// Size the flat presence table from the workload's footprint (and
-	// count the non-idle references the verifier expects); one linear
-	// pass over the streams is negligible against the run.
+	// Count the non-idle references the verifier expects and refuse a
+	// process reaching trace.AddrBound; one linear pass over the streams
+	// is negligible against the run.
 	var expRefs uint64
-	var maxLine uint32
-	shift := s.lineShift
-	for i := range processes {
-		for _, r := range processes[i].Refs {
-			if r.Kind == mem.Idle {
-				continue
-			}
-			expRefs++
-			if li := r.Addr >> shift; li > maxLine {
-				maxLine = li
-			}
+	for _, pr := range processes {
+		refs, _, err := trace.Measure(pr.Refs)
+		if err != nil {
+			return nil, fmt.Errorf("sim: process %q: %w", pr.Name, err)
 		}
+		expRefs += refs
 	}
-	s.bus.ReserveLines(maxLine + 1)
 
 	// Per-process progress.
 	pos := make([]int, len(processes))

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"sccsim/internal/mem"
 	"sccsim/internal/obs"
 	"sccsim/internal/sysmodel"
+	"sccsim/internal/trace"
 )
 
 // mkProcess builds a process looping over lines bytes of address space at
@@ -38,6 +40,26 @@ func TestRunMultiprogRejectsBadInput(t *testing.T) {
 	ps := []Process{mkProcess("a", 0x10000, 4, 1, 0)}
 	if _, err := RunMultiprog(mpCfg(1, 4096), Options{}, ps, 0); err == nil {
 		t.Error("accepted zero quantum")
+	}
+}
+
+// TestRunMultiprogAddressBound: a process referencing the last line
+// below trace.AddrBound runs, and one referencing the bound is refused
+// with an error naming the process and the bound.
+func TestRunMultiprogAddressBound(t *testing.T) {
+	low := mkProcess("low", 0x10000, 4, 2, 1)
+	edge := mkProcess("edge", trace.AddrBound-sysmodel.LineSize, 1, 2, 1)
+	r, err := RunMultiprog(mpCfg(2, 4096), Options{}, []Process{low, edge}, 100)
+	if err != nil {
+		t.Fatalf("process one line below the bound refused: %v", err)
+	}
+	if r.Refs != 10 {
+		t.Errorf("Refs = %d, want 10", r.Refs)
+	}
+	far := mkProcess("far", trace.AddrBound, 1, 1, 0)
+	_, err = RunMultiprog(mpCfg(2, 4096), Options{}, []Process{low, far}, 100)
+	if err == nil || !strings.Contains(err.Error(), `"far"`) || !strings.Contains(err.Error(), "64 MiB address bound") {
+		t.Fatalf("process at the bound: error %v, want one naming \"far\" and the 64 MiB address bound", err)
 	}
 }
 

@@ -224,8 +224,7 @@ func (lt *lockTable) release(addr uint32)        { delete(lt.held, addr) }
 type system struct {
 	cfg  sysmodel.Config
 	opts Options
-	// lineShift is cfg.LineShift(), which evictions and the multiprog
-	// footprint scan read per line.
+	// lineShift is cfg.LineShift(), which evictions read per line.
 	lineShift uint32
 	// sccs[c] is cluster c's SCC; nil in the private hierarchy.
 	sccs []*scc.SCC
@@ -809,22 +808,7 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
 	return s.finish(replay(s, comp.Streams), comp.Refs())
-}
-
-// reserveLines converts a maximum line index measured at the paper's
-// 16-byte granularity (what trace.Compile records) to the flat-table
-// line count needed at the configured line size, rounding up so the
-// whole footprint stays direct-indexed. Sizing is a pure optimization
-// (the paged fallback keeps out-of-bound lines correct), but at the
-// default line size the count is exactly the historical maxLine+1.
-func reserveLines(maxLine16 uint32, lineBytes int) uint32 {
-	n := ((uint64(maxLine16)+1)*sysmodel.LineSize + uint64(lineBytes) - 1) / uint64(lineBytes)
-	if n > snoop.MaxFlatLines {
-		n = snoop.MaxFlatLines
-	}
-	return uint32(n)
 }
 
 // VerifyStats projects the result onto the surface the oracle simulator

@@ -138,7 +138,6 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
 	clock := replay(s, comp.Streams)
 
 	var addr uint32
@@ -191,7 +190,6 @@ func runAudited(t *testing.T, cfg sysmodel.Config, opts Options, p *trace.Progra
 	if err != nil {
 		return nil, err
 	}
-	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
 	res, err := s.finish(replay(s, comp.Streams), comp.Refs())
 	auditInclusion(t, s)
 	return res, err
@@ -234,7 +232,6 @@ func TestHybridVictimBufferKeepsInclusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
 	replay(s, comp.Streams)
 	inSCC := false
 	s.sccs[0].VisitLines(func(line uint32, _ bool) { inSCC = inSCC || line == a/sysmodel.LineSize })

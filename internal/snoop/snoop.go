@@ -11,7 +11,10 @@
 // per line), which is functionally identical to having every SCC snoop
 // every bus transaction, and lets the simulator report exactly the
 // statistics the paper uses: the number of invalidations actually
-// performed. Bus bandwidth contention is off by default — the paper models
+// performed. The table is one slice indexed by line, grown by doubling
+// as fetches reach higher lines; the traces the simulator runs lie
+// below trace.AddrBound, which keeps it at most 4 Mi entries at 16-byte
+// lines. Bus bandwidth contention is off by default — the paper models
 // a fixed 100-cycle transfer and considers contention only at the SCC
 // banks — but can be enabled (Occupancy > 0) for ablation studies.
 package snoop
@@ -95,8 +98,10 @@ const (
 
 // Bus is the snoopy inter-cluster bus plus the coherence state.
 type Bus struct {
-	sccs     []Invalidator
-	presence *presenceTable
+	sccs []Invalidator
+	// presence[li] is the mask of clusters holding line li; a line past
+	// its end has no holder (see setMask).
+	presence []uint32
 	stats    Stats
 
 	// Hook, when non-nil, observes every bus transaction at its grant
@@ -149,40 +154,14 @@ func New(sccs []Invalidator) *Bus {
 	if len(sccs) == 0 || len(sccs) > 32 {
 		panic(fmt.Sprintf("snoop: %d clusters, want 1..32", len(sccs)))
 	}
-	b := &Bus{sccs: sccs, presence: newPresenceTable()}
-	for lb := sysmodel.LineSize; lb > 1; lb >>= 1 {
-		b.lineShift++
-	}
-	return b
+	return &Bus{sccs: sccs, lineShift: sysmodel.LineShift(sysmodel.LineSize)}
 }
 
 // SetLineBytes tells the bus the line size (a power of two) its caches
 // use, so presence is tracked at the same line granularity. Call before
 // simulation starts; the default is the paper's 16-byte line.
 func (b *Bus) SetLineBytes(lineBytes int) {
-	b.lineShift = 0
-	for lb := lineBytes; lb > 1; lb >>= 1 {
-		b.lineShift++
-	}
-}
-
-// MaxFlatLines bounds the direct-indexed presence table at 1<<22 lines
-// (a 16 MiB table covering 128 MiB of address space). Footprints beyond
-// that keep the paged representation.
-const MaxFlatLines = 1 << 22
-
-// ReserveLines switches the presence table to a direct-indexed array
-// covering line indices [0, lines). Callers that know the trace's
-// footprint up front (a compiled trace records its max line index) use
-// this to replace the per-access map lookup — paid on every fetch, write
-// hit to a shared line, and eviction — with a bounds-checked array index.
-// Lines at or beyond the reserved bound still fall back to the paged
-// map, so the call is a pure optimization: coherence behavior is
-// identical either way. Requests larger than MaxFlatLines are ignored.
-// Any state already in the paged table is migrated, so the call is
-// correct (if pointless) mid-simulation.
-func (b *Bus) ReserveLines(lines uint32) {
-	b.presence.reserve(lines)
+	b.lineShift = sysmodel.LineShift(lineBytes)
 }
 
 // Stats returns the accumulated coherence statistics.
@@ -211,7 +190,7 @@ func (b *Bus) Fetch(now uint64, cluster int, addr uint32, kind mem.Kind) uint64 
 	start := b.acquire(now)
 	b.stats.Fetches++
 	li := addr >> b.lineShift
-	mask := b.presence.get(li)
+	mask := b.mask(li)
 	self := uint32(1) << uint(cluster)
 	if mask&^self != 0 {
 		b.stats.FetchesFromSCC++
@@ -247,9 +226,9 @@ func (b *Bus) Fetch(now uint64, cluster int, addr uint32, kind mem.Kind) uint64 
 	}
 	if kind == mem.Write {
 		b.invalidateOthers(li, addr, cluster, mask)
-		b.presence.set(li, self)
+		b.setMask(li, self)
 	} else {
-		b.presence.set(li, mask|self)
+		b.setMask(li, mask|self)
 	}
 	if b.Hook != nil {
 		b.Hook(TxnFetch, start, latency, cluster, addr)
@@ -267,14 +246,14 @@ func (b *Bus) Fetch(now uint64, cluster int, addr uint32, kind mem.Kind) uint64 
 // the cost shows up as the victims' later misses).
 func (b *Bus) WriteShared(now uint64, cluster int, addr uint32) bool {
 	li := addr >> b.lineShift
-	mask := b.presence.get(li)
+	mask := b.mask(li)
 	self := uint32(1) << uint(cluster)
 	if mask&^self == 0 {
 		return false
 	}
 	b.acquire(now)
 	b.invalidateOthers(li, addr, cluster, mask)
-	b.presence.set(li, self)
+	b.setMask(li, self)
 	if b.Hook != nil {
 		b.Hook(TxnInvalidate, now, 0, cluster, addr)
 	}
@@ -284,21 +263,16 @@ func (b *Bus) WriteShared(now uint64, cluster int, addr uint32) bool {
 	return true
 }
 
-// MaybeShared reports whether the line containing addr might be held by
-// a cluster other than cluster: false only when the flat presence table
-// covers the line and records no other holder. It is WriteShared's
-// early-out lifted into an inlinable probe — WriteShared itself is over
-// the inlining budget, so a caller on a hot write-hit path uses this to
-// skip the call entirely on the common private-line case (skipping is
-// exactly what WriteShared would have done: no state change, no
-// statistics). Lines outside the flat table conservatively report true.
+// MaybeShared reports whether a cluster other than cluster holds the
+// line containing addr; a line no fetch has set has no holder. It is
+// WriteShared's early-out lifted into an inlinable probe — WriteShared
+// itself is over the inlining budget, so a caller on a hot write-hit
+// path uses this to skip the call entirely on the common private-line
+// case (skipping is exactly what WriteShared would have done: no state
+// change, no statistics).
 func (b *Bus) MaybeShared(addr uint32, cluster int) bool {
 	li := addr >> b.lineShift
-	flat := b.presence.flat
-	if li < uint32(len(flat)) {
-		return flat[li]&^(uint32(1)<<uint(cluster)) != 0
-	}
-	return true
+	return li < uint32(len(b.presence)) && b.presence[li]&^(uint32(1)<<uint(cluster)) != 0
 }
 
 // invalidateOthers kills the line in every cluster in mask except the
@@ -330,8 +304,7 @@ func (b *Bus) invalidateOthers(li uint32, addr uint32, cluster int, mask uint32)
 // (capacity/conflict eviction), clearing its presence bit. Dirty evictions
 // consume a write-back transaction.
 func (b *Bus) Evicted(now uint64, cluster int, lineIndex uint32, dirty bool) {
-	mask := b.presence.get(lineIndex)
-	b.presence.set(lineIndex, mask&^(uint32(1)<<uint(cluster)))
+	b.setMask(lineIndex, b.mask(lineIndex)&^(uint32(1)<<uint(cluster)))
 	if dirty {
 		b.acquire(now)
 		b.stats.WriteBacks++
@@ -347,45 +320,18 @@ func (b *Bus) Evicted(now uint64, cluster int, lineIndex uint32, dirty bool) {
 // Present reports which clusters currently hold the line containing addr,
 // as a bitmask. Exposed for tests and invariant checks.
 func (b *Bus) Present(addr uint32) uint32 {
-	return b.presence.get(addr >> b.lineShift)
+	return b.mask(addr >> b.lineShift)
 }
 
-// VisitPresence calls fn for every line with a nonzero presence mask —
-// flat table first, then the paged overflow in unspecified page order.
-// Used by the invariant checker's end-of-run residency audit.
+// VisitPresence calls fn for every line with a nonzero presence mask,
+// in line order. Used by the invariant checker's end-of-run residency
+// audit.
 func (b *Bus) VisitPresence(fn func(lineIndex uint32, mask uint32)) {
-	for li, mask := range b.presence.flat {
+	for li, mask := range b.presence {
 		if mask != 0 {
 			fn(uint32(li), mask)
 		}
 	}
-	for pn, page := range b.presence.pages {
-		base := pn << pageShift
-		for off, mask := range page {
-			if mask != 0 {
-				fn(base+uint32(off), mask)
-			}
-		}
-	}
-}
-
-// PresenceConsistency checks the flat/paged representation boundary: a
-// line index covered by the flat table must carry no state in the paged
-// map (ReserveLines migrates and zeroes page entries; a nonzero leftover
-// would make get and set disagree about which copy is authoritative).
-// Returns nil when consistent.
-func (b *Bus) PresenceConsistency() error {
-	flat := uint32(len(b.presence.flat))
-	for pn, page := range b.presence.pages {
-		base := pn << pageShift
-		for off, mask := range page {
-			if li := base + uint32(off); mask != 0 && li < flat {
-				return fmt.Errorf("snoop: line %d holds presence mask %#x in the paged table below the flat bound %d",
-					li, mask, flat)
-			}
-		}
-	}
-	return nil
 }
 
 // SetPresence overwrites the presence mask of addr's line. It exists
@@ -393,67 +339,32 @@ func (b *Bus) PresenceConsistency() error {
 // a corrupted presence table that the checker must catch); the simulator
 // never calls it.
 func (b *Bus) SetPresence(addr uint32, mask uint32) {
-	b.presence.set(addr>>b.lineShift, mask)
+	b.setMask(addr>>b.lineShift, mask)
 }
 
-// presenceTable maps line index -> cluster bitmask. Two representations:
-// a direct-indexed flat array for line indices below the reserved bound
-// (see Bus.ReserveLines), and 4096-line pages in a map for everything
-// else. The flat array is the hot path — the paged map only exists so
-// unreserved footprints and out-of-bound stragglers stay correct.
-type presenceTable struct {
-	flat  []uint32
-	pages map[uint32][]uint32
+// mask returns line li's presence mask.
+func (b *Bus) mask(li uint32) uint32 {
+	if li < uint32(len(b.presence)) {
+		return b.presence[li]
+	}
+	return 0
 }
 
-const pageShift = 12 // 4096 lines (64 KB of address space) per page
-
-func newPresenceTable() *presenceTable {
-	return &presenceTable{pages: make(map[uint32][]uint32)}
-}
-
-func (t *presenceTable) reserve(lines uint32) {
-	if lines == 0 || lines > MaxFlatLines || uint32(len(t.flat)) >= lines {
-		return
-	}
-	flat := make([]uint32, lines)
-	copy(flat, t.flat)
-	for pn, p := range t.pages {
-		base := pn << pageShift
-		for off, mask := range p {
-			if li := base + uint32(off); mask != 0 && li < lines {
-				flat[li] = mask
-				p[off] = 0
-			}
-		}
-	}
-	t.flat = flat
-}
-
-func (t *presenceTable) get(li uint32) uint32 {
-	if li < uint32(len(t.flat)) {
-		return t.flat[li]
-	}
-	p, ok := t.pages[li>>pageShift]
-	if !ok {
-		return 0
-	}
-	return p[li&(1<<pageShift-1)]
-}
-
-func (t *presenceTable) set(li uint32, mask uint32) {
-	if li < uint32(len(t.flat)) {
-		t.flat[li] = mask
-		return
-	}
-	pn := li >> pageShift
-	p, ok := t.pages[pn]
-	if !ok {
+// setMask sets line li's presence mask. A nonzero mask past the end of
+// the table first grows it by doubling, from 1024 lines, until it
+// covers li; a zero one there is already recorded.
+func (b *Bus) setMask(li, mask uint32) {
+	if li >= uint32(len(b.presence)) {
 		if mask == 0 {
 			return
 		}
-		p = make([]uint32, 1<<pageShift)
-		t.pages[pn] = p
+		n := max(len(b.presence), 1<<10)
+		for n <= int(li) {
+			n *= 2
+		}
+		grown := make([]uint32, n)
+		copy(grown, b.presence)
+		b.presence = grown
 	}
-	p[li&(1<<pageShift-1)] = mask
+	b.presence[li] = mask
 }

@@ -1,12 +1,14 @@
 package snoop
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"sccsim/internal/mem"
 	"sccsim/internal/scc"
 	"sccsim/internal/sysmodel"
+	"sccsim/internal/trace"
 )
 
 // fakeSCC records invalidations and lets tests control presence/dirtiness.
@@ -225,21 +227,23 @@ func TestPresenceInvariantProperty(t *testing.T) {
 	}
 }
 
-// Property: presence table get/set round-trips across page boundaries.
+// Property: presence masks set through the seam read back, however far
+// each set grows the table.
 func TestPresenceTableProperty(t *testing.T) {
-	f := func(lines []uint32, masks []uint8) bool {
-		pt := newPresenceTable()
+	f := func(lines []uint16, masks []uint8) bool {
+		b, _ := newBus4()
 		want := make(map[uint32]uint32)
 		for i, li := range lines {
 			var m uint32
 			if i < len(masks) {
 				m = uint32(masks[i]) & 0xf
 			}
-			pt.set(li, m)
-			want[li] = m
+			addr := uint32(li) * sysmodel.LineSize
+			b.SetPresence(addr, m)
+			want[addr] = m
 		}
-		for li, m := range want {
-			if pt.get(li) != m {
+		for addr, m := range want {
+			if b.Present(addr) != m {
 				return false
 			}
 		}
@@ -285,82 +289,80 @@ func TestMemBanksOffByDefault(t *testing.T) {
 	}
 }
 
-// TestFlatPagedEquivalence drives identical operation sequences through
-// a reserved (flat) bus and an unreserved (paged) bus: presence state
-// and statistics must match at every step — ReserveLines is a pure
-// representation change.
-func TestFlatPagedEquivalence(t *testing.T) {
-	flat, _ := newBus4()
-	flat.ReserveLines(1 << 12)
-	paged, _ := newBus4()
-
+// TestPresenceGrowth drives the same operations through a bus at low
+// lines and at lines just below trace.AddrBound, where the table grows
+// to its largest size: ready times, presence masks and statistics must
+// match at every step, and VisitPresence must report exactly the lines
+// holding state.
+func TestPresenceGrowth(t *testing.T) {
 	ops := []struct {
 		cluster int
-		addr    uint32
+		line    uint32 // offset from the base line
 		kind    mem.Kind
 	}{
-		{0, 0x40, mem.Read}, {1, 0x40, mem.Read}, {2, 0x40, mem.Write},
-		{3, 0x1000, mem.Write}, {0, 0x1000, mem.Read},
-		// Beyond the flat bound: exercises the paged fallback on both.
-		{1, (1 << 12) * sysmodel.LineSize, mem.Write},
-		{2, (1 << 12) * sysmodel.LineSize, mem.Read},
+		{0, 4, mem.Read}, {1, 4, mem.Read}, {2, 4, mem.Write},
+		{3, 60, mem.Write}, {0, 60, mem.Read}, {1, 0, mem.Write}, {2, 0, mem.Read},
 	}
-	for i, op := range ops {
-		now := uint64(i * 200)
-		f := flat.Fetch(now, op.cluster, op.addr, op.kind)
-		p := paged.Fetch(now, op.cluster, op.addr, op.kind)
-		if f != p {
-			t.Fatalf("op %d: ready time %d (flat) vs %d (paged)", i, f, p)
+	type outcome struct {
+		ready []uint64
+		masks []uint32
+		stats Stats
+		held  map[uint32]uint32 // line offset -> mask, from VisitPresence
+		table int
+	}
+	run := func(base uint32) outcome {
+		b, fs := newBus4()
+		addr := func(off uint32) uint32 { return (base + off) * sysmodel.LineSize }
+		var o outcome
+		for i, op := range ops {
+			o.ready = append(o.ready, b.Fetch(uint64(i*200), op.cluster, addr(op.line), op.kind))
+			fs[op.cluster].hold(addr(op.line), op.kind == mem.Write)
+			o.masks = append(o.masks, b.Present(addr(op.line)))
 		}
-		if fm, pm := flat.Present(op.addr), paged.Present(op.addr); fm != pm {
-			t.Fatalf("op %d: presence %#x (flat) vs %#x (paged)", i, fm, pm)
+		b.WriteShared(2000, 0, addr(60))
+		b.Evicted(2100, 2, base+4, true)
+		o.stats = *b.Stats()
+		o.held = map[uint32]uint32{}
+		b.VisitPresence(func(li, mask uint32) { o.held[li-base] = mask })
+		o.table = len(b.presence)
+		return o
+	}
+	top := uint32(trace.AddrBound / sysmodel.LineSize)
+	low, high := run(1), run(top-64)
+	if !reflect.DeepEqual(low.ready, high.ready) || !reflect.DeepEqual(low.masks, high.masks) {
+		t.Errorf("ready times or masks differ:\nlow:  %v %v\nhigh: %v %v", low.ready, low.masks, high.ready, high.masks)
+	}
+	if low.stats != high.stats {
+		t.Errorf("stats differ:\nlow:  %+v\nhigh: %+v", low.stats, high.stats)
+	}
+	// Line 4 was written by cluster 2, then evicted; line 60 was
+	// written by cluster 3 and read by 0, whose write-shared broadcast
+	// left it alone; line 0 was written by 1 and read by 2.
+	want := map[uint32]uint32{0: 0b0110, 60: 0b0001}
+	for _, o := range []outcome{low, high} {
+		if !reflect.DeepEqual(o.held, want) {
+			t.Errorf("VisitPresence saw %v, want %v", o.held, want)
 		}
 	}
-	flat.WriteShared(2000, 0, 0x1000)
-	paged.WriteShared(2000, 0, 0x1000)
-	flat.Evicted(2100, 2, sysmodel.LineIndex(0x40), true)
-	paged.Evicted(2100, 2, sysmodel.LineIndex(0x40), true)
-	if *flat.Stats() != *paged.Stats() {
-		t.Errorf("stats diverged:\nflat:  %+v\npaged: %+v", *flat.Stats(), *paged.Stats())
+	if high.table != int(top) {
+		t.Errorf("table grew to %d lines for a line below %d, want exactly %d", high.table, top, top)
 	}
-}
-
-// TestReserveLinesMigratesState: presence recorded while paged survives
-// a mid-simulation switch to the flat table.
-func TestReserveLinesMigratesState(t *testing.T) {
+	// A line on a doubling boundary lands inside the table it grows.
 	b, _ := newBus4()
-	b.Fetch(0, 0, 0x40, mem.Read)
-	b.Fetch(0, 1, 0x40, mem.Read)
-	before := b.Present(0x40)
-	if before != 0b11 {
-		t.Fatalf("setup: presence %#x, want 0b11", before)
-	}
-	b.ReserveLines(1 << 10)
-	if got := b.Present(0x40); got != before {
-		t.Errorf("presence %#x after reserve, want %#x", got, before)
-	}
-	// The migrated line is now served by the flat array.
-	if li := sysmodel.LineIndex(0x40); b.presence.flat[li] != before {
-		t.Errorf("flat[%d] = %#x, want %#x", li, b.presence.flat[li], before)
-	}
-	// Oversized requests are ignored, keeping whatever table exists.
-	b.ReserveLines(MaxFlatLines + 1)
-	if got := uint32(len(b.presence.flat)); got != 1<<10 {
-		t.Errorf("flat table resized to %d by an oversized request", got)
+	for _, li := range []uint32{1 << 10, 1 << 12} {
+		b.Fetch(0, 1, li*sysmodel.LineSize, mem.Read)
+		if got := b.Present(li * sysmodel.LineSize); got != 0b10 {
+			t.Errorf("line %d: presence %#b after a fetch by cluster 1, want 0b10", li, got)
+		}
 	}
 }
 
-// TestMaybeShared pins the inlinable probe's contract: false only when
-// the flat table proves no other holder; unknown lines report true.
+// TestMaybeShared pins the inlinable probe's contract: true exactly when
+// another cluster holds the line, so an untouched line has no holder.
 func TestMaybeShared(t *testing.T) {
 	b, _ := newBus4()
-	// No flat table yet: everything is conservatively "maybe".
-	if !b.MaybeShared(0x40, 0) {
-		t.Error("paged-only bus claimed a line is private")
-	}
-	b.ReserveLines(1 << 10)
 	if b.MaybeShared(0x40, 0) {
-		t.Error("unfetched line inside the flat bound reported shared")
+		t.Error("untouched line on an empty bus reported shared")
 	}
 	b.Fetch(0, 0, 0x40, mem.Read)
 	if b.MaybeShared(0x40, 0) {
@@ -373,9 +375,9 @@ func TestMaybeShared(t *testing.T) {
 	if !b.MaybeShared(0x40, 0) {
 		t.Error("shared line reported private")
 	}
-	// Beyond the flat bound: conservative true even when untouched.
-	if !b.MaybeShared((1<<10)*sysmodel.LineSize, 0) {
-		t.Error("line beyond the flat bound reported private")
+	// Past the table's end: an untouched line has no holder.
+	if b.MaybeShared((1<<20)*sysmodel.LineSize, 0) {
+		t.Error("untouched line past the table reported shared")
 	}
 	// MaybeShared == false must imply WriteShared is a no-op: the probe
 	// exists so callers can skip the call, and skipping must match calling.
@@ -425,39 +427,6 @@ func TestVerifierObservesStateChanges(t *testing.T) {
 	}
 	if len(v.evicts) != 1 || v.evicts[0] != sysmodel.LineIndex(0x40) {
 		t.Errorf("verifier saw evictions %v, want the one line", v.evicts)
-	}
-}
-
-func TestVisitPresenceCoversFlatAndPages(t *testing.T) {
-	b, _ := newBus4()
-	b.ReserveLines(64)
-	b.Fetch(0, 0, 5*sysmodel.LineSize, mem.Read)    // flat
-	b.Fetch(0, 1, 9000*sysmodel.LineSize, mem.Read) // paged (beyond the bound)
-	got := map[uint32]uint32{}
-	b.VisitPresence(func(li, mask uint32) { got[li] = mask })
-	if got[5] != 1 || got[9000] != 2 || len(got) != 2 {
-		t.Fatalf("VisitPresence saw %v, want lines 5 (mask 1) and 9000 (mask 2)", got)
-	}
-}
-
-func TestPresenceConsistencyDetectsDuplicateState(t *testing.T) {
-	b, _ := newBus4()
-	b.Fetch(0, 0, 5*sysmodel.LineSize, mem.Read)
-	b.ReserveLines(64)
-	if err := b.PresenceConsistency(); err != nil {
-		t.Fatalf("migrated table reported inconsistent: %v", err)
-	}
-	// Seed the bug ReserveLines' migration is guarding against: state for
-	// a flat-covered line left behind in the paged map, so get (flat) and
-	// a hypothetical stale reader (page) disagree. Only reachable by
-	// poking the representation directly — which is the point: the
-	// invariant holds through the public API and the checker proves it
-	// stays held.
-	page := make([]uint32, 1<<pageShift)
-	page[5] = 0b10
-	b.presence.pages[0] = page
-	if err := b.PresenceConsistency(); err == nil {
-		t.Fatal("duplicate flat/paged state not detected")
 	}
 }
 

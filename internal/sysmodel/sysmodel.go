@@ -5,7 +5,10 @@
 // live in exactly one place.
 package sysmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Architectural constants fixed by the paper (Section 2).
 const (
@@ -291,15 +294,12 @@ func LineAddr(addr uint32) uint32 { return addr &^ (LineSize - 1) }
 // LineIndex returns the global line number containing addr.
 func LineIndex(addr uint32) uint32 { return addr / LineSize }
 
-// LineShift returns log2 of the effective line size, so line indices can
-// be computed with a shift on hot paths.
-func (c Config) LineShift() uint32 {
-	s := uint32(0)
-	for lb := c.Line(); lb > 1; lb >>= 1 {
-		s++
-	}
-	return s
-}
+// LineShift returns log2 of lineBytes, a power of two: the shift that
+// turns an address into its line index on hot paths.
+func LineShift(lineBytes int) uint32 { return uint32(bits.Len(uint(lineBytes)) - 1) }
+
+// LineShift returns log2 of the effective line size.
+func (c Config) LineShift() uint32 { return LineShift(c.Line()) }
 
 // Axes bundles the architecture axes that widen the paper's design
 // space beyond (size, processors): line size, associativity,

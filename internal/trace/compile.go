@@ -1,17 +1,44 @@
 package trace
 
 import (
+	"fmt"
+
 	"sccsim/internal/mem"
 	"sccsim/internal/sysmodel"
 )
 
+// AddrBound bounds every address a trace may reference: the simulator
+// and the reuse-distance model run only traces whose references lie
+// below it (see Measure). 64 MiB is 21× the largest paper-scale
+// footprint (Cholesky, 2.99 MiB), and it bounds the tables the
+// simulator's coherence bus and the profile builders index by line:
+// at most 4 Mi entries (16 MiB) at the paper's 16-byte lines, 16 Mi
+// (64 MiB) at 4-byte lines.
+const AddrBound = 64 << 20
+
+// Measure counts a stream's memory references (every one but Idle) and
+// finds the largest line index they touch at the paper's line size. It
+// refuses a stream with a reference at or above AddrBound.
+func Measure(st []mem.Ref) (refs uint64, maxLine uint32, err error) {
+	var top uint32
+	for _, r := range st {
+		if r.Kind != mem.Idle {
+			refs++
+			top = max(top, r.Addr)
+		}
+	}
+	if top >= AddrBound {
+		return 0, 0, fmt.Errorf("address %#x is at or above the %d MiB address bound", top, AddrBound>>20)
+	}
+	return refs, sysmodel.LineIndex(top), nil
+}
+
 // Compiled is the validated, measured execution form of a Program: its
-// header, its phase names, its streams, and the footprint metadata the
-// simulator needs to size its coherence state up front. It holds no
+// header, its phase names, its streams, and its footprint. It holds no
 // copy of the trace. Streams are the program's own slices, so a trace
 // is in memory once however many forms of it are in use, and the
-// precomputed totals let Program.Refs and the presence-table sizing
-// skip their own passes over the trace.
+// precomputed totals let Program.Refs and the profile builders skip
+// their own passes over the trace.
 //
 // A Compiled is as immutable as the Program it came from: the simulator
 // and the sweep engine only read it, so one compiled program may back any
@@ -36,16 +63,16 @@ type Compiled struct {
 func (c *Compiled) Refs() uint64 { return c.refs }
 
 // MaxLineIndex returns the largest cache-line index any memory reference
-// in the program touches. The simulator uses it to size the coherence
-// bus's direct-indexed presence table (see snoop.Bus.ReserveLines).
+// in the program touches, at the paper's line size. The profile
+// builders size their line-indexed state from it.
 func (c *Compiled) MaxLineIndex() uint32 { return c.maxLine }
 
-// Compile validates and measures the program: one pass counts its
-// references and finds its largest line, and nothing is allocated per
-// reference. The result is memoized on the Program (safely for
-// concurrent callers), so every design point of a sweep that shares one
-// cached trace also shares one compiled form and pays for validation
-// exactly once.
+// Compile validates and measures the program: one pass (Measure) counts
+// its references, finds its largest line and refuses a reference at or
+// above AddrBound, and nothing is allocated per reference. The result
+// is memoized on the Program (safely for concurrent callers), so every
+// design point of a sweep that shares one cached trace also shares one
+// compiled form and pays for validation exactly once.
 func Compile(p *Program) (*Compiled, error) {
 	if c := p.compiled.Load(); c != nil {
 		return c, nil
@@ -64,12 +91,12 @@ func Compile(p *Program) (*Compiled, error) {
 		c.Streams[i] = make([][]mem.Ref, len(ph.Streams))
 		for pr, st := range ph.Streams {
 			c.Streams[i][pr] = st[:len(st):len(st)]
-			for _, r := range st {
-				if r.Kind != mem.Idle {
-					c.refs++
-					c.maxLine = max(c.maxLine, sysmodel.LineIndex(r.Addr))
-				}
+			refs, maxLine, err := Measure(st)
+			if err != nil {
+				return nil, fmt.Errorf("trace: program %q phase %d proc %d: %w", p.Name, i, pr, err)
 			}
+			c.refs += refs
+			c.maxLine = max(c.maxLine, maxLine)
 		}
 	}
 	// First compile wins; concurrent compilers of the same program

@@ -3,6 +3,7 @@ package trace
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -144,5 +145,31 @@ func TestCompileRejectsInvalidProgram(t *testing.T) {
 	}
 	if p.compiled.Load() != nil {
 		t.Fatal("failed Compile populated the memo")
+	}
+}
+
+// TestCompileAddressBound: a reference on the last line below AddrBound
+// compiles, and one at the bound is refused with an error naming it,
+// leaving the memo empty.
+func TestCompileAddressBound(t *testing.T) {
+	at := func(addr uint32) *Program {
+		return &Program{Name: "edge", Procs: 1, Phases: []Phase{{Name: "p", Streams: [][]mem.Ref{
+			{{Addr: 0x100, Kind: mem.Read}, {Addr: addr, Kind: mem.Write}},
+		}}}}
+	}
+	c, err := Compile(at(AddrBound - sysmodel.LineSize))
+	if err != nil {
+		t.Fatalf("reference one line below the bound refused: %v", err)
+	}
+	if want := uint32(AddrBound/sysmodel.LineSize - 1); c.MaxLineIndex() != want {
+		t.Errorf("MaxLineIndex() = %d, want %d", c.MaxLineIndex(), want)
+	}
+	p := at(AddrBound)
+	_, err = Compile(p)
+	if err == nil || !strings.Contains(err.Error(), "64 MiB address bound") {
+		t.Fatalf("reference at the bound: error %v, want one naming the 64 MiB address bound", err)
+	}
+	if p.compiled.Load() != nil {
+		t.Fatal("refused Compile populated the memo")
 	}
 }

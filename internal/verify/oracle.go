@@ -1,7 +1,7 @@
 // The oracle simulator: a deliberately naive reimplementation of the
 // documented simulation model, used to cross-check the optimized
 // simulator's results. Where internal/sim replays compiled traces,
-// keeps a flat presence array sized from their footprint, runs the
+// keeps presence in one slice indexed by line, runs the
 // direct-mapped bank/tag path inside its replay loop and schedules
 // processors through a tournament tree, the oracle uses maps for
 // everything (sets, presence, bank timing, locks), walks the Program's

@@ -139,10 +139,7 @@ func NewChecker(o *Options, bus *snoop.Bus, clusters []Cluster, victimSlack bool
 // audited caches use; call before the run starts when the line-size
 // axis deviates from the paper's 16 bytes.
 func (c *Checker) SetLineBytes(lineBytes int) {
-	c.lineShift = 0
-	for lb := lineBytes; lb > 1; lb >>= 1 {
-		c.lineShift++
-	}
+	c.lineShift = sysmodel.LineShift(lineBytes)
 }
 
 func (c *Checker) violate(format string, args ...any) {
@@ -275,9 +272,7 @@ func (c *Checker) AfterEvicted(now uint64, cluster int, lineIndex uint32, dirty 
 //     buffer or not — parked victims keep their bit);
 //   - every set presence bit corresponds to a resident line (exact only
 //     without victim buffers; see victimSlack);
-//   - no presence bit names a cluster beyond the cluster count;
-//   - the flat and paged presence representations agree across the
-//     migration boundary (Bus.PresenceConsistency).
+//   - no presence bit names a cluster beyond the cluster count.
 //
 // Audit is a full state walk — O(cache lines + presence footprint) — so
 // the simulator runs it at end of run (FinishRun), not per transaction.
@@ -307,9 +302,6 @@ func (c *Checker) Audit() {
 			}
 		}
 	})
-	if err := c.bus.PresenceConsistency(); err != nil {
-		c.violate("audit: %v", err)
-	}
 }
 
 // FinishRun runs the end-of-run audit plus the accounting conservation
